@@ -35,7 +35,7 @@ def main():
             print(f"{gamma:6.0f} {m_size:6d} {est.value:12.3e} {est.halfwidth_95:10.1e} "
                   f"{bounds['hoeffding_stated']:17.4f} {bounds['theorem']:15.4f}")
     print("\nan example-independent loss has zero gap by construction:")
-    dm0 = gl.constant_loss_data_model(gl.quadratic_landscape(1), sample_size=20)
+    dm0 = gl.constant_loss_data_model(gl.quadratic_landscape(1))
     est0 = gl.empirical_generalization_gap(dm0, 5.0, ridge, 20, trials=50, master_seed=5)
     print(f"  constant-loss model gap = {est0.value} (exactly zero)")
 

@@ -88,14 +88,14 @@ _SCHEMA = {
     "landscape": {"name", "params"},
     "gibbs": {"gamma", "ridge", "m", "loss_bound", "sigma", "gen_bound_variant"},
     "radius": {"relative", "absolute", "tuning_p"},
-    "sampler": {"kind", "step_size", "steps", "burn_in", "chains"},
+    "sampler": {"steps"},
     "oracle": {"nodes_per_dim", "mc_trials", "use_quadrature_weights"},
 }
 _TOP_KEYS = {"landscape", "gibbs", "radius", "sampler", "oracle", "theorems", "master_seed", "output_dir"}
 
 _DEFAULTS = {
     "gibbs": {"ridge": 0.0, "loss_bound": None, "sigma": None, "gen_bound_variant": "hoeffding_stated"},
-    "sampler": {"kind": "metropolis", "step_size": None, "steps": 100_000, "burn_in": None, "chains": 1},
+    "sampler": {"steps": 100_000},
     "oracle": {"nodes_per_dim": 0, "mc_trials": 200, "use_quadrature_weights": True},
 }
 
@@ -217,6 +217,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if "master_seed" not in raw:
         problems.append("master_seed: required")
     sampler = {**_DEFAULTS["sampler"], **(raw.get("sampler") or {})}
+    if not isinstance(sampler["steps"], int) or sampler["steps"] < 1:
+        problems.append("sampler.steps: must be an integer >= 1")
     oracle = {**_DEFAULTS["oracle"], **(raw.get("oracle") or {})}
 
     # radius entries must respect r0 (needs the enumerated minima)
@@ -497,7 +499,7 @@ def _evaluate_point(cfg: ExperimentConfig, landscape, gamma, ridge, m) -> list[d
             m,
             trials=int(cfg.oracle["mc_trials"]),
             master_seed=cfg.master_seed,
-            steps=int(cfg.sampler["steps"]) if cfg.sampler["steps"] else 2000,
+            steps=cfg.sampler["steps"],
         )
         allowance = 1.5 * estimate.halfwidth_95  # 3 sigma
         for variant in bnd.GEN_BOUND_VARIANTS:

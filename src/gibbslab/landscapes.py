@@ -111,6 +111,8 @@ class Landscape:
     vectorize over leading axes. ``initial_points`` are the analytic well
     seeds handed to Newton polishing; ``loss_bound`` is the exact supremum
     M of the risk (and of any attached loss) over the domain box.
+    ``quadratic`` declares that the risk is exactly quadratic in w (its
+    Hessian is constant), so its Gibbs targets admit exact Gaussian draws.
     """
 
     name: str
@@ -125,6 +127,7 @@ class Landscape:
         Callable[[np.ndarray, np.ndarray, float, float], float] | None
     ) = None
     params: dict[str, Any] = field(default_factory=dict)
+    quadratic: bool = False
 
     def contains(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
@@ -148,24 +151,27 @@ class Landscape:
 
 @dataclass(frozen=True)
 class DataModel:
-    """Loss and seeded example sampler realizing a landscape's risk.
+    """Batched loss and seeded example sampler realizing a landscape's risk.
 
-    The expectation of ``loss(w, z)`` over examples equals the landscape
-    risk at w; the loss is twice differentiable in w on the domain box.
-    ``sample_examples(rng, n)`` returns n examples as an array whose first
-    axis indexes the sample.
+    ``loss(w, sample)``, ``loss_gradient(w, sample)`` and
+    ``loss_hessian(w, sample)`` take a point batch w of shape (..., d) and
+    a whole sample of m examples, and return the per-example values,
+    gradients and Hessians with shapes (..., m), (..., m, d) and
+    (..., m, d, d). The expectation of the loss over examples equals the
+    landscape risk at w; the loss is twice differentiable in w on the
+    domain box. ``sample_examples(rng, n)`` returns n examples as an array
+    whose first axis indexes the sample. ``quadratic`` promises that the
+    empirical risk (1/m)Σℓ(w, zᵢ) is exactly quadratic in w for every
+    sample, so its Hessian does not depend on w.
     """
 
     name: str
     landscape: Landscape
-    sample_size: int
-    loss: Callable[[np.ndarray, Any], float]
-    loss_gradient: Callable[[np.ndarray, Any], np.ndarray]
-    loss_hessian: Callable[[np.ndarray, Any], np.ndarray]
+    loss: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    loss_gradient: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    loss_hessian: Callable[[np.ndarray, np.ndarray], np.ndarray]
     sample_examples: Callable[[np.random.Generator, int], np.ndarray]
-    batched_empirical_value: (
-        Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]] | None
-    ) = None
+    quadratic: bool = False
 
 
 def _as_point(w, dimension: int) -> np.ndarray:
@@ -203,17 +209,10 @@ def empirical_risk_jet(data_model: DataModel, sample, w, lam: float) -> RiskJet:
     w = _as_point(w, land.dimension)
     if not bool(land.contains(w)):
         raise DomainError(f"point {w} lies outside the domain box")
-    m = sample.shape[0]
-    value = 0.0
-    grad = np.zeros(land.dimension)
-    hess = np.zeros((land.dimension, land.dimension))
-    for z in sample:
-        value += float(data_model.loss(w, z))
-        grad += np.asarray(data_model.loss_gradient(w, z), dtype=float)
-        hess += np.asarray(data_model.loss_hessian(w, z), dtype=float)
-    value = value / m + lam * float(w @ w)
-    grad = grad / m + 2.0 * lam * w
-    hess = hess / m + 2.0 * lam * np.eye(land.dimension)
+    value = float(np.mean(data_model.loss(w, sample))) + lam * float(w @ w)
+    grad = np.mean(data_model.loss_gradient(w, sample), axis=0) + 2.0 * lam * w
+    eye = np.eye(land.dimension)
+    hess = np.mean(data_model.loss_hessian(w, sample), axis=0) + 2.0 * lam * eye
     return RiskJet(value=value, gradient=grad, hessian=0.5 * (hess + hess.T))
 
 
@@ -459,6 +458,7 @@ def quadratic_landscape(
         initial_points=(np.zeros(dimension),),
         lipschitz_closed_form=lambda loc, hreg, r, lam: 0.0,
         params={"matrix": a, "bounds": [list(b) for b in box]},
+        quadratic=True,
     )
 
 
@@ -637,7 +637,6 @@ def spline_double_well_landscape(
 def rls_data_model(
     slope: float = 0.5,
     noise_halfwidth: float = 0.5,
-    sample_size: int = 100,
     bounds=(-3.0, 3.0),
 ) -> DataModel:
     """Regularized-least-squares data model y = slope·x + ν on [-1, 1].
@@ -683,19 +682,23 @@ def rls_data_model(
             "noise_halfwidth": noise_halfwidth,
             "bounds": [list(b) for b in box],
         },
+        quadratic=True,
     )
 
-    def loss(w, z):
-        x, y = z
-        return float((y - w[0] * x) ** 2)
+    def residuals(w, sample):
+        w = np.asarray(w, dtype=float)
+        return sample[:, 1] - w[..., :1] * sample[:, 0]
 
-    def loss_gradient(w, z):
-        x, y = z
-        return np.array([-2.0 * (y - w[0] * x) * x])
+    def loss(w, sample):
+        resid = residuals(w, sample)
+        return resid * resid
 
-    def loss_hessian(w, z):
-        x, _ = z
-        return np.array([[2.0 * x * x]])
+    def loss_gradient(w, sample):
+        return (-2.0 * residuals(w, sample) * sample[:, 0])[..., None]
+
+    def loss_hessian(w, sample):
+        hess = (2.0 * sample[:, 0] ** 2)[:, None, None]
+        return np.broadcast_to(hess, np.shape(w)[:-1] + hess.shape)
 
     def sample_examples(rng: np.random.Generator, n: int) -> np.ndarray:
         x = rng.uniform(-1.0, 1.0, size=n)
@@ -703,59 +706,41 @@ def rls_data_model(
         y = np.clip(slope * x + nu, -1.0, 1.0)
         return np.column_stack([x, y])
 
-    def batched_empirical_value(sample: np.ndarray):
-        x = sample[:, 0]
-        y = sample[:, 1]
-
-        def value(wbatch: np.ndarray) -> np.ndarray:
-            wb = np.asarray(wbatch, dtype=float)[..., 0]
-            resid = y - wb[..., None] * x
-            return np.mean(resid * resid, axis=-1)
-
-        return value
-
     return DataModel(
         name="rls",
         landscape=landscape,
-        sample_size=sample_size,
         loss=loss,
         loss_gradient=loss_gradient,
         loss_hessian=loss_hessian,
         sample_examples=sample_examples,
-        batched_empirical_value=batched_empirical_value,
+        quadratic=True,
     )
 
 
-def constant_loss_data_model(landscape: Landscape, sample_size: int = 100) -> DataModel:
-    """Degenerate data model whose loss ignores the example: ℓ(w, z) = R(w)."""
+def constant_loss_data_model(landscape: Landscape) -> DataModel:
+    """Degenerate data model whose loss ignores the example: ℓ(w, z) = R(w).
 
-    def loss(w, z):
-        return float(landscape.risk(np.asarray(w, dtype=float)))
+    It is quadratic exactly when its landscape is.
+    """
 
-    def loss_gradient(w, z):
-        return np.asarray(landscape.gradient(np.asarray(w, dtype=float)), dtype=float)
-
-    def loss_hessian(w, z):
-        return np.asarray(landscape.hessian(np.asarray(w, dtype=float)), dtype=float)
+    def per_example(fn, w, sample, core_ndim):
+        # insert the example axis in front of the value's own (core) axes
+        values = np.asarray(fn(np.asarray(w, dtype=float)), dtype=float)
+        lead = values.ndim - core_ndim
+        shape = values.shape[:lead] + (len(sample),) + values.shape[lead:]
+        return np.broadcast_to(np.expand_dims(values, lead), shape)
 
     def sample_examples(rng: np.random.Generator, n: int) -> np.ndarray:
         return np.zeros((n, 1))
 
-    def batched_empirical_value(sample: np.ndarray):
-        def value(wbatch: np.ndarray) -> np.ndarray:
-            return landscape.risk(np.asarray(wbatch, dtype=float))
-
-        return value
-
     return DataModel(
         name=f"constant_loss[{landscape.name}]",
         landscape=landscape,
-        sample_size=sample_size,
-        loss=loss,
-        loss_gradient=loss_gradient,
-        loss_hessian=loss_hessian,
+        loss=lambda w, sample: per_example(landscape.risk, w, sample, 0),
+        loss_gradient=lambda w, sample: per_example(landscape.gradient, w, sample, 1),
+        loss_hessian=lambda w, sample: per_example(landscape.hessian, w, sample, 2),
         sample_examples=sample_examples,
-        batched_empirical_value=batched_empirical_value,
+        quadratic=landscape.quadratic,
     )
 
 

@@ -304,17 +304,16 @@ def empirical_generalization_gap(
     m: int,
     trials: int,
     master_seed: int,
-    kind: str | None = None,
     steps: int = 2000,
-    burn_in: int | None = None,
-    step_size: float | None = None,
 ) -> Estimate:
     """Cross-trial estimate of E_S E_w[R(w) − R̂_S(w)].
 
-    Each trial draws a fresh size-m sample, runs one chain on its
-    regularized empirical risk, and averages R(w) − R̂_S(w) over the
-    chain. Defaults to exact_gaussian when the empirical risk is
-    quadratic, metropolis otherwise. Requires trials ≥ 50.
+    Each trial draws a fresh size-m sample, runs one chain of ``steps``
+    steps on its regularized empirical risk, and averages R(w) − ℓ(w, zᵢ)
+    over the chain and the examples. The chain draws exact Gaussians when
+    the data model declares a quadratic empirical risk and runs Metropolis
+    (with the default step size and a fifth of the steps as burn-in)
+    otherwise. Requires trials ≥ 50.
     """
     if trials < 50:
         raise ArgumentError(f"need at least 50 trials, got {trials}")
@@ -324,15 +323,21 @@ def empirical_generalization_gap(
         rng = np.random.default_rng(chain_seed(master_seed, 2 * t))
         sample = data_model.sample_examples(rng, m)
         target = target_from_sample(data_model, sample, ridge)
-        use_kind = kind or ("exact_gaussian" if target.quadratic is not None else "metropolis")
-        eta = step_size if step_size is not None else default_step_size(target, gamma)
-        bi = burn_in if burn_in is not None else (0 if use_kind == "exact_gaussian" else steps // 5)
+        exact = target.quadratic is not None
         batch = sample_chain(
-            use_kind, target, gamma, eta, steps, bi, master_seed, chain_id=2 * t + 1
+            "exact_gaussian" if exact else "metropolis",
+            target,
+            gamma,
+            default_step_size(target, gamma),
+            steps,
+            0 if exact else steps // 5,
+            master_seed,
+            chain_id=2 * t + 1,
         )
+        # differencing per example keeps the gap of an example-independent
+        # loss exactly zero; a mean of m equal losses can round off R(w)
         risks = np.asarray(land.risk(batch.samples), dtype=float)
-        emp = np.asarray(target.data_value(batch.samples), dtype=float)
-        gaps[t] = float(np.mean(risks - emp))
+        gaps[t] = float(np.mean(risks[:, None] - data_model.loss(batch.samples, sample)))
     return Estimate(
         value=float(gaps.mean()),
         halfwidth_95=float(2.0 * gaps.std(ddof=1) / math.sqrt(trials)),
@@ -396,17 +401,12 @@ class DerivativeCheckReport:
 def _jet_functions(obj, rng: np.random.Generator):
     if isinstance(obj, DataModel):
         z_batch = obj.sample_examples(rng, 3)
-
-        def value(w):
-            return float(np.mean([obj.loss(w, z) for z in z_batch]))
-
-        def grad(w):
-            return np.mean([obj.loss_gradient(w, z) for z in z_batch], axis=0)
-
-        def hess(w):
-            return np.mean([obj.loss_hessian(w, z) for z in z_batch], axis=0)
-
-        return obj.landscape, value, grad, hess
+        return (
+            obj.landscape,
+            lambda w: float(np.mean(obj.loss(w, z_batch))),
+            lambda w: np.mean(obj.loss_gradient(w, z_batch), axis=0),
+            lambda w: np.mean(obj.loss_hessian(w, z_batch), axis=0),
+        )
     land: Landscape = obj
     return (
         land,

@@ -59,11 +59,9 @@ class GibbsTarget:
     """Potential f whose Gibbs density is ∝ e^(−γ f(w)) on the domain box.
 
     ``value`` accepts (..., d) batches; ``grad`` accepts a single point.
-    ``quadratic`` carries (minimizer, Hessian of f) when f is exactly
-    quadratic, which enables the exact_gaussian kind. For empirical
-    targets ``data_value`` is the ridge-free part of f (the plain
-    empirical risk), kept separate so generalization gaps need no
-    cancellation-prone subtraction.
+    ``quadratic`` carries (minimizer, Hessian of f) when f is declared
+    exactly quadratic with a positive definite Hessian, which enables the
+    exact_gaussian kind.
     """
 
     dim: int
@@ -71,7 +69,6 @@ class GibbsTarget:
     value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     quadratic: tuple[np.ndarray, np.ndarray] | None = None
-    data_value: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -94,18 +91,23 @@ class ChainBatch:
         return int(self.samples.shape[0])
 
 
+def _gaussian_pair(grad0: np.ndarray, hess0: np.ndarray):
+    """(minimizer, Hessian) of a quadratic potential from its gradient and
+    Hessian at w = 0; None unless the Hessian is positive definite."""
+    if np.linalg.eigvalsh(hess0)[0] <= 0.0:
+        return None
+    w0 = np.zeros(hess0.shape[0])
+    return w0 - np.linalg.solve(hess0, grad0), hess0
+
+
 def target_from_landscape(landscape: Landscape, ridge: float) -> GibbsTarget:
     """Population target f = R + λ‖w‖² (useful for sampler-vs-quadrature checks)."""
     quadratic = None
-    probes = [np.asarray(p, dtype=float) for p in landscape.initial_points]
-    if len(probes) == 1:
-        # single well with a constant Hessian: the target is exactly quadratic
-        h = np.atleast_2d(np.asarray(landscape.hessian(probes[0]), dtype=float))
-        if np.allclose(landscape.hessian(probes[0] + 0.37), h, atol=1e-12):
-            h_reg = h + 2.0 * ridge * np.eye(landscape.dimension)
-            grad0 = landscape.reg_gradient(probes[0], ridge)
-            w_min = probes[0] - np.linalg.solve(h_reg, grad0)
-            quadratic = (w_min, h_reg)
+    if landscape.quadratic:
+        w0 = np.zeros(landscape.dimension)
+        quadratic = _gaussian_pair(
+            landscape.reg_gradient(w0, ridge), landscape.reg_hessian(w0, ridge)
+        )
     return GibbsTarget(
         dim=landscape.dimension,
         domain_box=np.array(landscape.domain_box),
@@ -123,44 +125,20 @@ def target_from_sample(data_model: DataModel, sample: np.ndarray, ridge: float) 
     land = data_model.landscape
     d = land.dimension
 
-    if data_model.batched_empirical_value is not None:
-        data_value = data_model.batched_empirical_value(sample)
-    else:
-        def data_value(wbatch):
-            wb = np.asarray(wbatch, dtype=float)
-            flat = wb.reshape(-1, d)
-            vals = np.array(
-                [np.mean([data_model.loss(w, z) for z in sample]) for w in flat]
-            )
-            return vals.reshape(wb.shape[:-1])
-
     def value(wbatch):
         wb = np.asarray(wbatch, dtype=float)
-        return data_value(wb) + ridge * np.sum(wb * wb, axis=-1)
+        data = np.mean(data_model.loss(wb, sample), axis=-1)
+        return data + ridge * np.sum(wb * wb, axis=-1)
 
     def grad(w):
         w = np.asarray(w, dtype=float)
-        g = np.zeros(d)
-        for z in sample:
-            g += np.asarray(data_model.loss_gradient(w, z), dtype=float)
-        return g / sample.shape[0] + 2.0 * ridge * w
+        return np.mean(data_model.loss_gradient(w, sample), axis=-2) + 2.0 * ridge * w
 
-    # constancy probe at two points: quadratic empirical risks (e.g. square
-    # losses) get the analytic (minimizer, Hessian) pair for exact sampling
     quadratic = None
-    hess0 = np.zeros((d, d))
-    w0 = np.zeros(d)
-    for z in sample:
-        hess0 += np.asarray(data_model.loss_hessian(w0, z), dtype=float)
-    hess0 = hess0 / sample.shape[0] + 2.0 * ridge * np.eye(d)
-    w_probe = np.full(d, 0.61)
-    hess1 = np.zeros((d, d))
-    for z in sample:
-        hess1 += np.asarray(data_model.loss_hessian(w_probe, z), dtype=float)
-    hess1 = hess1 / sample.shape[0] + 2.0 * ridge * np.eye(d)
-    if np.allclose(hess0, hess1, atol=1e-12) and np.linalg.eigvalsh(hess0)[0] > 0:
-        w_min = w0 - np.linalg.solve(hess0, grad(w0))
-        quadratic = (w_min, hess0)
+    if data_model.quadratic:
+        w0 = np.zeros(d)
+        hess0 = np.mean(data_model.loss_hessian(w0, sample), axis=-3)
+        quadratic = _gaussian_pair(grad(w0), hess0 + 2.0 * ridge * np.eye(d))
 
     return GibbsTarget(
         dim=d,
@@ -168,7 +146,6 @@ def target_from_sample(data_model: DataModel, sample: np.ndarray, ridge: float) 
         value=value,
         grad=grad,
         quadratic=quadratic,
-        data_value=data_value,
     )
 
 

@@ -43,19 +43,24 @@ class TestValidation:
         raw = minimal_config()
         raw["typo_section"] = {}
         raw["gibbs"]["gamm"] = 3
+        raw["sampler"] = {"kind": "sgld", "step_size": 0.1, "burn_in": 10, "chains": 2}
         with pytest.raises(ConfigError) as err:
             validate_config(raw)
         text = str(err.value)
         assert "typo_section" in text and "gibbs.gamm" in text
+        for key in ("kind", "step_size", "burn_in", "chains"):
+            assert f"sampler.{key}: unknown key" in text
 
     def test_all_violations_collected(self):
         raw = minimal_config()
         del raw["master_seed"]
         raw["gibbs"]["gamma"] = [-1.0]
         raw["theorems"] = ["nonsense"]
+        raw["sampler"] = {"steps": 0}
         with pytest.raises(ConfigError) as err:
             validate_config(raw)
-        assert len(err.value.violations) >= 3
+        assert len(err.value.violations) >= 4
+        assert any(v.startswith("sampler.steps") for v in err.value.violations)
 
     def test_radius_exceeding_r0_rejected(self):
         raw = minimal_config(radius={"absolute": [100.0]})

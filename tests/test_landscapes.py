@@ -26,14 +26,21 @@ def toy_square_data_model():
     """m-sample model with loss (w - z)^2, risk centered at E[z] = 0."""
     land = quadratic_landscape(1)
 
+    def residuals(w, sample):
+        return np.asarray(w, dtype=float)[..., :1] - np.ravel(sample)
+
+    def loss_hessian(w, sample):
+        shape = np.shape(w)[:-1] + (np.size(sample), 1, 1)
+        return np.full(shape, 2.0)
+
     return DataModel(
         name="toy_square",
         landscape=land,
-        sample_size=1,
-        loss=lambda w, z: float((w[0] - z) ** 2),
-        loss_gradient=lambda w, z: np.array([2.0 * (w[0] - z)]),
-        loss_hessian=lambda w, z: np.array([[2.0]]),
+        loss=lambda w, sample: residuals(w, sample) ** 2,
+        loss_gradient=lambda w, sample: 2.0 * residuals(w, sample)[..., None],
+        loss_hessian=loss_hessian,
         sample_examples=lambda rng, n: rng.uniform(-1, 1, size=(n, 1)),
+        quadratic=True,
     )
 
 

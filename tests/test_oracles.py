@@ -178,7 +178,7 @@ class TestEmpiricalExcessRisk:
 
 class TestEmpiricalGeneralizationGap:
     def test_example_independent_loss_gives_exact_zero(self):
-        dm = constant_loss_data_model(quadratic_landscape(1), sample_size=20)
+        dm = constant_loss_data_model(quadratic_landscape(1))
         est = empirical_generalization_gap(dm, 5.0, 0.1, 20, trials=50, master_seed=4)
         assert est.value == 0.0
         assert est.halfwidth_95 == 0.0

@@ -11,9 +11,12 @@ from gibbslab.errors import (
 )
 from gibbslab.landscapes import (
     EllipsoidSpec,
+    constant_loss_data_model,
     double_well_landscape,
     enumerate_minima,
     quadratic_landscape,
+    rls_data_model,
+    spline_double_well_landscape,
 )
 from gibbslab.oracles import quadrature_measure, tensor_gauss_legendre
 from gibbslab.samplers import (
@@ -22,6 +25,7 @@ from gibbslab.samplers import (
     default_step_size,
     sample_chain,
     target_from_landscape,
+    target_from_sample,
 )
 
 
@@ -151,6 +155,37 @@ class TestExactGaussian:
     def test_unknown_kind(self):
         with pytest.raises(ArgumentError):
             sample_chain("gibbs", quadratic_target(), 10.0, 0.1, 100, 0, 1)
+
+
+class TestEmpiricalTarget:
+    def test_two_well_data_model_is_not_quadratic(self):
+        # w = 0 and w = 0.61 both lie in the left well, where the curvature
+        # equals the right well's: equal Hessians there say nothing
+        land = spline_double_well_landscape(centers=(0.3, 2.5), curvatures=(4.0, 4.0))
+        dm = constant_loss_data_model(land)
+        tgt = target_from_sample(dm, dm.sample_examples(np.random.default_rng(0), 20), 0.0)
+        assert tgt.quadratic is None
+        with pytest.raises(SamplerKindError):
+            sample_chain("exact_gaussian", tgt, 10.0, 0.1, 100, 0, 1)
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.1])
+    def test_rls_gaussian_is_least_squares_solution(self, ridge):
+        dm = rls_data_model()
+        sample = dm.sample_examples(np.random.default_rng(5), 100)
+        w_min, hess = target_from_sample(dm, sample, ridge).quadratic
+        # normal equations of (1/m)Σ(y − wx)² + λw², accumulated in plain Python
+        sxx = sum(x * x for x, _ in sample) / len(sample)
+        sxy = sum(x * y for x, y in sample) / len(sample)
+        curvature = 2.0 * sxx + 2.0 * ridge
+        np.testing.assert_allclose(hess, [[curvature]], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(w_min, [2.0 * sxy / curvature], rtol=0.0, atol=1e-12)
+
+    def test_constant_loss_follows_its_landscape(self):
+        dm = constant_loss_data_model(quadratic_landscape(1))
+        sample = dm.sample_examples(np.random.default_rng(0), 20)
+        w_min, hess = target_from_sample(dm, sample, 0.1).quadratic
+        np.testing.assert_allclose(w_min, [0.0], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(hess, [[1.2]], rtol=0.0, atol=1e-12)
 
 
 class TestConditioning:
