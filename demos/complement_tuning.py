@@ -28,8 +28,8 @@ def main():
         nodes = int(20 * 4 * math.sqrt(gamma * 8.0)) + 200
         grid = gl.tensor_gauss_legendre(land.domain_box, nodes)
         comp = gl.quadrature_measure(
-            pot, gamma, grid, region=[m.ellipsoid(r) for m in minima], complement=True
-        ).region_mass
+            pot, gamma, grid, regions=[m.ellipsoid(r) for m in minima]
+        ).complement_mass[r]
         cfg = gl.GibbsConfig(gamma=gamma, ridge=0.0, m=1000, loss_bound=land.loss_bound)
         cb = gl.complement_mass_bound(minima, cfg, r, land.dimension, r0=r0)
         print(f"{gamma:8.0f} {r:8.4f} {comp:16.6e} {cb.raw:12.4f} {cb.clamped:9.4f}")

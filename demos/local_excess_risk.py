@@ -22,10 +22,10 @@ def conditional_excess(land, minimum, gamma, r):
         lambda w: land.reg_risk(w, 0.0),
         gamma,
         grid,
-        region=minimum.ellipsoid(r),
+        regions=[minimum.ellipsoid(r)],
         integrands={"excess": lambda w: land.risk(w) - float(land.risk(minimum.location))},
     )
-    return meas.conditional["excess"]
+    return meas.region_conditional["excess"][0]
 
 
 def main():

@@ -29,9 +29,9 @@ def main():
     for gamma in (20.0, 100.0, 1000.0):
         nodes = max(2000, int(500 * np.sqrt(gamma / 20.0)))
         grid = gl.tensor_gauss_legendre(land.domain_box, nodes)
-        masses, comp, z = gl.ellipsoid_masses(
-            pot, gamma, grid, [m.ellipsoid(r) for m in minima]
-        )
+        masses = gl.quadrature_measure(
+            pot, gamma, grid, regions=[m.ellipsoid(r) for m in minima]
+        ).masses
         cfg = gl.GibbsConfig(gamma=gamma, ridge=0.0, m=1000, loss_bound=land.loss_bound)
         dist = gl.minima_distribution(minima, cfg, r)
         pi_quad = masses / masses.sum()
@@ -40,11 +40,12 @@ def main():
 
     gamma = 100.0
     grid = gl.tensor_gauss_legendre(land.domain_box, 4000)
-    masses, comp, z = gl.ellipsoid_masses(pot, gamma, grid, [m.ellipsoid(r) for m in minima])
+    meas = gl.quadrature_measure(pot, gamma, grid, regions=[m.ellipsoid(r) for m in minima])
+    masses = meas.masses
     cfg = gl.GibbsConfig(gamma=gamma, ridge=0.0, m=1000, loss_bound=land.loss_bound)
-    print(f"\nLaplace sandwich at gamma={gamma:.0f}, r={r} (Z={z:.6e}):")
+    print(f"\nLaplace sandwich at gamma={gamma:.0f}, r={r} (log Z={meas.log_z:.6f}):")
     for m, mass in zip(minima, masses):
-        sb = gl.ellipsoid_mass_bounds(m, cfg, r, z=z)
+        sb = gl.ellipsoid_mass_bounds(m, cfg, r, log_z=meas.log_z)
         print(f"  well@{float(m.location[0]):+.0f}: "
               f"{sb.lower_with_z:.6f} <= {mass:.6f} <= {sb.upper:.6f}")
 

@@ -65,7 +65,6 @@ from .oracles import (
     QuadratureGrid,
     QuadratureMeasure,
     derivative_check,
-    ellipsoid_masses,
     empirical_excess_risk,
     empirical_generalization_gap,
     irm_objective,

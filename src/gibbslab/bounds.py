@@ -118,9 +118,10 @@ class MinimaDistribution:
 class EllipsoidMassBounds:
     """Laplace sandwich on one ellipsoid's Gibbs probability mass.
 
-    ``upper`` and ``lower_with_z`` need the normalization constant Z and are
-    None when it was not supplied; ``lower_free`` is Z-free. The ``clamped``
-    mapping holds copies clipped to [0, 1] for comparison to probabilities.
+    ``upper`` and ``lower_with_z`` need the normalization constant (as
+    log Z) and are None when it was not supplied; ``lower_free`` is Z-free.
+    The ``clamped`` mapping holds copies clipped to [0, 1] for comparison
+    to probabilities.
     """
 
     upper: float | None
@@ -266,11 +267,11 @@ def ellipsoid_mass_bounds(
     minimum: MinimumDescriptor,
     config: GibbsConfig,
     r: float,
-    z: float | None = None,
+    log_z: float | None = None,
 ) -> EllipsoidMassBounds:
     """Laplace sandwich on the Gibbs mass of one curvature ellipsoid.
 
-    With Z supplied:
+    With the log normalization constant log Z supplied:
         upper / lower = (1/Z)·e^(−γRλ(w*) ± γε(r)/6)·(2π/γ)^(d/2)
                         · P(d/2, r²γ/2) / √det(Hλ),
     so upper/lower_with_z = e^(γε(r)/3) exactly. The Z-free lower bound is
@@ -278,8 +279,8 @@ def ellipsoid_mass_bounds(
     """
     if not r > 0.0:
         raise ArgumentError(f"radius must be positive, got r={r}")
-    if z is not None and not z > 0.0:
-        raise ArgumentError(f"normalization constant must be positive, got {z}")
+    if log_z is not None and not math.isfinite(log_z):
+        raise ArgumentError(f"log normalization constant must be finite, got {log_z}")
     gamma = config.gamma
     d = minimum.dimension
     eps = taylor_approximation_error(minimum, r, config.ridge)
@@ -294,8 +295,8 @@ def ellipsoid_mass_bounds(
     lower_free = math.exp(-gamma * eps / 3.0) * p_ball
 
     upper = lower_with_z = None
-    if z is not None:
-        log_core = -gamma * minimum.reg_risk_value + log_gauss - math.log(z)
+    if log_z is not None:
+        log_core = -gamma * minimum.reg_risk_value + log_gauss - log_z
         upper = math.exp(min(log_core + gamma * eps / 6.0, 700.0))
         lower_with_z = math.exp(log_core - gamma * eps / 6.0)
 

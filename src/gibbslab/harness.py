@@ -18,6 +18,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .errors import ArgumentError, ConfigError, GibbslabError
 from .landscapes import (
     BUILTIN_DATA_MODELS,
     BUILTIN_LANDSCAPES,
+    MinimumDescriptor,
     disjoint_radius,
     enumerate_minima,
     make_data_model,
@@ -322,12 +324,6 @@ def _base_row(cfg: ExperimentConfig, theorem: str, gamma, ridge, m, r, p, idx=No
     }
 
 
-def _fill_terms(row: dict, report: bnd.BoundReport) -> None:
-    row["bound_total"] = report.total
-    for name, value in report.terms.items():
-        row[f"term_{name}"] = value
-
-
 def _radius_points(cfg: ExperimentConfig, gamma: float, r0: float):
     if cfg.radius_mode == "relative":
         return [(rel * r0, None) for rel in cfg.radius_values]
@@ -336,192 +332,208 @@ def _radius_points(cfg: ExperimentConfig, gamma: float, r0: float):
     return [(bnd.tune_radius(gamma, p), p) for p in cfg.radius_values]
 
 
-def _evaluate_point(cfg: ExperimentConfig, landscape, gamma, ridge, m) -> list[dict]:
+class _Point(NamedTuple):
+    """One (γ, λ, m, r): the bound inputs and this radius's share of the
+    (γ, λ) Gibbs measure, per minimum i where indexed."""
+
+    minima: list[MinimumDescriptor]
+    gconf: bnd.GibbsConfig | None
+    r: float
+    r0: float
+    use_weights: bool
+    log_z: float
+    masses: np.ndarray  # of ellipsoid i
+    weights: np.ndarray  # masses normalized over the ellipsoids
+    complement: float  # outside every ellipsoid
+    global_excess: float | None  # E[R] − Σ weightᵢ·R(w*ᵢ)
+    excess: np.ndarray | None  # E[R | ellipsoid i] − R(w*ᵢ)
+
+
+def _from_report(report: bnd.BoundReport) -> tuple:
+    return report.total, None, report.terms
+
+
+def _within_allowance(row: dict) -> bool:
+    return row["margin"] >= -row["stat_allowance"]
+
+
+def _pseudo_excess(pt: _Point, _) -> float:
+    pi_inf = bnd.minima_distribution(pt.minima, pt.gconf, pt.r).pi_infinity
+    return sum(w * pt.excess[i] for i, w in enumerate(pi_inf) if w != 0.0)
+
+
+def _minima_bound(pt: _Point, mn: MinimumDescriptor) -> tuple:
+    dist = bnd.minima_distribution(pt.minima, pt.gconf, pt.r)
+    return float(dist.upper_bounds[mn.index]), float(dist.pi_infinity[mn.index]), {}
+
+
+def _sandwich(pt: _Point, mn: MinimumDescriptor) -> tuple:
+    sandwich = bnd.ellipsoid_mass_bounds(mn, pt.gconf, pt.r, log_z=pt.log_z)
+    return sandwich.upper, sandwich.lower_with_z, {}
+
+
+def _inside_sandwich(row: dict) -> bool:
+    mass = row["oracle_value"]
+    tol = 1e-9 * max(1.0, abs(mass))
+    return row["bound_secondary"] <= mass + tol and mass <= row["bound_total"] + tol
+
+
+def _complement_bound(pt: _Point, _) -> tuple:
+    d = pt.minima[0].dimension
+    comp = bnd.complement_mass_bound(pt.minima, pt.gconf, pt.r, d, r0=pt.r0)
+    return comp.clamped, comp.raw, {}
+
+
+def _global_bound(pt: _Point, _) -> tuple:
+    weights = pt.weights if pt.use_weights else None
+    return _from_report(
+        bnd.global_excess_bound(pt.minima, pt.gconf, pt.r, weights=weights, r0=pt.r0)
+    )
+
+
+# theorem -> (per_minimum, bound, oracle, passes), all read at one (γ, λ, m, r):
+# bound(point, minimum) gives (total, secondary, terms) and oracle(point,
+# minimum) the value the bound must dominate, with minimum None unless
+# per_minimum; passes(row) is the verdict
+_TABLE = {
+    "local_excess": (
+        True,
+        lambda pt, mn: _from_report(bnd.local_excess_bound(mn, pt.gconf, pt.r)),
+        lambda pt, mn: pt.excess[mn.index],
+        _within_allowance,
+    ),
+    "global_excess": (
+        False, _global_bound, lambda pt, _: pt.global_excess, _within_allowance
+    ),
+    "pseudo_excess": (
+        False,
+        lambda pt, _: _from_report(bnd.pseudo_excess_bound(pt.minima, pt.gconf, pt.r)),
+        _pseudo_excess,
+        _within_allowance,
+    ),
+    "minima_distribution": (
+        True,
+        _minima_bound,
+        lambda pt, mn: pt.weights[mn.index],
+        lambda row: row["margin"] >= -1e-9,
+    ),
+    "ellipsoid_mass": (
+        True, _sandwich, lambda pt, mn: pt.masses[mn.index], _inside_sandwich
+    ),
+    # a raw bound outside [0, 1] is not a probability and is not asserted
+    "complement_mass": (
+        False,
+        _complement_bound,
+        lambda pt, _: pt.complement,
+        lambda row: not 0.0 <= row["bound_secondary"] <= 1.0 or row["margin"] >= -1e-12,
+    ),
+}
+
+
+def _finish(row: dict, total, secondary, terms, oracle, allowance, passes) -> dict:
+    row["bound_total"] = total
+    row["bound_secondary"] = secondary
+    for name, value in terms.items():
+        row[f"term_{name}"] = value
+    row["oracle_value"] = float(oracle)
+    row["margin"] = total - row["oracle_value"]
+    row["stat_allowance"] = allowance
+    row["passed"] = passes(row)
+    return row
+
+
+def _radius_shares(cfg, landscape, minima, gamma, ridge, r0, theorems) -> list:
+    """Per swept radius: (r, p, point without gconf), all read from one
+    Gibbs measure whose regions are every minimum's ellipsoid at every r."""
+    radii = _radius_points(cfg, gamma, r0)
+    nodes = _auto_nodes(landscape, minima, gamma, cfg.oracle["nodes_per_dim"])
+    needs_risk = {"local_excess", "global_excess", "pseudo_excess"} & set(theorems)
+    measure = quadrature_measure(
+        lambda w: landscape.reg_risk(w, ridge),
+        gamma,
+        tensor_gauss_legendre(landscape.domain_box, nodes),
+        regions=[mn.ellipsoid(r) for r, _ in radii for mn in minima],
+        integrands={"risk": landscape.risk} if needs_risk else None,
+    )
+    risk_at_minima = np.array([float(landscape.risk(mn.location)) for mn in minima])
+    shares = []
+    for k, (r, p) in enumerate(radii):
+        share = slice(k * len(minima), (k + 1) * len(minima))
+        masses = measure.masses[share]
+        weights = masses / masses.sum()
+        excess = global_excess = None
+        if needs_risk:
+            excess = measure.region_conditional["risk"][share] - risk_at_minima
+            anchor = float(np.sum(weights * risk_at_minima))
+            global_excess = measure.conditional["risk"] - anchor
+        point = _Point(
+            minima=minima,
+            gconf=None,
+            r=r,
+            r0=r0,
+            use_weights=cfg.oracle["use_quadrature_weights"],
+            log_z=measure.log_z,
+            masses=masses,
+            weights=weights,
+            complement=measure.complement_mass[float(r)],
+            global_excess=global_excess,
+            excess=excess,
+        )
+        shares.append((r, p, point))
+    return shares
+
+
+def _evaluate_point(cfg: ExperimentConfig, landscape, gamma, ridge) -> list[dict]:
+    """Rows of every m and radius at one (γ, λ); m enters only the bounds."""
     minima = enumerate_minima(landscape, ridge)
     r0 = disjoint_radius(minima)
-    loss_bound = cfg.loss_bound if cfg.loss_bound is not None else landscape.loss_bound
-    gconf = bnd.GibbsConfig(
-        gamma=gamma,
-        ridge=ridge,
-        m=m,
-        loss_bound=loss_bound,
-        sigma=cfg.sigma,
-        gen_bound_variant=cfg.gen_bound_variant,
+    theorems = [t for t in cfg.theorems if t in _TABLE]
+    shares = (
+        _radius_shares(cfg, landscape, minima, gamma, ridge, r0, theorems) if theorems else []
     )
-    quad_theorems = set(cfg.theorems) - {"generalization"}
+    loss_bound = cfg.loss_bound if cfg.loss_bound is not None else landscape.loss_bound
     rows: list[dict] = []
-
-    grid = None
-    if quad_theorems:
-        nodes = _auto_nodes(landscape, minima, gamma, cfg.oracle["nodes_per_dim"])
-        grid = tensor_gauss_legendre(landscape.domain_box, nodes)
-
-    def potential(w):
-        return landscape.reg_risk(w, ridge)
-
-    z_value = None
-    if quad_theorems:
-        z_value = quadrature_measure(potential, gamma, grid).z
-
-    for r, p in _radius_points(cfg, gamma, r0):
-        ellipsoids = [mn.ellipsoid(r) for mn in minima]
-        masses = None
-        if quad_theorems:
-            masses = np.array(
-                [
-                    quadrature_measure(potential, gamma, grid, region=e).region_mass
-                    for e in ellipsoids
-                ]
-            )
-        weights = None
-        if masses is not None and masses.sum() > 0:
-            weights = masses / masses.sum()
-
-        if "local_excess" in cfg.theorems:
-            for mn, e in zip(minima, ellipsoids):
-                row = _base_row(cfg, "local_excess", gamma, ridge, m, r, p, mn.index)
-                report = bnd.local_excess_bound(mn, gconf, r)
-                _fill_terms(row, report)
-                meas = quadrature_measure(
-                    potential,
-                    gamma,
-                    grid,
-                    region=e,
-                    integrands={
-                        "excess": lambda w, mn=mn: landscape.risk(w)
-                        - float(landscape.risk(mn.location))
-                    },
-                )
-                report.attach_oracle(meas.conditional["excess"])
-                row["oracle_value"] = report.oracle_value
-                row["margin"] = report.margin
-                row["stat_allowance"] = 0.0
-                row["passed"] = report.margin >= 0.0
-                rows.append(row)
-
-        if "global_excess" in cfg.theorems:
-            row = _base_row(cfg, "global_excess", gamma, ridge, m, r, p)
-            use_weights = weights if cfg.oracle["use_quadrature_weights"] else None
-            report = bnd.global_excess_bound(minima, gconf, r, weights=use_weights, r0=r0)
-            _fill_terms(row, report)
-            mean_risk = quadrature_measure(
-                potential, gamma, grid, integrands={"risk": landscape.risk}
-            ).conditional["risk"]
-            anchor = float(
-                np.sum(weights * np.array([landscape.risk(mn.location) for mn in minima]))
-            )
-            report.attach_oracle(mean_risk - anchor)
-            row["oracle_value"] = report.oracle_value
-            row["margin"] = report.margin
-            row["stat_allowance"] = 0.0
-            row["passed"] = report.margin >= 0.0
-            rows.append(row)
-
-        if "pseudo_excess" in cfg.theorems:
-            row = _base_row(cfg, "pseudo_excess", gamma, ridge, m, r, p)
-            report = bnd.pseudo_excess_bound(minima, gconf, r)
-            _fill_terms(row, report)
-            pi_inf = bnd.minima_distribution(minima, gconf, r).pi_infinity
-            oracle = 0.0
-            for weight, mn, e in zip(pi_inf, minima, ellipsoids):
-                if weight == 0.0:
-                    continue
-                meas = quadrature_measure(
-                    potential,
-                    gamma,
-                    grid,
-                    region=e,
-                    integrands={
-                        "excess": lambda w, mn=mn: landscape.risk(w)
-                        - float(landscape.risk(mn.location))
-                    },
-                )
-                oracle += weight * meas.conditional["excess"]
-            report.attach_oracle(oracle)
-            row["oracle_value"] = report.oracle_value
-            row["margin"] = report.margin
-            row["stat_allowance"] = 0.0
-            row["passed"] = report.margin >= 0.0
-            rows.append(row)
-
-        if "minima_distribution" in cfg.theorems:
-            dist = bnd.minima_distribution(minima, gconf, r)
-            pi_quad = masses / masses.sum()
-            for mn in minima:
-                row = _base_row(
-                    cfg, "minima_distribution", gamma, ridge, m, r, p, mn.index
-                )
-                row["bound_total"] = float(dist.upper_bounds[mn.index])
-                row["bound_secondary"] = float(dist.pi_infinity[mn.index])
-                row["oracle_value"] = float(pi_quad[mn.index])
-                row["margin"] = row["bound_total"] - row["oracle_value"]
-                row["stat_allowance"] = 0.0
-                row["passed"] = row["margin"] >= -1e-9
-                rows.append(row)
-
-        if "ellipsoid_mass" in cfg.theorems:
-            for mn, mass in zip(minima, masses):
-                row = _base_row(cfg, "ellipsoid_mass", gamma, ridge, m, r, p, mn.index)
-                sandwich = bnd.ellipsoid_mass_bounds(mn, gconf, r, z=z_value)
-                row["bound_total"] = sandwich.upper
-                row["bound_secondary"] = sandwich.lower_with_z
-                row["oracle_value"] = float(mass)
-                row["margin"] = sandwich.upper - float(mass)
-                row["stat_allowance"] = 0.0
-                tol = 1e-9 * max(1.0, abs(mass))
-                row["passed"] = (
-                    sandwich.lower_with_z <= mass + tol and mass <= sandwich.upper + tol
-                )
-                rows.append(row)
-
-        if "complement_mass" in cfg.theorems:
-            row = _base_row(cfg, "complement_mass", gamma, ridge, m, r, p)
-            comp = bnd.complement_mass_bound(
-                minima, gconf, r, landscape.dimension, r0=r0
-            )
-            row["bound_total"] = comp.clamped
-            row["bound_secondary"] = comp.raw
-            comp_mass = quadrature_measure(
-                potential, gamma, grid, region=ellipsoids, complement=True
-            ).region_mass
-            row["oracle_value"] = comp_mass
-            row["margin"] = comp.clamped - comp_mass
-            row["stat_allowance"] = 0.0
-            row["passed"] = (not 0.0 <= comp.raw <= 1.0) or row["margin"] >= -1e-12
-            rows.append(row)
-
-    if "generalization" in cfg.theorems:
-        data_model = make_data_model(cfg.landscape_name, **cfg.landscape_params)
-        estimate = empirical_generalization_gap(
-            data_model,
-            gamma,
-            ridge,
-            m,
-            trials=int(cfg.oracle["mc_trials"]),
-            master_seed=cfg.master_seed,
-            steps=cfg.sampler["steps"],
+    for m in cfg.ms:
+        gconf = bnd.GibbsConfig(
+            gamma=gamma,
+            ridge=ridge,
+            m=m,
+            loss_bound=loss_bound,
+            sigma=cfg.sigma,
+            gen_bound_variant=cfg.gen_bound_variant,
         )
-        allowance = 1.5 * estimate.halfwidth_95  # 3 sigma
-        for variant in bnd.GEN_BOUND_VARIANTS:
-            row = _base_row(cfg, "generalization", gamma, ridge, m, None, None)
-            row["variant"] = variant
-            row["key"] += f";variant={variant}"
-            vconf = bnd.GibbsConfig(
-                gamma=gamma,
-                ridge=ridge,
-                m=m,
-                loss_bound=loss_bound,
-                sigma=cfg.sigma,
-                gen_bound_variant=variant,
-            )
-            bound = bnd.generalization_bound(vconf)
-            row["bound_total"] = bound
-            row["oracle_value"] = estimate.value
-            row["margin"] = bound - estimate.value
-            row["stat_allowance"] = allowance
-            row["passed"] = row["margin"] >= -allowance
-            rows.append(row)
+        for r, p, point in shares:
+            pt = point._replace(gconf=gconf)
+            for theorem in theorems:
+                per_minimum, bound, oracle, passes = _TABLE[theorem]
+                for mn in minima if per_minimum else [None]:
+                    idx = None if mn is None else mn.index
+                    row = _base_row(cfg, theorem, gamma, ridge, m, r, p, idx)
+                    rows.append(_finish(row, *bound(pt, mn), oracle(pt, mn), 0.0, passes))
+        if "generalization" in cfg.theorems:
+            rows += _generalization_rows(cfg, gconf)
+    return rows
 
+
+def _generalization_rows(cfg: ExperimentConfig, gconf: bnd.GibbsConfig) -> list[dict]:
+    data_model = make_data_model(cfg.landscape_name, **cfg.landscape_params)
+    estimate = empirical_generalization_gap(
+        data_model,
+        gconf.gamma,
+        gconf.ridge,
+        gconf.m,
+        trials=int(cfg.oracle["mc_trials"]),
+        master_seed=cfg.master_seed,
+        steps=cfg.sampler["steps"],
+    )
+    allowance = 1.5 * estimate.halfwidth_95  # 3 sigma
+    rows = []
+    for variant in bnd.GEN_BOUND_VARIANTS:
+        row = _base_row(cfg, "generalization", gconf.gamma, gconf.ridge, gconf.m, None, None)
+        row["variant"] = variant
+        row["key"] += f";variant={variant}"
+        bound = bnd.generalization_bound(replace(gconf, gen_bound_variant=variant))
+        rows.append(_finish(row, bound, None, {}, estimate.value, allowance, _within_allowance))
     return rows
 
 
@@ -585,8 +597,8 @@ def run_experiment(
 ) -> RunResult:
     """Execute every configuration point and write the reports.
 
-    Points run concurrently up to ``workers``; output rows are ordered by
-    their configuration key, independent of completion order.
+    (γ, λ) points run concurrently up to ``workers``; output rows are
+    ordered by their configuration key, independent of completion order.
     """
     if theorems:
         unknown = set(theorems) - set(THEOREMS)
@@ -595,12 +607,7 @@ def run_experiment(
         cfg = replace(cfg, theorems=tuple(theorems))
     start = time.time()
     landscape = make_landscape(cfg.landscape_name, **cfg.landscape_params)
-    points = [
-        (gamma, ridge, m)
-        for gamma in cfg.gammas
-        for ridge in cfg.ridges
-        for m in cfg.ms
-    ]
+    points = [(gamma, ridge) for gamma in cfg.gammas for ridge in cfg.ridges]
     rows: list[dict] = []
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -8,13 +8,13 @@ without estimation error.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import ArgumentError, DomainError, LandscapeDefinitionError
 
@@ -313,21 +313,40 @@ def enumerate_minima(landscape: Landscape, lam: float) -> list[MinimumDescriptor
 def _make_lipschitz_profile(
     landscape: Landscape, minimum: MinimumDescriptor, lam: float
 ) -> Callable[[float], float]:
+    # every bound at one radius reads L(r); the estimate costs a Hessian
+    # per Halton point, so each radius is evaluated once
+    @functools.lru_cache(maxsize=None)
     def profile(r: float) -> float:
         return lipschitz_estimate(landscape, minimum, r)
 
     return profile
 
 
+def _radical_inverse(index: np.ndarray, base: int) -> np.ndarray:
+    """Van der Corput points: the base-b digits of each index mirrored
+    about the radix point."""
+    out = np.zeros(index.shape)
+    scale = 1.0 / base
+    while index.any():
+        out += (index % base) * scale
+        scale /= base
+        index = index // base
+    return out
+
+
 def _halton_ellipsoid_points(minimum: MinimumDescriptor, r: float, count: int) -> np.ndarray:
     d = minimum.dimension
     eigval, eigvec = np.linalg.eigh(minimum.reg_hessian)
     inv_sqrt = eigvec @ np.diag(eigval**-0.5) @ eigvec.T
-    sampler = qmc.Halton(d=d, scramble=False)
+    # the unscrambled Halton sequence, from index 0, in the first d prime bases
+    primes = (n for n in itertools.count(2) if all(n % k for k in range(2, n)))
+    bases = list(itertools.islice(primes, d))
     collected = []
-    total = 0
+    total = drawn = 0
     while total < count:
-        u = sampler.random(4 * count)
+        index = np.arange(drawn, drawn + 4 * count)
+        drawn += 4 * count
+        u = np.stack([_radical_inverse(index, b) for b in bases], axis=-1)
         v = 2.0 * u - 1.0
         keep = np.sum(v * v, axis=1) <= 1.0
         pts = v[keep]

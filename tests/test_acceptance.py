@@ -87,12 +87,12 @@ def _conditional_excess(landscape, minimum, gamma, ridge, r, nodes=0):
         lambda w: landscape.reg_risk(w, ridge),
         gamma,
         grid,
-        region=minimum.ellipsoid(r),
+        regions=[minimum.ellipsoid(r)],
         integrands={
             "excess": lambda w: landscape.risk(w) - float(landscape.risk(minimum.location))
         },
     )
-    return meas.conditional["excess"]
+    return meas.region_conditional["excess"][0]
 
 
 def test_criterion_04_localized_excess_risk_bound():
@@ -162,9 +162,9 @@ def test_criterion_06_minima_distribution():
         nodes = max(2000, int(40 * math.sqrt(gamma * 4.0) * 6))
         grid = gl.tensor_gauss_legendre(land.domain_box, nodes)
         for r in (0.45, 0.8):
-            masses, _, _ = gl.ellipsoid_masses(
-                pot, gamma, grid, [m.ellipsoid(r) for m in minima]
-            )
+            masses = gl.quadrature_measure(
+                pot, gamma, grid, regions=[m.ellipsoid(r) for m in minima]
+            ).masses
             pi_quad = masses / masses.sum()
             cfg = gl.GibbsConfig(gamma=gamma, ridge=0.0, m=1000, loss_bound=land.loss_bound)
             dist = gl.minima_distribution(minima, cfg, r)
@@ -195,8 +195,8 @@ def test_criterion_07_complement_vanishing():
         nodes = int(20 * 4 * math.sqrt(gamma * 8.0)) + 200
         grid = gl.tensor_gauss_legendre(land.domain_box, nodes)
         comp_mass = gl.quadrature_measure(
-            pot, gamma, grid, region=[m.ellipsoid(r) for m in minima], complement=True
-        ).region_mass
+            pot, gamma, grid, regions=[m.ellipsoid(r) for m in minima]
+        ).complement_mass[r]
         masses.append(comp_mass)
         cfg = gl.GibbsConfig(gamma=gamma, ridge=0.0, m=1000, loss_bound=land.loss_bound)
         cb = gl.complement_mass_bound(minima, cfg, r, land.dimension, r0=r0)
@@ -227,15 +227,15 @@ def test_criterion_08_ellipsoid_mass_sandwich():
             width = float(land.domain_box[0, 1] - land.domain_box[0, 0])
             nodes = int(20 * width * math.sqrt(gamma * lam_max)) + 200
             grid = gl.tensor_gauss_legendre(land.domain_box, nodes)
-            z = gl.quadrature_measure(pot, gamma, grid).z
+            log_z = gl.quadrature_measure(pot, gamma, grid).log_z
             cfg = gl.GibbsConfig(gamma=gamma, ridge=0.0, m=100, loss_bound=land.loss_bound)
             for frac in (0.1, 0.3, 0.6):
                 r = frac * r0
                 for minimum in minima:
                     mass = gl.quadrature_measure(
-                        pot, gamma, grid, region=minimum.ellipsoid(r)
-                    ).region_mass
-                    sb = gl.ellipsoid_mass_bounds(minimum, cfg, r, z=z)
+                        pot, gamma, grid, regions=[minimum.ellipsoid(r)]
+                    ).masses[0]
+                    sb = gl.ellipsoid_mass_bounds(minimum, cfg, r, log_z=log_z)
                     ok &= sb.lower_with_z <= mass * (1 + 1e-9)
                     ok &= mass <= sb.upper * (1 + 1e-9)
                     if len(minima) == 1:

@@ -222,7 +222,7 @@ class TestEllipsoidMassBounds:
         gamma = 10.0
         m = build_descriptor([0.0], [[1.0]])
         z_exact = math.sqrt(2.0 * math.pi / gamma)  # full Gaussian integral
-        sb = ellipsoid_mass_bounds(m, config(gamma=gamma), r=1.0, z=z_exact)
+        sb = ellipsoid_mass_bounds(m, config(gamma=gamma), r=1.0, log_z=math.log(z_exact))
         p = regularized_gamma_P(0.5, 0.5 * gamma)
         assert sb.upper == pytest.approx(p, rel=1e-12)
         assert sb.lower_with_z == pytest.approx(p, rel=1e-12)
@@ -231,7 +231,7 @@ class TestEllipsoidMassBounds:
     def test_ratio_is_exactly_exp_gamma_eps_third(self):
         gamma = 10.0
         m = build_descriptor([0.0], [[1.0]], lipschitz=lambda r: 0.3)
-        sb = ellipsoid_mass_bounds(m, config(gamma=gamma), r=1.0, z=1.0)
+        sb = ellipsoid_mass_bounds(m, config(gamma=gamma), r=1.0, log_z=0.0)
         eps = taylor_approximation_error(m, 1.0, 0.0)
         assert sb.upper / sb.lower_with_z == pytest.approx(
             math.exp(gamma * eps / 3.0), rel=1e-12
@@ -246,7 +246,7 @@ class TestEllipsoidMassBounds:
 
     def test_clamping(self):
         m = build_descriptor([0.0], [[1.0]])
-        sb = ellipsoid_mass_bounds(m, config(), r=2.0, z=1e-12)
+        sb = ellipsoid_mass_bounds(m, config(), r=2.0, log_z=math.log(1e-12))
         assert sb.upper > 1.0
         assert sb.clamped["upper"] == 1.0
 
@@ -254,8 +254,9 @@ class TestEllipsoidMassBounds:
         m = build_descriptor([0.0], [[1.0]])
         with pytest.raises(ArgumentError):
             ellipsoid_mass_bounds(m, config(), r=0.0)
-        with pytest.raises(ArgumentError):
-            ellipsoid_mass_bounds(m, config(), r=1.0, z=0.0)
+        for log_z in (-math.inf, math.nan):
+            with pytest.raises(ArgumentError):
+                ellipsoid_mass_bounds(m, config(), r=1.0, log_z=log_z)
 
 
 class TestComplementMassBound:

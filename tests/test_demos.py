@@ -1,0 +1,43 @@
+"""Smoke runs of the demo scripts: each must exit 0.
+
+The demos call the public quadrature, bound and harness API, so a change
+to that API that they miss fails here. Each runs in a fresh interpreter
+in a temporary working directory (some write a ``runs/`` folder) and takes
+a few seconds. ``samplers_vs_density.py`` is left out: its long
+Metropolis and SGLD chains take about 40 s.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gibbslab
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+SRC = Path(gibbslab.__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        "complement_tuning.py",
+        "generalization_gap.py",
+        "local_excess_risk.py",
+        "minima_and_masses.py",
+    ],
+)
+def test_demo_exits_zero(script, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(DEMOS / script)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]

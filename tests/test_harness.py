@@ -3,9 +3,11 @@ import json
 import pytest
 
 import gibbslab.cli as cli
+import gibbslab.harness as harness
 from gibbslab.errors import ConfigError, ResolutionError
 from gibbslab.harness import (
     CSV_COLUMNS,
+    THEOREMS,
     load_config,
     run_experiment,
     validate_config,
@@ -125,6 +127,51 @@ class TestRunExperiment:
             threaded.run_dir / "report.csv"
         ).read_bytes()
 
+    def test_one_quadrature_pass_per_gamma_ridge(self, tmp_path, monkeypatch):
+        grids = []
+        measure = harness.quadrature_measure
+
+        def counting_measure(potential, *args, **kwargs):
+            def counted(w):
+                grids.append(len(w))
+                return potential(w)
+
+            return measure(counted, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "quadrature_measure", counting_measure)
+        raw = minimal_config(
+            landscape={
+                "name": "quadratic",
+                "params": {"dimension": 2, "matrix": [[1.0, 0.3], [0.3, 2.0]]},
+            },
+            theorems=[t for t in THEOREMS if t != "generalization"],
+        )
+        raw["gibbs"] = {"gamma": [100.0], "ridge": 0.0, "m": [100, 1000]}
+        raw["radius"] = {"relative": [0.8]}
+        result = run_experiment(validate_config(raw), out_dir=tmp_path)
+        # a coarse grid and its doubling, shared by both m and all six theorems
+        assert len(grids) == 2
+        assert {r["m"] for r in result.rows} == {100, 1000}
+
+    def test_radius_sweep_matches_separate_runs(self, tmp_path):
+        theorems = [t for t in THEOREMS if t != "generalization"]
+        raw = minimal_config(
+            landscape={"name": "double_well", "params": {"dimension": 1}},
+            theorems=theorems,
+            radius={"relative": [0.3, 0.6]},
+        )
+        swept = run_experiment(validate_config(raw), out_dir=tmp_path / "swept").rows
+        single = []
+        for rel in (0.3, 0.6):
+            raw["radius"] = {"relative": [rel]}
+            single += run_experiment(validate_config(raw), out_dir=tmp_path / str(rel)).rows
+        single.sort(key=lambda r: (r["theorem"], r["key"]))
+        assert [r["key"] for r in swept] == [r["key"] for r in single]
+        for a, b in zip(swept, single):
+            assert a["passed"] == b["passed"]
+            for col in ("bound_total", "oracle_value"):
+                assert a[col] == pytest.approx(b[col], rel=1e-9, abs=1e-12)
+
     def test_complement_series_decreasing_under_tuned_radius(self, tmp_path):
         raw = minimal_config(
             landscape={"name": "double_well", "params": {"dimension": 1}},
@@ -196,6 +243,17 @@ class TestCli:
 
         monkeypatch.setattr(cli, "run_experiment", boom)
         assert cli.main(["run", str(path)]) == 3
+
+    def test_large_gamma_ellipsoid_mass_exit_0(self, tmp_path):
+        # log Z is about -2e3 here, so Z itself underflows to 0.0
+        raw = minimal_config(
+            landscape={"name": "rls", "params": {}},
+            theorems=["ellipsoid_mass"],
+        )
+        raw["gibbs"] = {"gamma": [2e4], "ridge": 0.1, "m": [100]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
 
     def test_list_landscapes(self, capsys):
         assert cli.main(["list-landscapes"]) == 0

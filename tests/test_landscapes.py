@@ -1,12 +1,19 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import qmc
 
 from gibbslab.bounds import taylor_approximation_error
+import gibbslab
 from gibbslab.errors import ArgumentError, DomainError, LandscapeDefinitionError
 from gibbslab.landscapes import (
+    _halton_ellipsoid_points,
     DataModel,
     disjoint_radius,
     double_well_landscape,
@@ -215,6 +222,57 @@ class TestLipschitzEstimate:
         land = spline_double_well_landscape()
         m = enumerate_minima(land, 0.0)[0]
         assert lipschitz_estimate(land, m, 0.2) == 0.0
+
+
+    def test_profile_evaluates_each_radius_once(self):
+        land = spline_double_well_landscape()
+        calls = []
+
+        def counted_hessian(w):
+            calls.append(np.shape(w))
+            return land.hessian(w)
+
+        minimum = enumerate_minima(dataclasses.replace(land, hessian=counted_hessian), 0.0)[0]
+        first = minimum.lipschitz(0.4)
+        seen = len(calls)
+        assert seen > 0
+        assert minimum.lipschitz(0.4) == first
+        assert len(calls) == seen
+
+
+def scipy_halton_ellipsoid_points(minimum, r, count):
+    """The ellipsoid point set built on scipy's unscrambled Halton engine."""
+    eigval, eigvec = np.linalg.eigh(minimum.reg_hessian)
+    inv_sqrt = eigvec @ np.diag(eigval**-0.5) @ eigvec.T
+    sampler = qmc.Halton(d=minimum.dimension, scramble=False)
+    collected, total = [], 0
+    while total < count:
+        v = 2.0 * sampler.random(4 * count) - 1.0
+        pts = v[np.sum(v * v, axis=1) <= 1.0]
+        collected.append(pts)
+        total += pts.shape[0]
+    ball = np.concatenate(collected, axis=0)[:count]
+    return minimum.location + (r * ball) @ inv_sqrt.T
+
+
+class TestHaltonPoints:
+    # d = 8 keeps only ~6% of each draw inside the ball, so the point set
+    # needs many refills that must continue the sequence
+    @pytest.mark.parametrize("d,count", [(1, 4096), (2, 4096), (3, 4096), (8, 64)])
+    def test_equal_to_scipy_halton(self, d, count):
+        land = quadratic_landscape(d, matrix=np.eye(d) + 0.2)
+        minimum = enumerate_minima(land, 0.0)[0]
+        ours = _halton_ellipsoid_points(minimum, 0.7, count)
+        assert np.array_equal(ours, scipy_halton_ellipsoid_points(minimum, 0.7, count))
+
+    def test_import_leaves_scipy_stats_out(self):
+        src = str(Path(gibbslab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, gibbslab; print('scipy.stats' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "False"
 
 
 class TestDisjointRadius:

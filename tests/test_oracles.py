@@ -17,7 +17,6 @@ from gibbslab.landscapes import (
 )
 from gibbslab.oracles import (
     derivative_check,
-    ellipsoid_masses,
     empirical_excess_risk,
     empirical_generalization_gap,
     irm_objective,
@@ -60,13 +59,13 @@ class TestQuadratureMeasure:
     def test_gaussian_normalization(self):
         grid = tensor_gauss_legendre([[-9.0, 9.0]], 500)
         meas = quadrature_measure(gaussian_potential, 1.0, grid)
-        assert meas.z == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-8)
+        assert math.exp(meas.log_z) == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-8)
 
     def test_ball_mass_matches_closed_form(self):
         grid = tensor_gauss_legendre([[-9.0, 9.0]], 500)
         region = EllipsoidSpec(center=np.zeros(1), metric=np.eye(1), radius=1.0)
-        meas = quadrature_measure(gaussian_potential, 1.0, grid, region=region)
-        assert meas.region_mass == pytest.approx(
+        meas = quadrature_measure(gaussian_potential, 1.0, grid, regions=[region])
+        assert meas.masses[0] == pytest.approx(
             regularized_gamma_P(0.5, 0.5), rel=1e-9
         )
 
@@ -79,8 +78,9 @@ class TestQuadratureMeasure:
         pot = lambda w: land.reg_risk(w, 0.0)
         for frac in (0.25, 0.6, 1.0):
             ellipsoids = [m.ellipsoid(frac * r0) for m in minima]
-            masses, comp, _ = ellipsoid_masses(pot, gamma, grid, ellipsoids)
-            assert float(masses.sum() + comp) == pytest.approx(1.0, abs=1e-9)
+            meas = quadrature_measure(pot, gamma, grid, regions=ellipsoids)
+            comp = meas.complement_mass[ellipsoids[0].radius]
+            assert float(meas.masses.sum() + comp) == pytest.approx(1.0, abs=1e-9)
 
     def test_under_resolved_raises_with_suggestion(self):
         grid = tensor_gauss_legendre([[-2.0, 2.0]], 32)
@@ -97,13 +97,13 @@ class TestQuadratureMeasure:
             gaussian_potential,
             gamma,
             grid,
-            region=region,
+            regions=[region],
             integrands={"sq": lambda w: np.sum(w * w, axis=-1)},
         )
         closed = truncated_quadratic_moment(
             np.eye(1), np.eye(1) / gamma, r * math.sqrt(gamma)
         )
-        assert meas.conditional["sq"] == pytest.approx(closed, rel=1e-4)
+        assert meas.region_conditional["sq"][0] == pytest.approx(closed, rel=1e-4)
 
     def test_conditional_moment_2d_against_mapped_rule(self):
         # ellipsoid conditional quadratic moments on a 2-d Gaussian target

@@ -103,16 +103,15 @@ class TestMetropolis:
         emp = hist / hist.sum()
         grid = tensor_gauss_legendre(land.domain_box, 2048)
         pot = lambda w: land.reg_risk(w, 0.0)
-        truth = np.empty(64)
-        for k in range(64):
-            e = EllipsoidSpec(
+        cells = [
+            EllipsoidSpec(
                 center=np.array([0.5 * (bins[k] + bins[k + 1])]),
                 metric=np.eye(1),
                 radius=0.5 * (bins[k + 1] - bins[k]),
             )
-            truth[k] = quadrature_measure(
-                pot, gamma, grid, region=e, check_resolution=False
-            ).region_mass
+            for k in range(64)
+        ]
+        truth = quadrature_measure(pot, gamma, grid, regions=cells).masses
         tv = 0.5 * float(np.abs(emp - truth).sum())
         assert tv < 0.05
 
@@ -224,9 +223,7 @@ class TestConditioning:
             frac = float(mask.mean())
             nodes = int(80 * math.sqrt(8.0 * gamma)) + 400
             grid = tensor_gauss_legendre(land.domain_box, nodes)
-            truth = quadrature_measure(
-                pot, gamma, grid, region=regions, complement=True
-            ).region_mass
+            truth = quadrature_measure(pot, gamma, grid, regions=regions).complement_mass[r]
             n = len(batch)
             sigma = math.sqrt(max(truth * (1 - truth), 1e-12) / n)
             # generous multiple of the binomial sigma: MCMC samples correlate
