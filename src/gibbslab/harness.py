@@ -122,6 +122,8 @@ class ExperimentConfig:
     master_seed: int
     output_dir: str
     raw: dict = field(repr=False)
+    # ridge -> the minima enumerated for the r0 check, reused by the run
+    minima: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass
@@ -224,7 +226,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     oracle = {**_DEFAULTS["oracle"], **(raw.get("oracle") or {})}
 
     # radius entries must respect r0 (needs the enumerated minima)
-    landscape = None
+    landscape, minima = None, {}
     if not problems:
         try:
             landscape = make_landscape(name, **params)
@@ -239,9 +241,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
             )
     if landscape is not None and radius_values:
         try:
-            r0 = min(
-                disjoint_radius(enumerate_minima(landscape, ridge)) for ridge in ridges
-            )
+            minima = {ridge: enumerate_minima(landscape, ridge) for ridge in ridges}
+            r0 = min(disjoint_radius(found) for found in minima.values())
             if radius_mode == "absolute":
                 bad = [v for v in radius_values if v > r0 * (1 + 1e-12)]
                 if bad:
@@ -276,6 +277,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         master_seed=int(raw["master_seed"]),
         output_dir=str(raw.get("output_dir") or os.environ.get(OUTPUT_DIR_ENV, "runs")),
         raw=raw,
+        minima=minima,
     )
 
 
@@ -485,7 +487,7 @@ def _radius_shares(cfg, landscape, minima, gamma, ridge, r0, theorems) -> list:
 
 def _evaluate_point(cfg: ExperimentConfig, landscape, gamma, ridge) -> list[dict]:
     """Rows of every m and radius at one (γ, λ); m enters only the bounds."""
-    minima = enumerate_minima(landscape, ridge)
+    minima = cfg.minima[ridge]
     r0 = disjoint_radius(minima)
     theorems = [t for t in cfg.theorems if t in _TABLE]
     shares = (

@@ -551,6 +551,14 @@ def _quintic_bridge(j1, j2, v1, g1, h1, v2, g2, h2):
     return np.array([a0, a1, a2, a3, a4, a5]), span
 
 
+def _horner(coeffs: tuple, t):
+    # lowest degree first, the same operation order as polynomial.polyval
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = c + acc * t
+    return acc
+
+
 def spline_double_well_landscape(
     centers=(-1.0, 1.0),
     curvatures=(1.0, 4.0),
@@ -573,13 +581,15 @@ def spline_double_well_landscape(
         j1, j2, 0.5 * h1 * delta * delta, h1 * delta, h1,
         0.5 * h2 * delta * delta, -h2 * delta, h2,
     )
-    poly = np.polynomial.Polynomial(coeffs)
-    dpoly = poly.deriv()
-    ddpoly = dpoly.deriv()
+    # plain tuples evaluated by Horner: Polynomial.__call__ costs more than
+    # the arithmetic on the one-point calls of a sampler step
+    poly = tuple(float(c) for c in coeffs)
+    dpoly = tuple(k * c for k, c in enumerate(poly) if k)
+    ddpoly = tuple(k * c for k, c in enumerate(dpoly) if k)
 
     # The bridge must form a single barrier: exactly one stationary point
     # strictly inside, and no dip below the well depths.
-    slope_roots = dpoly.roots()
+    slope_roots = np.polynomial.polynomial.polyroots(dpoly)
     interior = [
         float(z.real)
         for z in slope_roots
@@ -589,14 +599,14 @@ def spline_double_well_landscape(
         raise LandscapeDefinitionError(
             "spline bridge has spurious stationary points; adjust parameters"
         )
-    if float(poly(np.linspace(0.0, 1.0, 1001)).min()) < 0.0:
+    if float(_horner(poly, np.linspace(0.0, 1.0, 1001)).min()) < 0.0:
         raise LandscapeDefinitionError("spline bridge dips below zero")
 
     box = _box(bounds, 1)
     lo, hi = box[0]
     if not (lo < c1 and hi > c2):
         raise ArgumentError("domain box must contain both wells")
-    barrier = float(poly(interior[0]))
+    barrier = float(_horner(poly, interior[0]))
     loss_bound = float(
         max(0.5 * h1 * (lo - c1) ** 2, 0.5 * h2 * (hi - c2) ** 2, barrier)
     )
@@ -615,7 +625,7 @@ def spline_double_well_landscape(
         out = np.empty_like(x)
         out[left] = 0.5 * h1 * (x[left] - c1) ** 2
         out[right] = 0.5 * h2 * (x[right] - c2) ** 2
-        out[mid] = poly(t[mid])
+        out[mid] = _horner(poly, t[mid])
         return out
 
     def gradient(w):
@@ -623,7 +633,7 @@ def spline_double_well_landscape(
         out = np.empty_like(x)
         out[left] = h1 * (x[left] - c1)
         out[right] = h2 * (x[right] - c2)
-        out[mid] = dpoly(t[mid]) / span
+        out[mid] = _horner(dpoly, t[mid]) / span
         return out[..., None]
 
     def hessian(w):
@@ -631,7 +641,7 @@ def spline_double_well_landscape(
         out = np.empty_like(x)
         out[left] = h1
         out[right] = h2
-        out[mid] = ddpoly(t[mid]) / (span * span)
+        out[mid] = _horner(ddpoly, t[mid]) / (span * span)
         return out[..., None, None]
 
     return Landscape(

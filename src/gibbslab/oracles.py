@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 _PANEL_ORDER = 16
+# (chain samples × examples) elements per block of the generalization gap
+_GAP_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -284,7 +286,9 @@ def empirical_generalization_gap(
     over the chain and the examples. The chain draws exact Gaussians when
     the data model declares a quadratic empirical risk and runs Metropolis
     (with the default step size and a fifth of the steps as burn-in)
-    otherwise. Requires trials ≥ 50.
+    otherwise. The losses are summed over blocks of chain samples of
+    about 32k (sample, example) pairs, so memory does not grow with
+    ``steps``. Requires trials ≥ 50.
     """
     if trials < 50:
         raise ArgumentError(f"need at least 50 trials, got {trials}")
@@ -308,7 +312,12 @@ def empirical_generalization_gap(
         # differencing per example keeps the gap of an example-independent
         # loss exactly zero; a mean of m equal losses can round off R(w)
         risks = np.asarray(land.risk(batch.samples), dtype=float)
-        gaps[t] = float(np.mean(risks[:, None] - data_model.loss(batch.samples, sample)))
+        rows = max(1, _GAP_BLOCK // m)
+        total = 0.0
+        for i in range(0, len(batch), rows):
+            w = batch.samples[i : i + rows]
+            total += float(np.sum(risks[i : i + rows, None] - data_model.loss(w, sample)))
+        gaps[t] = total / (len(batch) * m)
     return Estimate(
         value=float(gaps.mean()),
         halfwidth_95=float(2.0 * gaps.std(ddof=1) / math.sqrt(trials)),

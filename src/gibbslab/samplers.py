@@ -172,13 +172,71 @@ def default_step_size(target: GibbsTarget, gamma: float) -> float:
     return 0.5 / (gamma * lam_max)
 
 
-def _check_divergence(w: np.ndarray, box: np.ndarray, step_size: float) -> None:
+# Chains draw their randomness in blocks of _BLOCK steps, which fixes the
+# Metropolis stream (see sample_chain). Metropolis evaluates up to _WINDOW
+# speculative proposals per potential call; the window changes no chain.
+_BLOCK = 4096
+_WINDOW = 16
+
+
+def _sgld_path(target, gamma, step_size, steps, rng, noise_free):
+    d = target.dim
+    box = target.domain_box
     width = box[:, 1] - box[:, 0]
-    if np.any(w < box[:, 0] - 10.0 * width) or np.any(w > box[:, 1] + 10.0 * width):
-        raise DivergenceError(
-            f"SGLD iterate left the domain box by more than 10 widths "
-            f"(step_size={step_size}); reduce the step size"
-        )
+    halo_lo, halo_hi = box[:, 0] - 10.0 * width, box[:, 1] + 10.0 * width
+    noise_scale = 0.0 if noise_free else math.sqrt(2.0 * step_size / gamma)
+    path = np.empty((steps, d))
+    w = box.mean(axis=1)
+    for start in range(0, steps, _BLOCK):
+        n = min(_BLOCK, steps - start)
+        noise = noise_scale * rng.standard_normal((n, d)) if noise_scale else np.zeros((n, d))
+        for i in range(n):
+            w = w - step_size * np.asarray(target.grad(w), dtype=float) + noise[i]
+            if (w < halo_lo).any() or (w > halo_hi).any():
+                raise DivergenceError(
+                    f"SGLD iterate left the domain box by more than 10 widths "
+                    f"(step_size={step_size}); reduce the step size"
+                )
+            path[start + i] = w
+    return path
+
+
+def _metropolis_path(target, gamma, step_size, steps, rng, restart_prob):
+    d = target.dim
+    lo, hi = target.domain_box[:, 0], target.domain_box[:, 1]
+    path = np.empty((steps, d))
+    w = target.domain_box.mean(axis=1)
+    fw = float(target.value(w))
+    accepted = 0
+    for start in range(0, steps, _BLOCK):
+        n = min(_BLOCK, steps - start)
+        restart = rng.random(n) < restart_prob
+        uniform = rng.uniform(lo, hi, size=(n, d))
+        jump = step_size * rng.standard_normal((n, d))
+        log_u = np.log(rng.random(n))
+        s = 0
+        while s < n:
+            # proposals s..e-1 as if every step before them were rejected
+            e = min(s + _WINDOW, n)
+            cand = np.where(restart[s:e, None], uniform[s:e], w + jump[s:e])
+            inside = ((cand >= lo) & (cand <= hi)).all(axis=1).nonzero()[0]
+            hit = None
+            if inside.size:
+                f_cand = np.asarray(target.value(cand[inside]), dtype=float)
+                ok = log_u[s + inside] < -gamma * (f_cand - fw)
+                if ok.any():
+                    hit = int(ok.argmax())
+            if hit is None:
+                path[start + s : start + e] = w
+                s = e
+                continue
+            a = int(inside[hit])
+            path[start + s : start + s + a] = w
+            w, fw = cand[a], float(f_cand[hit])
+            path[start + s + a] = w
+            accepted += 1
+            s += a + 1
+    return path, accepted / steps
 
 
 def sample_chain(
@@ -202,9 +260,33 @@ def sample_chain(
                     probability ``restart_prob`` of a uniform draw over the
                     domain box), acceptance min(1, e^(−γΔf)); exact for the
                     box-truncated target. Proposals outside the box are
-                    rejected.
+                    rejected without evaluating f.
     exact_gaussian: i.i.d. draws from N(w_min, (γH)⁻¹); requires a
                     quadratic target.
+
+    Every chain starts at the box center (SGLD, Metropolis) and draws from
+    ``numpy.random.default_rng(chain_seed(master_seed, chain_id))`` only,
+    so it is reproduced from (master_seed, chain_id) alone. The steps run
+    in blocks of n = min(4096, steps left) steps, and each block makes
+    these draws in this order:
+
+    sgld:           ``standard_normal((n, d))``, row i the ξ of step i
+                    (none with ``noise_free``); the same stream as one
+                    ``standard_normal(d)`` per step.
+    metropolis:     ``random(n) < restart_prob`` (restart flags),
+                    ``uniform(lo, hi, (n, d))`` (box proposals),
+                    η·``standard_normal((n, d))`` (jumps) and
+                    ``log(random(n))`` (log acceptance uniforms). Step i
+                    proposes its box row if flagged, else w + its jump row,
+                    and accepts an in-box proposal w′ iff its log uniform is
+                    below −γ(f(w′) − f(w)).
+    exact_gaussian: one ``standard_normal((steps − burn_in, d))``.
+
+    Metropolis evaluates f on up to 16 proposals per call, each built as
+    if the steps before it in the window were rejected, and keeps the
+    first accepted one; the chain equals the one-proposal-at-a-time chain
+    over the same stream. SGLD raises DivergenceError once an iterate
+    leaves the box by more than 10 widths.
 
     The returned batch holds the ``steps − burn_in`` post-burn-in samples.
     """
@@ -218,8 +300,6 @@ def sample_chain(
         raise ArgumentError(f"gamma must be positive, got {gamma}")
 
     rng = np.random.default_rng(chain_seed(master_seed, chain_id))
-    box = target.domain_box
-    kept = steps - burn_in
     acceptance_rate = None
 
     if kind == "exact_gaussian":
@@ -229,40 +309,16 @@ def sample_chain(
             )
         w_min, hess = target.quadratic
         chol = np.linalg.cholesky(np.atleast_2d(hess))
-        normal = rng.standard_normal((kept, target.dim))
+        normal = rng.standard_normal((steps - burn_in, target.dim))
         # x = w_min + L^{-T} ξ / sqrt(γ) gives covariance (γ H)^{-1}.
         samples = w_min + np.linalg.solve(chol.T, normal.T).T / math.sqrt(gamma)
     elif kind == "sgld":
-        noise_scale = 0.0 if noise_free else math.sqrt(2.0 * step_size / gamma)
-        w = box.mean(axis=1)
-        samples = np.empty((kept, target.dim))
-        for t in range(steps):
-            g = np.asarray(target.grad(w), dtype=float)
-            w = w - step_size * g
-            if noise_scale:
-                w = w + noise_scale * rng.standard_normal(target.dim)
-            _check_divergence(w, box, step_size)
-            if t >= burn_in:
-                samples[t - burn_in] = w
-    else:  # metropolis
-        w = box.mean(axis=1)
-        fw = float(target.value(w))
-        samples = np.empty((kept, target.dim))
-        accepted = 0
-        lo, hi = box[:, 0], box[:, 1]
-        for t in range(steps):
-            if restart_prob > 0.0 and rng.random() < restart_prob:
-                proposal = rng.uniform(lo, hi)
-            else:
-                proposal = w + step_size * rng.standard_normal(target.dim)
-            if np.all(proposal >= lo) and np.all(proposal <= hi):
-                f_prop = float(target.value(proposal))
-                if math.log(rng.random()) < -gamma * (f_prop - fw):
-                    w, fw = proposal, f_prop
-                    accepted += 1
-            if t >= burn_in:
-                samples[t - burn_in] = w
-        acceptance_rate = accepted / steps
+        samples = _sgld_path(target, gamma, step_size, steps, rng, noise_free)[burn_in:]
+    else:
+        path, acceptance_rate = _metropolis_path(
+            target, gamma, step_size, steps, rng, restart_prob
+        )
+        samples = path[burn_in:]
 
     return ChainBatch(
         samples=samples,

@@ -23,7 +23,14 @@ from gibbslab.oracles import (
     quadrature_measure,
     tensor_gauss_legendre,
 )
-from gibbslab.samplers import condition_on_region, sample_chain, target_from_landscape
+from gibbslab.samplers import (
+    chain_seed,
+    condition_on_region,
+    default_step_size,
+    sample_chain,
+    target_from_landscape,
+    target_from_sample,
+)
 from gibbslab.specfun import regularized_gamma_P, truncated_quadratic_moment
 
 from helpers import ball_quadrature
@@ -208,6 +215,47 @@ class TestEmpiricalGeneralizationGap:
         dm = rls_data_model()
         with pytest.raises(ArgumentError):
             empirical_generalization_gap(dm, 1.0, 0.1, 10, trials=10, master_seed=0)
+
+    def test_blocked_sum_equals_whole_array_mean(self):
+        # 300 samples in blocks of 32 rows at m = 1000, the last one partial
+        dm = rls_data_model()
+        gamma, ridge, m, steps, trials = 10.0, 0.1, 1000, 300, 50
+        est = empirical_generalization_gap(
+            dm, gamma, ridge, m, trials=trials, master_seed=4, steps=steps
+        )
+        gaps = []
+        for t in range(trials):
+            sample = dm.sample_examples(np.random.default_rng(chain_seed(4, 2 * t)), m)
+            tgt = target_from_sample(dm, sample, ridge)
+            batch = sample_chain(
+                "exact_gaussian", tgt, gamma, default_step_size(tgt, gamma), steps, 0, 4,
+                chain_id=2 * t + 1,
+            )
+            whole = dm.landscape.risk(batch.samples)[:, None] - dm.loss(batch.samples, sample)
+            gaps.append(np.mean(whole))
+        assert est.value == pytest.approx(np.mean(gaps), rel=1e-12, abs=0.0)
+
+    def test_example_independent_loss_stays_zero_across_blocks(self):
+        # m = 3000 gives blocks of 10 Metropolis samples of the spline risk
+        dm = constant_loss_data_model(spline_double_well_landscape())
+        est = empirical_generalization_gap(dm, 5.0, 0.1, 3000, trials=50, master_seed=4,
+                                           steps=100)
+        assert est.value == 0.0
+        assert est.halfwidth_95 == 0.0
+
+    def test_memory_does_not_grow_with_steps(self):
+        import tracemalloc
+
+        # the whole (steps × m) float array would take 160 MB
+        dm = rls_data_model()
+        tracemalloc.start()
+        try:
+            empirical_generalization_gap(dm, 10.0, 0.1, 1000, trials=50, master_seed=4,
+                                         steps=20_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestIrmObjective:

@@ -18,6 +18,7 @@ from gibbslab.landscapes import (
     rls_data_model,
     spline_double_well_landscape,
 )
+from gibbslab import samplers
 from gibbslab.oracles import quadrature_measure, tensor_gauss_legendre
 from gibbslab.samplers import (
     chain_seed,
@@ -89,6 +90,84 @@ class TestSgld:
         dw_target = target_from_landscape(double_well_landscape(), 0.0)
         est = default_step_size(dw_target, 10.0)
         assert est > 0.0
+
+
+def metropolis_one_at_a_time(target, gamma, eta, steps, burn_in, seed, restart_prob):
+    """The Metropolis chain over sample_chain's documented block stream,
+    one proposal and one potential call per step."""
+    rng = np.random.default_rng(chain_seed(seed, 0))
+    lo, hi = target.domain_box[:, 0], target.domain_box[:, 1]
+    d = target.dim
+    w = target.domain_box.mean(axis=1)
+    fw = float(target.value(w))
+    path, accepted = [], 0
+    for start in range(0, steps, 4096):
+        n = min(4096, steps - start)
+        restart = rng.random(n) < restart_prob
+        uniform = rng.uniform(lo, hi, size=(n, d))
+        jump = eta * rng.standard_normal((n, d))
+        log_u = np.log(rng.random(n))
+        for i in range(n):
+            proposal = uniform[i] if restart[i] else w + jump[i]
+            if np.all(proposal >= lo) and np.all(proposal <= hi):
+                f_prop = float(target.value(proposal))
+                if log_u[i] < -gamma * (f_prop - fw):
+                    w, fw = proposal, f_prop
+                    accepted += 1
+            path.append(w)
+    return np.array(path)[burn_in:], accepted / steps
+
+
+class TestStream:
+    @pytest.mark.parametrize("window", [16, 5])
+    @pytest.mark.parametrize("restart_prob", [0.0, 0.1])
+    @pytest.mark.parametrize(
+        "landscape, gamma, eta",
+        [
+            # the box [-1, 1] rejects part of the local proposals
+            (quadratic_landscape(1, bounds=(-1.0, 1.0)), 1.0, 0.5),
+            (double_well_landscape(dimension=2), 5.0, 0.3),
+        ],
+        ids=["d1_tight_box", "d2_double_well"],
+    )
+    def test_metropolis_equals_one_proposal_at_a_time(
+        self, monkeypatch, landscape, gamma, eta, restart_prob, window
+    ):
+        monkeypatch.setattr(samplers, "_WINDOW", window)
+        tgt = target_from_landscape(landscape, 0.0)
+        steps, burn_in = 9000, 500
+        batch = sample_chain(
+            "metropolis", tgt, gamma, eta, steps, burn_in, 11, restart_prob=restart_prob
+        )
+        expected, rate = metropolis_one_at_a_time(
+            tgt, gamma, eta, steps, burn_in, 11, restart_prob
+        )
+        assert np.array_equal(batch.samples, expected)
+        assert batch.acceptance_rate == rate
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_sgld_equals_one_draw_per_step(self, dimension):
+        tgt = target_from_landscape(double_well_landscape(dimension=dimension), 0.0)
+        gamma, eta, steps, burn_in = 20.0, 0.01, 9000, 500
+        batch = sample_chain("sgld", tgt, gamma, eta, steps, burn_in, 11)
+        rng = np.random.default_rng(chain_seed(11, 0))
+        scale = math.sqrt(2.0 * eta / gamma)
+        w = tgt.domain_box.mean(axis=1)
+        path = []
+        for _ in range(steps):
+            w = w - eta * np.asarray(tgt.grad(w), dtype=float)
+            w = w + scale * rng.standard_normal(dimension)
+            path.append(w)
+        assert np.array_equal(batch.samples, np.array(path)[burn_in:])
+
+    def test_divergence_after_first_block_names_step_size(self):
+        # |1 − η| = 1.0005 on (1/2)w² from w = 3: the iterate leaves the
+        # 10-width halo of [1, 5] near step 5100
+        tgt = quadratic_target(bounds=(1.0, 5.0))
+        eta = 2.0005
+        assert len(sample_chain("sgld", tgt, 1e6, eta, 4096, 0, 2)) == 4096
+        with pytest.raises(DivergenceError, match="step_size=2.0005"):
+            sample_chain("sgld", tgt, 1e6, eta, 20_000, 0, 2)
 
 
 class TestMetropolis:
