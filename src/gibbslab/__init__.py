@@ -49,7 +49,7 @@ from .landscapes import (
     constant_loss_data_model,
     disjoint_radius,
     double_well_landscape,
-    empirical_risk_jet,
+    empirical_landscape,
     enumerate_minima,
     lipschitz_estimate,
     make_data_model,
@@ -80,7 +80,6 @@ from .samplers import (
     default_step_size,
     sample_chain,
     target_from_landscape,
-    target_from_sample,
 )
 from .specfun import (
     ball_mass_rate,

@@ -86,24 +86,12 @@ class GibbsConfig:
 class BoundReport:
     """Per-term breakdown of one bound at one configuration.
 
-    ``total`` equals the sum of ``terms`` values to 1e-12. ``margin`` is
-    ``total - oracle_value`` and present only when an oracle ran.
+    ``total`` equals the sum of ``terms`` values to 1e-12.
     """
 
-    theorem: str
     terms: dict[str, float]
     total: float
-    config: GibbsConfig
-    radius: float
-    tuning_p: float | None = None
-    oracle_value: float | None = None
-    margin: float | None = None
     extras: dict = field(default_factory=dict)
-
-    def attach_oracle(self, value: float) -> "BoundReport":
-        self.oracle_value = float(value)
-        self.margin = self.total - float(value)
-        return self
 
 
 @dataclass(frozen=True)
@@ -211,11 +199,8 @@ def local_excess_bound(
         "generalization": gen,
     }
     return BoundReport(
-        theorem="local_excess",
         terms=terms,
         total=sum(terms.values()),
-        config=config,
-        radius=float(r),
         extras={"taylor_error": eps, "lipschitz_is_estimate": minimum.lipschitz_is_estimate},
     )
 
@@ -319,13 +304,13 @@ def complement_mass_bound(
     minima: Sequence[MinimumDescriptor],
     config: GibbsConfig,
     r: float,
-    d: int,
     r0: float | None = None,
 ) -> ComplementMassBound:
     """Bound on the Gibbs mass outside every minimum's ellipsoid.
 
-    raw = 1 − (1 − d·e^(−r²γ·α_{d/2}))·Σᵢ e^(−γεᵢ(r)/3) with α_{d/2} = 1
-    for d = 1 and Γ(1 + d/2)^(−2/d) otherwise. The raw value may leave
+    raw = 1 − (1 − d·e^(−r²γ·α_{d/2}))·Σᵢ e^(−γεᵢ(r)/3), with d the
+    dimension of the minima and α_{d/2} = 1 for d = 1 and
+    Γ(1 + d/2)^(−2/d) otherwise. The raw value may leave
     [0, 1] (notably with several minima); the clamped copy is the one to
     compare against probabilities.
     """
@@ -337,7 +322,7 @@ def complement_mass_bound(
         r0 = disjoint_radius(list(minima))
     if r > r0 * (1.0 + 1e-12):
         raise RadiusError(f"radius r={r} exceeds the disjointness radius r0={r0}")
-    gamma = config.gamma
+    gamma, d = config.gamma, minima[0].dimension
     alpha = ball_mass_rate(0.5 * d) if d > 1 else 1.0
     eps_sum = sum(
         math.exp(-gamma * taylor_approximation_error(m, r, config.ridge) / 3.0)
@@ -399,7 +384,6 @@ def global_excess_bound(
         raise RadiusError(f"radius r={r} must lie in (0, r0={r0}]")
     w, mode = _expectation_weights(minima, config, r, weights)
     gamma, loss_bound = config.gamma, config.loss_bound
-    d = minima[0].dimension
     eff_dims = np.array(
         [effective_dimension(m.hessian, config.ridge) for m in minima]
     )
@@ -407,7 +391,7 @@ def global_excess_bound(
     e_tr = float(w @ eff_dims)
     e_eps = float(w @ eps)
     gen = generalization_bound(config)
-    complement = complement_mass_bound(minima, config, r, d, r0=r0)
+    complement = complement_mass_bound(minima, config, r, r0=r0)
     terms = {
         "effective_dimension": e_tr / gamma,
         "taylor": e_eps / 6.0,
@@ -416,11 +400,8 @@ def global_excess_bound(
         "complement": loss_bound * complement.clamped,
     }
     return BoundReport(
-        theorem="global_excess",
         terms=terms,
         total=sum(terms.values()),
-        config=config,
-        radius=float(r),
         extras={
             "weights": w,
             "weights_mode": mode,
@@ -457,10 +438,7 @@ def pseudo_excess_bound(
         for key in terms:
             terms[key] += weight * local.terms[key]
     return BoundReport(
-        theorem="pseudo_excess",
         terms=terms,
         total=sum(terms.values()),
-        config=config,
-        radius=float(r),
         extras={"pi_infinity": pi},
     )

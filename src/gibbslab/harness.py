@@ -137,11 +137,37 @@ def _as_list(value) -> list:
     return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
+def _number(value, path: str, problems: list[str], kind=float):
+    """``value`` as a finite ``kind`` (float or int); None, with a
+    ``path: message`` problem, when it is not one or is a boolean."""
+    try:
+        number = kind(value)
+        if math.isfinite(number) and not isinstance(value, bool):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    what = "a finite number" if kind is float else "an integer"
+    problems.append(f"{path}: expected {what}, got {value!r}")
+    return None
+
+
+def _numbers(value, path: str, problems: list[str], kind=float) -> list:
+    """The entries of a scalar-or-list field that parse as ``kind``."""
+    parsed = [_number(v, path, problems, kind) for v in _as_list(value)]
+    return [v for v in parsed if v is not None]
+
+
 def load_config(path_or_dict) -> ExperimentConfig:
-    """Parse and validate a configuration file (or an equivalent dict)."""
+    """Parse and validate a configuration file (or an equivalent dict).
+
+    A file that cannot be read or is not JSON raises ConfigError.
+    """
     if isinstance(path_or_dict, (str, Path)):
-        with open(path_or_dict, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(path_or_dict, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError([f"{path_or_dict}: {exc}"]) from exc
     else:
         raw = dict(path_or_dict)
     return validate_config(raw)
@@ -149,56 +175,71 @@ def load_config(path_or_dict) -> ExperimentConfig:
 
 def validate_config(raw: dict) -> ExperimentConfig:
     """Check every field and collect all violations into one ConfigError."""
+    if not isinstance(raw, dict):
+        raise ConfigError([f"config: expected a JSON object, got {type(raw).__name__}"])
     problems: list[str] = []
 
     for key in raw:
         if key not in _TOP_KEYS:
             problems.append(f"{key}: unknown key")
+    sections = {}
     for section, allowed in _SCHEMA.items():
-        sub = raw.get(section)
-        if isinstance(sub, dict):
-            for key in sub:
-                if key not in allowed:
-                    problems.append(f"{section}.{key}: unknown key")
+        sub = raw.get(section) or {}
+        if not isinstance(sub, dict):
+            problems.append(f"{section}: expected an object, got {sub!r}")
+            sub = {}
+        for key in sub:
+            if key not in allowed:
+                problems.append(f"{section}.{key}: unknown key")
+        sections[section] = sub
 
-    land_cfg = raw.get("landscape") or {}
-    name = land_cfg.get("name")
-    params = land_cfg.get("params") or {}
-    if name not in BUILTIN_LANDSCAPES:
+    name = sections["landscape"].get("name")
+    params = sections["landscape"].get("params") or {}
+    if not isinstance(name, str) or name not in BUILTIN_LANDSCAPES:
         problems.append(
             f"landscape.name: unknown landscape {name!r}; "
             f"available {sorted(BUILTIN_LANDSCAPES)}"
         )
 
-    gibbs = {**_DEFAULTS["gibbs"], **(raw.get("gibbs") or {})}
-    gammas = [float(g) for g in _as_list(gibbs.get("gamma", []))]
-    ridges = [float(v) for v in _as_list(gibbs.get("ridge", 0.0))]
-    ms = [int(v) for v in _as_list(gibbs.get("m", []))]
-    if not gammas:
+    gibbs = {**_DEFAULTS["gibbs"], **sections["gibbs"]}
+    gammas = _numbers(gibbs.get("gamma", []), "gibbs.gamma", problems)
+    ridges = _numbers(gibbs["ridge"], "gibbs.ridge", problems)
+    ms = _numbers(gibbs.get("m", []), "gibbs.m", problems, int)
+    if not _as_list(gibbs.get("gamma", [])):
         problems.append("gibbs.gamma: sweep grid must be nonempty")
     if any(g <= 0 for g in gammas):
         problems.append("gibbs.gamma: entries must be positive")
     if any(v < 0 for v in ridges):
         problems.append("gibbs.ridge: entries must be nonnegative")
-    if not ms:
+    if not _as_list(gibbs.get("m", [])):
         problems.append("gibbs.m: sweep grid must be nonempty")
     if any(v < 1 for v in ms):
         problems.append("gibbs.m: entries must be >= 1")
+    # None selects the landscape's M and the Hoeffding σ = M/2
+    scalars = {}
+    for key in ("loss_bound", "sigma"):
+        value = gibbs[key]
+        if value is not None:
+            value = _number(value, f"gibbs.{key}", problems)
+            if value is not None and value <= 0:
+                problems.append(f"gibbs.{key}: must be positive")
+        scalars[key] = value
     if gibbs["gen_bound_variant"] not in bnd.GEN_BOUND_VARIANTS:
         problems.append(
             f"gibbs.gen_bound_variant: must be one of {bnd.GEN_BOUND_VARIANTS}"
         )
 
-    radius = raw.get("radius") or {}
+    radius = sections["radius"]
     modes = [k for k in ("relative", "absolute", "tuning_p") if radius.get(k) is not None]
     radius_mode, radius_values = "relative", ()
     if len(modes) != 1:
         problems.append("radius: exactly one of relative/absolute/tuning_p must be set")
     else:
         radius_mode = modes[0]
-        radius_values = tuple(float(v) for v in _as_list(radius[radius_mode]))
-        if not radius_values:
-            problems.append(f"radius.{radius_mode}: sweep grid must be nonempty")
+        path = f"radius.{radius_mode}"
+        radius_values = tuple(_numbers(radius[radius_mode], path, problems))
+        if not _as_list(radius[radius_mode]):
+            problems.append(f"{path}: sweep grid must be nonempty")
         if radius_mode == "relative" and any(not 0 < v <= 1 for v in radius_values):
             problems.append("radius.relative: entries must lie in (0, 1]")
         if radius_mode == "tuning_p" and any(not 0 < v <= 1 / 3 for v in radius_values):
@@ -206,24 +247,41 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if radius_mode == "absolute" and any(v <= 0 for v in radius_values):
             problems.append("radius.absolute: entries must be positive")
 
-    theorems = tuple(raw.get("theorems") or ())
-    if not theorems:
+    theorems = raw.get("theorems") or ()
+    if not isinstance(theorems, (list, tuple)):
+        problems.append(f"theorems: expected a list of theorem names, got {theorems!r}")
+        theorems = ()
+    elif not theorems:
         problems.append("theorems: at least one theorem must be listed")
+    theorems = tuple(theorems)
     for t in theorems:
         if t not in THEOREMS:
             problems.append(f"theorems: unknown theorem {t!r}; available {THEOREMS}")
-    if "generalization" in theorems and name not in BUILTIN_DATA_MODELS:
+    generalization = "generalization" in theorems
+    if generalization and not (isinstance(name, str) and name in BUILTIN_DATA_MODELS):
         problems.append(
             "theorems: 'generalization' needs a landscape with a data model "
             f"({sorted(BUILTIN_DATA_MODELS)})"
         )
 
+    master_seed = None
     if "master_seed" not in raw:
         problems.append("master_seed: required")
-    sampler = {**_DEFAULTS["sampler"], **(raw.get("sampler") or {})}
-    if not isinstance(sampler["steps"], int) or sampler["steps"] < 1:
+    else:
+        master_seed = _number(raw["master_seed"], "master_seed", problems, int)
+    sampler = {**_DEFAULTS["sampler"], **sections["sampler"]}
+    steps = sampler["steps"]
+    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
         problems.append("sampler.steps: must be an integer >= 1")
-    oracle = {**_DEFAULTS["oracle"], **(raw.get("oracle") or {})}
+    oracle = {**_DEFAULTS["oracle"], **sections["oracle"]}
+    nodes = _number(oracle["nodes_per_dim"], "oracle.nodes_per_dim", problems, int)
+    if nodes is not None and nodes < 0:
+        problems.append("oracle.nodes_per_dim: must be >= 0 (0 picks the count)")
+    trials = _number(oracle["mc_trials"], "oracle.mc_trials", problems, int)
+    if generalization and trials is not None and trials < 50:
+        problems.append("oracle.mc_trials: the generalization oracle needs >= 50 trials")
+    if not isinstance(oracle["use_quadrature_weights"], bool):
+        problems.append("oracle.use_quadrature_weights: must be true or false")
 
     # radius entries must respect r0 (needs the enumerated minima)
     landscape, minima = None, {}
@@ -266,15 +324,15 @@ def validate_config(raw: dict) -> ExperimentConfig:
         gammas=tuple(gammas),
         ridges=tuple(ridges),
         ms=tuple(ms),
-        loss_bound=gibbs["loss_bound"],
-        sigma=gibbs["sigma"],
+        loss_bound=scalars["loss_bound"],
+        sigma=scalars["sigma"],
         gen_bound_variant=gibbs["gen_bound_variant"],
         radius_mode=radius_mode,
         radius_values=radius_values,
         sampler=sampler,
         oracle=oracle,
         theorems=theorems,
-        master_seed=int(raw["master_seed"]),
+        master_seed=master_seed,
         output_dir=str(raw.get("output_dir") or os.environ.get(OUTPUT_DIR_ENV, "runs")),
         raw=raw,
         minima=minima,
@@ -381,8 +439,7 @@ def _inside_sandwich(row: dict) -> bool:
 
 
 def _complement_bound(pt: _Point, _) -> tuple:
-    d = pt.minima[0].dimension
-    comp = bnd.complement_mass_bound(pt.minima, pt.gconf, pt.r, d, r0=pt.r0)
+    comp = bnd.complement_mass_bound(pt.minima, pt.gconf, pt.r, r0=pt.r0)
     return comp.clamped, comp.raw, {}
 
 

@@ -25,7 +25,7 @@ __all__ = [
     "Landscape",
     "DataModel",
     "risk_jet",
-    "empirical_risk_jet",
+    "empirical_landscape",
     "enumerate_minima",
     "lipschitz_estimate",
     "disjoint_radius",
@@ -105,7 +105,8 @@ class MinimumDescriptor:
 
 @dataclass(frozen=True)
 class Landscape:
-    """Analytic population risk over a compact experiment domain.
+    """Analytic risk over a compact experiment domain: a population risk,
+    or the empirical risk of one sample (``empirical_landscape``).
 
     ``risk``/``gradient``/``hessian`` accept points of shape (..., d) and
     vectorize over leading axes. ``initial_points`` are the analytic well
@@ -162,7 +163,8 @@ class DataModel:
     domain box. ``sample_examples(rng, n)`` returns n examples as an array
     whose first axis indexes the sample. ``quadratic`` promises that the
     empirical risk (1/m)Σℓ(w, zᵢ) is exactly quadratic in w for every
-    sample, so its Hessian does not depend on w.
+    sample, so its Hessian does not depend on w; it becomes the
+    ``quadratic`` flag of every ``empirical_landscape`` of the model.
     """
 
     name: str
@@ -200,20 +202,28 @@ def risk_jet(landscape: Landscape, w) -> RiskJet:
     )
 
 
-def empirical_risk_jet(data_model: DataModel, sample, w, lam: float) -> RiskJet:
-    """Jet of the ridge-regularized empirical risk (1/m)Σℓ(w, zᵢ) + λ‖w‖²."""
+def empirical_landscape(data_model: DataModel, sample) -> Landscape:
+    """The empirical risk R̂_S(w) = (1/m)Σℓ(w, zᵢ) of one drawn sample.
+
+    It is the data model's landscape with ``risk``, ``gradient`` and
+    ``hessian`` replaced by the example means of ``loss``,
+    ``loss_gradient`` and ``loss_hessian``; it is ``quadratic`` when the
+    data model declares so and has no closed-form Lipschitz profile. The
+    domain box, well seeds and loss bound M are the population's (a mean
+    of losses bounded by M is bounded by M). Raises ArgumentError for an
+    empty sample.
+    """
     sample = np.asarray(sample)
     if sample.shape[0] == 0:
         raise ArgumentError("empirical risk needs a nonempty sample")
-    land = data_model.landscape
-    w = _as_point(w, land.dimension)
-    if not bool(land.contains(w)):
-        raise DomainError(f"point {w} lies outside the domain box")
-    value = float(np.mean(data_model.loss(w, sample))) + lam * float(w @ w)
-    grad = np.mean(data_model.loss_gradient(w, sample), axis=0) + 2.0 * lam * w
-    eye = np.eye(land.dimension)
-    hess = np.mean(data_model.loss_hessian(w, sample), axis=0) + 2.0 * lam * eye
-    return RiskJet(value=value, gradient=grad, hessian=0.5 * (hess + hess.T))
+    return replace(
+        data_model.landscape,
+        risk=lambda w: np.mean(data_model.loss(w, sample), axis=-1),
+        gradient=lambda w: np.mean(data_model.loss_gradient(w, sample), axis=-2),
+        hessian=lambda w: np.mean(data_model.loss_hessian(w, sample), axis=-3),
+        lipschitz_closed_form=None,
+        quadratic=data_model.quadratic,
+    )
 
 
 def _newton_polish(landscape: Landscape, seed: np.ndarray, lam: float) -> np.ndarray:
@@ -611,37 +621,30 @@ def spline_double_well_landscape(
         max(0.5 * h1 * (lo - c1) ** 2, 0.5 * h2 * (hi - c2) ** 2, barrier)
     )
 
-    def _pieces(w):
-        w = np.asarray(w, dtype=float)
-        x = w[..., 0]
-        t = (x - j1) / span
-        left = x <= j1
-        right = x >= j2
-        mid = ~(left | right)
-        return x, t, left, mid, right
-
     def risk(w):
-        x, t, left, mid, right = _pieces(w)
-        out = np.empty_like(x)
-        out[left] = 0.5 * h1 * (x[left] - c1) ** 2
-        out[right] = 0.5 * h2 * (x[right] - c2) ** 2
-        out[mid] = _horner(poly, t[mid])
-        return out
+        x = np.asarray(w, dtype=float)[..., 0]
+        return np.where(
+            x <= j1,
+            0.5 * h1 * (x - c1) ** 2,
+            np.where(x >= j2, 0.5 * h2 * (x - c2) ** 2, _horner(poly, (x - j1) / span)),
+        )
 
     def gradient(w):
-        x, t, left, mid, right = _pieces(w)
-        out = np.empty_like(x)
-        out[left] = h1 * (x[left] - c1)
-        out[right] = h2 * (x[right] - c2)
-        out[mid] = _horner(dpoly, t[mid]) / span
+        x = np.asarray(w, dtype=float)[..., 0]
+        out = np.where(
+            x <= j1,
+            h1 * (x - c1),
+            np.where(x >= j2, h2 * (x - c2), _horner(dpoly, (x - j1) / span) / span),
+        )
         return out[..., None]
 
     def hessian(w):
-        x, t, left, mid, right = _pieces(w)
-        out = np.empty_like(x)
-        out[left] = h1
-        out[right] = h2
-        out[mid] = _horner(ddpoly, t[mid]) / (span * span)
+        x = np.asarray(w, dtype=float)[..., 0]
+        out = np.where(
+            x <= j1,
+            h1,
+            np.where(x >= j2, h2, _horner(ddpoly, (x - j1) / span) / (span * span)),
+        )
         return out[..., None, None]
 
     return Landscape(

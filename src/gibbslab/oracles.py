@@ -16,13 +16,19 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .errors import ArgumentError, ContractError, ResolutionError
-from .landscapes import DataModel, EllipsoidSpec, Landscape, MinimumDescriptor
+from .landscapes import (
+    DataModel,
+    EllipsoidSpec,
+    Landscape,
+    MinimumDescriptor,
+    empirical_landscape,
+)
 from .samplers import (
     ChainBatch,
     chain_seed,
     default_step_size,
     sample_chain,
-    target_from_sample,
+    target_from_landscape,
 )
 
 __all__ = [
@@ -297,7 +303,7 @@ def empirical_generalization_gap(
     for t in range(trials):
         rng = np.random.default_rng(chain_seed(master_seed, 2 * t))
         sample = data_model.sample_examples(rng, m)
-        target = target_from_sample(data_model, sample, ridge)
+        target = target_from_landscape(empirical_landscape(data_model, sample), ridge)
         exact = target.quadratic is not None
         batch = sample_chain(
             "exact_gaussian" if exact else "metropolis",
@@ -378,24 +384,6 @@ class DerivativeCheckReport:
         return max(self.max_gradient_error, self.max_hessian_error)
 
 
-def _jet_functions(obj, rng: np.random.Generator):
-    if isinstance(obj, DataModel):
-        z_batch = obj.sample_examples(rng, 3)
-        return (
-            obj.landscape,
-            lambda w: float(np.mean(obj.loss(w, z_batch))),
-            lambda w: np.mean(obj.loss_gradient(w, z_batch), axis=0),
-            lambda w: np.mean(obj.loss_hessian(w, z_batch), axis=0),
-        )
-    land: Landscape = obj
-    return (
-        land,
-        lambda w: float(land.risk(w)),
-        lambda w: np.asarray(land.gradient(w), dtype=float),
-        lambda w: np.atleast_2d(np.asarray(land.hessian(w), dtype=float)),
-    )
-
-
 def derivative_check(
     obj: Landscape | DataModel,
     probes: np.ndarray | None = None,
@@ -405,10 +393,14 @@ def derivative_check(
     """Central finite differences against the analytic gradient and Hessian.
 
     Uses step h = 1e-4·(1 + ‖w‖) and reports the maximum relative error
-    (scaled by max(1, ‖analytic‖_∞)) over interior probe points.
+    (scaled by max(1, ‖analytic‖_∞)) over interior probe points. A data
+    model is checked through its empirical landscape on 3 examples drawn
+    before the probes.
     """
     rng = np.random.default_rng(seed)
-    land, value, grad, hess = _jet_functions(obj, rng)
+    land = obj
+    if isinstance(obj, DataModel):
+        land = empirical_landscape(obj, obj.sample_examples(rng, 3))
     if probes is None:
         lo = land.domain_box[:, 0]
         hi = land.domain_box[:, 1]
@@ -419,17 +411,17 @@ def derivative_check(
     worst_g, worst_h, worst_probe = 0.0, 0.0, probes[0]
     for w in probes:
         h_step = 1e-4 * (1.0 + float(np.linalg.norm(w)))
-        g_ana = np.atleast_1d(grad(w)).astype(float)
-        h_ana = np.atleast_2d(hess(w)).astype(float)
+        g_ana = np.atleast_1d(land.gradient(w)).astype(float)
+        h_ana = np.atleast_2d(land.hessian(w)).astype(float)
         g_fd = np.empty_like(g_ana)
         h_fd = np.empty_like(h_ana)
         for k in range(land.dimension):
             e = np.zeros(land.dimension)
             e[k] = h_step
-            g_fd[k] = (value(w + e) - value(w - e)) / (2.0 * h_step)
+            g_fd[k] = (float(land.risk(w + e)) - float(land.risk(w - e))) / (2.0 * h_step)
             h_fd[:, k] = (
-                np.atleast_1d(grad(w + e)).astype(float)
-                - np.atleast_1d(grad(w - e)).astype(float)
+                np.atleast_1d(land.gradient(w + e)).astype(float)
+                - np.atleast_1d(land.gradient(w - e)).astype(float)
             ) / (2.0 * h_step)
         g_err = float(np.abs(g_fd - g_ana).max()) / max(1.0, float(np.abs(g_ana).max()))
         h_err = float(np.abs(h_fd - h_ana).max()) / max(1.0, float(np.abs(h_ana).max()))

@@ -20,7 +20,7 @@ from .errors import (
     DivergenceError,
     SamplerKindError,
 )
-from .landscapes import DataModel, EllipsoidSpec, Landscape
+from .landscapes import EllipsoidSpec, Landscape
 
 __all__ = [
     "GibbsTarget",
@@ -30,7 +30,6 @@ __all__ = [
     "condition_on_region",
     "default_step_size",
     "target_from_landscape",
-    "target_from_sample",
     "CHAIN_KINDS",
 ]
 
@@ -58,10 +57,13 @@ def chain_seed(master_seed: int, chain_id: int) -> int:
 class GibbsTarget:
     """Potential f whose Gibbs density is ∝ e^(−γ f(w)) on the domain box.
 
-    ``value`` accepts (..., d) batches; ``grad`` accepts a single point.
-    ``quadratic`` carries (minimizer, Hessian of f) when f is declared
-    exactly quadratic with a positive definite Hessian, which enables the
-    exact_gaussian kind.
+    Built by ``target_from_landscape`` as the ridge-regularized risk of a
+    landscape; the empirical risk of a sample is the landscape
+    ``landscapes.empirical_landscape`` returns. ``value`` accepts (..., d)
+    batches; ``grad`` accepts a single point. ``quadratic`` carries
+    (minimizer, Hessian of f) when the landscape is declared exactly
+    quadratic and the Hessian of f is positive definite, which enables
+    the exact_gaussian kind.
     """
 
     dim: int
@@ -91,60 +93,22 @@ class ChainBatch:
         return int(self.samples.shape[0])
 
 
-def _gaussian_pair(grad0: np.ndarray, hess0: np.ndarray):
-    """(minimizer, Hessian) of a quadratic potential from its gradient and
-    Hessian at w = 0; None unless the Hessian is positive definite."""
-    if np.linalg.eigvalsh(hess0)[0] <= 0.0:
-        return None
-    w0 = np.zeros(hess0.shape[0])
-    return w0 - np.linalg.solve(hess0, grad0), hess0
-
-
 def target_from_landscape(landscape: Landscape, ridge: float) -> GibbsTarget:
-    """Population target f = R + λ‖w‖² (useful for sampler-vs-quadrature checks)."""
+    """Target f = R + λ‖w‖² of a landscape, population or empirical (see
+    ``landscapes.empirical_landscape``)."""
     quadratic = None
     if landscape.quadratic:
+        # one Newton step from w = 0 lands on the minimizer of a quadratic f
         w0 = np.zeros(landscape.dimension)
-        quadratic = _gaussian_pair(
-            landscape.reg_gradient(w0, ridge), landscape.reg_hessian(w0, ridge)
-        )
+        grad0 = landscape.reg_gradient(w0, ridge)
+        hess0 = landscape.reg_hessian(w0, ridge)
+        if np.linalg.eigvalsh(hess0)[0] > 0.0:
+            quadratic = (w0 - np.linalg.solve(hess0, grad0), hess0)
     return GibbsTarget(
         dim=landscape.dimension,
         domain_box=np.array(landscape.domain_box),
         value=lambda w: landscape.reg_risk(w, ridge),
         grad=lambda w: landscape.reg_gradient(np.asarray(w, dtype=float), ridge),
-        quadratic=quadratic,
-    )
-
-
-def target_from_sample(data_model: DataModel, sample: np.ndarray, ridge: float) -> GibbsTarget:
-    """Empirical target f = (1/m)Σℓ(w, zᵢ) + λ‖w‖² for one drawn sample."""
-    sample = np.asarray(sample)
-    if sample.shape[0] == 0:
-        raise ArgumentError("empirical target needs a nonempty sample")
-    land = data_model.landscape
-    d = land.dimension
-
-    def value(wbatch):
-        wb = np.asarray(wbatch, dtype=float)
-        data = np.mean(data_model.loss(wb, sample), axis=-1)
-        return data + ridge * np.sum(wb * wb, axis=-1)
-
-    def grad(w):
-        w = np.asarray(w, dtype=float)
-        return np.mean(data_model.loss_gradient(w, sample), axis=-2) + 2.0 * ridge * w
-
-    quadratic = None
-    if data_model.quadratic:
-        w0 = np.zeros(d)
-        hess0 = np.mean(data_model.loss_hessian(w0, sample), axis=-3)
-        quadratic = _gaussian_pair(grad(w0), hess0 + 2.0 * ridge * np.eye(d))
-
-    return GibbsTarget(
-        dim=d,
-        domain_box=np.array(land.domain_box),
-        value=value,
-        grad=grad,
         quadratic=quadratic,
     )
 

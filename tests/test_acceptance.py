@@ -199,7 +199,7 @@ def test_criterion_07_complement_vanishing():
         ).complement_mass[r]
         masses.append(comp_mass)
         cfg = gl.GibbsConfig(gamma=gamma, ridge=0.0, m=1000, loss_bound=land.loss_bound)
-        cb = gl.complement_mass_bound(minima, cfg, r, land.dimension, r0=r0)
+        cb = gl.complement_mass_bound(minima, cfg, r, r0=r0)
         if 0.0 <= cb.raw <= 1.0:
             bound_ok &= comp_mass <= cb.clamped
     decreasing = all(b < a for a, b in zip(masses, masses[1:]))

@@ -262,14 +262,14 @@ class TestEllipsoidMassBounds:
 class TestComplementMassBound:
     def test_single_minimum_formula(self):
         m = build_descriptor([0.0], [[1.0]], domain_box=[[-5.0, 5.0]])
-        cb = complement_mass_bound([m], config(gamma=2.0), r=1.0, d=1)
+        cb = complement_mass_bound([m], config(gamma=2.0), r=1.0)
         assert cb.raw == pytest.approx(math.exp(-2.0))
         assert cb.clamped == cb.raw
 
     def test_dimension_constant_d2(self):
         # alpha_1 = Gamma(2)^(-1) = 1, so the d=2 bound uses exponent -r^2 gamma
         minima = [build_descriptor([0.0, 0.0], np.eye(2), domain_box=[[-5, 5], [-5, 5]])]
-        cb = complement_mass_bound(minima, config(gamma=3.0), r=1.0, d=2)
+        cb = complement_mass_bound(minima, config(gamma=3.0), r=1.0)
         assert cb.raw == pytest.approx(1.0 - (1.0 - 2.0 * math.exp(-3.0)))
 
     def test_two_minima_negative_raw_clamps_to_zero(self):
@@ -277,7 +277,7 @@ class TestComplementMassBound:
             build_descriptor([-1.0], [[4.0]]),
             build_descriptor([1.0], [[4.0]], index=1),
         ]
-        cb = complement_mass_bound(minima, config(gamma=10.0), r=1.5, d=1)
+        cb = complement_mass_bound(minima, config(gamma=10.0), r=1.5)
         assert cb.raw < 0.0
         assert cb.clamped == 0.0
 
@@ -288,7 +288,7 @@ class TestComplementMassBound:
         ]
         r0 = disjoint_radius(minima)
         with pytest.raises(RadiusError):
-            complement_mass_bound(minima, config(), r=1.1 * r0, d=1)
+            complement_mass_bound(minima, config(), r=1.1 * r0)
 
 
 class TestTuneRadius:
@@ -320,7 +320,7 @@ class TestGlobalExcessBound:
         cfg = config(gamma=4.0, loss_bound=2.0)
         rep = global_excess_bound([m], cfg, r=1.0)
         local = local_excess_bound(m, cfg, r=1.0)
-        comp = complement_mass_bound([m], cfg, r=1.0, d=1)
+        comp = complement_mass_bound([m], cfg, r=1.0)
         assert rep.total == pytest.approx(local.total + 2.0 * comp.clamped, abs=1e-12)
 
     def test_vanishes_in_joint_limit_on_constant_hessian(self):

@@ -27,6 +27,33 @@ def minimal_config(**overrides):
     return cfg
 
 
+# (violated path, edit turning the minimal config into a malformed one)
+MALFORMED = [
+    ("gibbs.gamma", lambda raw: {**raw, "gibbs": {**raw["gibbs"], "gamma": "abc"}}),
+    ("radius.relative", lambda raw: {**raw, "radius": {"relative": "abc"}}),
+    ("master_seed", lambda raw: {**raw, "master_seed": "abc"}),
+    ("config", lambda raw: [raw]),
+    ("oracle.nodes_per_dim", lambda raw: {**raw, "oracle": {"nodes_per_dim": "lots"}}),
+    (
+        "oracle.mc_trials",
+        lambda raw: {
+            **raw,
+            "landscape": {"name": "rls", "params": {}},
+            "theorems": ["generalization"],
+            "oracle": {"mc_trials": 10},
+        },
+    ),
+    ("gibbs.loss_bound", lambda raw: {**raw, "gibbs": {**raw["gibbs"], "loss_bound": -1}}),
+    ("gibbs.sigma", lambda raw: {**raw, "gibbs": {**raw["gibbs"], "sigma": 0.0}}),
+    ("sampler.steps", lambda raw: {**raw, "sampler": {"steps": True}}),
+    ("gibbs.m", lambda raw: {**raw, "gibbs": {**raw["gibbs"], "m": [True]}}),
+    (
+        "oracle.use_quadrature_weights",
+        lambda raw: {**raw, "oracle": {"use_quadrature_weights": "false"}},
+    ),
+]
+
+
 class TestValidation:
     def test_minimal_config_valid(self):
         cfg = validate_config(minimal_config())
@@ -63,6 +90,18 @@ class TestValidation:
             validate_config(raw)
         assert len(err.value.violations) >= 4
         assert any(v.startswith("sampler.steps") for v in err.value.violations)
+
+    def test_malformed_values_listed_together(self):
+        raw = minimal_config(master_seed="abc", oracle={"nodes_per_dim": "lots"})
+        raw["gibbs"].update(gamma="abc", loss_bound=-1, sigma=-1.0)
+        raw["radius"] = {"relative": "abc"}
+        with pytest.raises(ConfigError) as err:
+            validate_config(raw)
+        paths = {v.split(":")[0] for v in err.value.violations}
+        assert {
+            "gibbs.gamma", "radius.relative", "master_seed", "oracle.nodes_per_dim",
+            "gibbs.loss_bound", "gibbs.sigma",
+        } <= paths
 
     def test_radius_exceeding_r0_rejected(self):
         raw = minimal_config(radius={"absolute": [100.0]})
@@ -213,6 +252,21 @@ class TestCli:
         del bad["master_seed"]
         path.write_text(json.dumps(bad))
         assert cli.main(["validate", str(path)]) == 2
+
+    @pytest.mark.parametrize("path, edit", MALFORMED, ids=[p for p, _ in MALFORMED])
+    def test_malformed_config_exit_2(self, path, edit, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(edit(minimal_config())))
+        assert cli.main(["validate", str(cfg)]) == 2
+        assert f"{path}:" in capsys.readouterr().err
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"{path}:" in capsys.readouterr().err
+
+    def test_file_that_is_not_json_exit_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"landscape": ')
+        assert cli.main(["validate", str(cfg)]) == 2
+        assert cli.main(["run", str(cfg)]) == 2
 
     def test_run_exit_0_and_seed_override(self, tmp_path):
         raw = minimal_config()

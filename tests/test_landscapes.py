@@ -17,7 +17,7 @@ from gibbslab.landscapes import (
     DataModel,
     disjoint_radius,
     double_well_landscape,
-    empirical_risk_jet,
+    empirical_landscape,
     enumerate_minima,
     lipschitz_estimate,
     quadratic_landscape,
@@ -92,19 +92,20 @@ class TestRiskJet:
 class TestEmpiricalRiskJet:
     def test_single_square_loss(self):
         dm = toy_square_data_model()
-        jet = empirical_risk_jet(dm, np.array([0.0]), [2.0], lam=0.0)
+        jet = risk_jet(empirical_landscape(dm, np.array([0.0])), [2.0])
         assert jet.value == pytest.approx(4.0)
         assert jet.gradient == pytest.approx([4.0])
         np.testing.assert_allclose(jet.hessian, [[2.0]])
 
     def test_ridge_contribution(self):
-        dm = toy_square_data_model()
-        sample = np.array([0.3, -0.4, 0.9])
-        base = empirical_risk_jet(dm, sample, [0.0], lam=0.0)
-        ridged = empirical_risk_jet(dm, sample, [0.0], lam=1.0)
-        assert ridged.value == pytest.approx(base.value)  # ridge vanishes at w=0
-        assert ridged.gradient == pytest.approx(base.gradient)
-        np.testing.assert_allclose(ridged.hessian - base.hessian, [[2.0]], atol=1e-12)
+        land = empirical_landscape(toy_square_data_model(), np.array([0.3, -0.4, 0.9]))
+        w = np.array([0.0])
+        # ridge vanishes at w=0
+        assert land.reg_risk(w, 1.0) == pytest.approx(land.reg_risk(w, 0.0))
+        assert land.reg_gradient(w, 1.0) == pytest.approx(land.reg_gradient(w, 0.0))
+        np.testing.assert_allclose(
+            land.reg_hessian(w, 1.0) - land.reg_hessian(w, 0.0), [[2.0]], atol=1e-12
+        )
 
     def test_rls_matches_independent_resummation(self):
         dm = rls_data_model()
@@ -112,17 +113,38 @@ class TestEmpiricalRiskJet:
         sample = dm.sample_examples(rng, 100)
         lam = 0.05
         w_star = enumerate_minima(dm.landscape, lam)[0].location
-        jet = empirical_risk_jet(dm, sample, w_star, lam)
+        land = empirical_landscape(dm, sample)
         # second code path: plain python accumulation
-        total = 0.0
+        total = slope = curvature = 0.0
         for x, y in sample:
             total += (y - w_star[0] * x) ** 2
-        expected = total / len(sample) + lam * w_star[0] ** 2
-        assert jet.value == pytest.approx(expected, abs=1e-12)
+            slope += -2.0 * (y - w_star[0] * x) * x
+            curvature += 2.0 * x * x
+        m = len(sample)
+        expected = total / m + lam * w_star[0] ** 2
+        assert land.reg_risk(w_star, lam) == pytest.approx(expected, abs=1e-12)
+        np.testing.assert_allclose(
+            land.reg_gradient(w_star, lam), [slope / m + 2.0 * lam * w_star[0]],
+            rtol=0.0, atol=1e-12,
+        )
+        np.testing.assert_allclose(
+            land.reg_hessian(w_star, lam), [[curvature / m + 2.0 * lam]], rtol=0.0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_rls_minimum_solves_normal_equations(self, lam):
+        dm = rls_data_model()
+        sample = dm.sample_examples(np.random.default_rng(5), 100)
+        minimum = enumerate_minima(empirical_landscape(dm, sample), lam)[0]
+        sxx = sum(x * x for x, _ in sample) / len(sample)
+        sxy = sum(x * y for x, y in sample) / len(sample)
+        np.testing.assert_allclose(
+            minimum.location, [2.0 * sxy / (2.0 * sxx + 2.0 * lam)], rtol=0.0, atol=1e-12
+        )
 
     def test_empty_sample(self):
         with pytest.raises(ArgumentError):
-            empirical_risk_jet(toy_square_data_model(), np.empty((0, 1)), [0.0], 0.0)
+            empirical_landscape(toy_square_data_model(), np.empty((0, 1)))
 
 
 class TestEnumerateMinima:
@@ -380,6 +402,21 @@ class TestSplineDoubleWell:
         signs = np.sign(grad)
         # gradient crosses zero exactly once (the barrier top)
         assert int(np.sum(signs[:-1] != signs[1:])) == 1
+
+    def test_one_point_calls_match_batched_rows(self):
+        land = spline_double_well_landscape()
+        delta = land.params["junction_offset"]
+        points = []
+        for junction in (-1.0 + delta, 1.0 - delta):
+            below, above = np.nextafter(junction, -np.inf), np.nextafter(junction, np.inf)
+            points += [junction - 0.1, below, junction, above, junction + 0.1]
+        batch = np.array(points)[:, None]
+        risks, grads, hessians = land.risk(batch), land.gradient(batch), land.hessian(batch)
+        for k, w in enumerate(batch):
+            assert land.risk(w).shape == ()
+            assert land.risk(w) == risks[k]
+            np.testing.assert_array_equal(land.gradient(w), grads[k])
+            np.testing.assert_array_equal(land.hessian(w), hessians[k])
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ArgumentError):

@@ -9,6 +9,7 @@ from gibbslab.landscapes import (
     EllipsoidSpec,
     constant_loss_data_model,
     double_well_landscape,
+    empirical_landscape,
     enumerate_minima,
     disjoint_radius,
     quadratic_landscape,
@@ -29,7 +30,6 @@ from gibbslab.samplers import (
     default_step_size,
     sample_chain,
     target_from_landscape,
-    target_from_sample,
 )
 from gibbslab.specfun import regularized_gamma_P, truncated_quadratic_moment
 
@@ -226,7 +226,7 @@ class TestEmpiricalGeneralizationGap:
         gaps = []
         for t in range(trials):
             sample = dm.sample_examples(np.random.default_rng(chain_seed(4, 2 * t)), m)
-            tgt = target_from_sample(dm, sample, ridge)
+            tgt = target_from_landscape(empirical_landscape(dm, sample), ridge)
             batch = sample_chain(
                 "exact_gaussian", tgt, gamma, default_step_size(tgt, gamma), steps, 0, 4,
                 chain_id=2 * t + 1,

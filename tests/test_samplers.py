@@ -13,6 +13,7 @@ from gibbslab.landscapes import (
     EllipsoidSpec,
     constant_loss_data_model,
     double_well_landscape,
+    empirical_landscape,
     enumerate_minima,
     quadratic_landscape,
     rls_data_model,
@@ -26,7 +27,6 @@ from gibbslab.samplers import (
     default_step_size,
     sample_chain,
     target_from_landscape,
-    target_from_sample,
 )
 
 
@@ -241,7 +241,8 @@ class TestEmpiricalTarget:
         # equals the right well's: equal Hessians there say nothing
         land = spline_double_well_landscape(centers=(0.3, 2.5), curvatures=(4.0, 4.0))
         dm = constant_loss_data_model(land)
-        tgt = target_from_sample(dm, dm.sample_examples(np.random.default_rng(0), 20), 0.0)
+        sample = dm.sample_examples(np.random.default_rng(0), 20)
+        tgt = target_from_landscape(empirical_landscape(dm, sample), 0.0)
         assert tgt.quadratic is None
         with pytest.raises(SamplerKindError):
             sample_chain("exact_gaussian", tgt, 10.0, 0.1, 100, 0, 1)
@@ -250,7 +251,7 @@ class TestEmpiricalTarget:
     def test_rls_gaussian_is_least_squares_solution(self, ridge):
         dm = rls_data_model()
         sample = dm.sample_examples(np.random.default_rng(5), 100)
-        w_min, hess = target_from_sample(dm, sample, ridge).quadratic
+        w_min, hess = target_from_landscape(empirical_landscape(dm, sample), ridge).quadratic
         # normal equations of (1/m)Σ(y − wx)² + λw², accumulated in plain Python
         sxx = sum(x * x for x, _ in sample) / len(sample)
         sxy = sum(x * y for x, y in sample) / len(sample)
@@ -261,7 +262,7 @@ class TestEmpiricalTarget:
     def test_constant_loss_follows_its_landscape(self):
         dm = constant_loss_data_model(quadratic_landscape(1))
         sample = dm.sample_examples(np.random.default_rng(0), 20)
-        w_min, hess = target_from_sample(dm, sample, 0.1).quadratic
+        w_min, hess = target_from_landscape(empirical_landscape(dm, sample), 0.1).quadratic
         np.testing.assert_allclose(w_min, [0.0], rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(hess, [[1.2]], rtol=0.0, atol=1e-12)
 
