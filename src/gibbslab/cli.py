@@ -1,7 +1,9 @@
 """Command-line interface for the experiment harness.
 
+``gibbslab run CONFIG [--out DIR] [--workers N]`` runs a configuration;
+the configuration alone selects the theorems and the master seed.
 Exit codes: 0 all assertions pass, 1 assertion failure, 2 configuration
-error, 3 numerical/oracle error.
+error (also a usage error), 3 numerical/oracle error.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import inspect
 import sys
 
 from .errors import ConfigError, GibbslabError
-from .harness import OUTPUT_DIR_ENV, THEOREMS, load_config, run_experiment
+from .harness import load_config, run_experiment
 from .landscapes import BUILTIN_DATA_MODELS, BUILTIN_LANDSCAPES
 
 
@@ -24,15 +26,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute an experiment configuration")
     run.add_argument("config", help="path to the JSON configuration file")
-    run.add_argument("--out", help=f"output directory (default: config value or ${OUTPUT_DIR_ENV})")
+    run.add_argument("--out", help="output directory (default: the config's output_dir)")
     run.add_argument("--workers", type=int, default=1, help="concurrent sweep points")
-    run.add_argument("--seed", type=int, help="override the configured master seed")
-    run.add_argument(
-        "--theorem",
-        action="append",
-        choices=THEOREMS,
-        help="restrict to this theorem (repeatable)",
-    )
 
     val = sub.add_parser("validate", help="validate a configuration and exit")
     val.add_argument("config", help="path to the JSON configuration file")
@@ -43,16 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    if args.seed is not None:
-        raw = dict(cfg.raw)
-        raw["master_seed"] = args.seed
-        cfg = load_config(raw)
-    result = run_experiment(
-        cfg,
-        out_dir=args.out,
-        workers=max(1, args.workers),
-        theorems=tuple(args.theorem) if args.theorem else None,
-    )
+    result = run_experiment(cfg, out_dir=args.out, workers=max(1, args.workers))
     n_fail = sum(1 for r in result.rows if r["passed"] is False)
     print(f"wrote {result.run_dir} ({len(result.rows)} rows, {n_fail} failures)")
     for row in result.rows:

@@ -3,8 +3,8 @@
 A JSON configuration names a landscape, the Gibbs knobs (scalars or sweep
 lists), a radius rule, sampler and oracle settings, and the theorems to
 evaluate. ``run_experiment`` executes every configuration point, compares
-each bound against its oracle, and writes ``report.csv`` / ``report.json``
-plus plot-ready series into a fresh run directory. Outputs are
+each bound against its oracle, and writes ``report.csv``, ``report.json``
+and ``run_meta.json`` into a fresh run directory. The reports are
 deterministic given the master seed; re-running never mutates an earlier
 run's files.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -47,10 +47,7 @@ __all__ = [
     "run_experiment",
     "THEOREMS",
     "CSV_COLUMNS",
-    "OUTPUT_DIR_ENV",
 ]
-
-OUTPUT_DIR_ENV = "GIBBSLAB_OUT"
 
 THEOREMS = (
     "generalization",
@@ -88,17 +85,17 @@ CSV_COLUMNS = [
 
 _SCHEMA = {
     "landscape": {"name", "params"},
-    "gibbs": {"gamma", "ridge", "m", "loss_bound", "sigma", "gen_bound_variant"},
-    "radius": {"relative", "absolute", "tuning_p"},
+    "gibbs": {"gamma", "ridge", "m", "loss_bound", "sigma"},
+    "radius": {"relative", "tuning_p"},
     "sampler": {"steps"},
-    "oracle": {"nodes_per_dim", "mc_trials", "use_quadrature_weights"},
+    "oracle": {"nodes_per_dim", "mc_trials"},
 }
 _TOP_KEYS = {"landscape", "gibbs", "radius", "sampler", "oracle", "theorems", "master_seed", "output_dir"}
 
 _DEFAULTS = {
-    "gibbs": {"ridge": 0.0, "loss_bound": None, "sigma": None, "gen_bound_variant": "hoeffding_stated"},
+    "gibbs": {"ridge": 0.0, "loss_bound": None, "sigma": None},
     "sampler": {"steps": 100_000},
-    "oracle": {"nodes_per_dim": 0, "mc_trials": 200, "use_quadrature_weights": True},
+    "oracle": {"nodes_per_dim": 0, "mc_trials": 200},
 }
 
 
@@ -113,8 +110,7 @@ class ExperimentConfig:
     ms: tuple[int, ...]
     loss_bound: float | None
     sigma: float | None
-    gen_bound_variant: str
-    radius_mode: str  # "relative" | "absolute" | "tuning_p"
+    radius_mode: str  # "relative" | "tuning_p"
     radius_values: tuple[float, ...]
     sampler: dict
     oracle: dict
@@ -139,12 +135,17 @@ def _as_list(value) -> list:
 
 def _number(value, path: str, problems: list[str], kind=float):
     """``value`` as a finite ``kind`` (float or int); None, with a
-    ``path: message`` problem, when it is not one or is a boolean."""
+    ``path: message`` problem, when it is not a JSON number (a boolean or a
+    numeric string is not) or, for int, has a fractional part."""
     try:
-        number = kind(value)
-        if math.isfinite(number) and not isinstance(value, bool):
-            return number
-    except (TypeError, ValueError, OverflowError):
+        if (
+            isinstance(value, numbers.Real)
+            and not isinstance(value, bool)
+            and math.isfinite(value)
+            and (kind is float or float(value).is_integer())
+        ):
+            return kind(value)
+    except OverflowError:  # an int beyond the float range
         pass
     what = "a finite number" if kind is float else "an integer"
     problems.append(f"{path}: expected {what}, got {value!r}")
@@ -205,14 +206,13 @@ def validate_config(raw: dict) -> ExperimentConfig:
     gammas = _numbers(gibbs.get("gamma", []), "gibbs.gamma", problems)
     ridges = _numbers(gibbs["ridge"], "gibbs.ridge", problems)
     ms = _numbers(gibbs.get("m", []), "gibbs.m", problems, int)
-    if not _as_list(gibbs.get("gamma", [])):
-        problems.append("gibbs.gamma: sweep grid must be nonempty")
+    for key in ("gamma", "ridge", "m"):
+        if not _as_list(gibbs.get(key, [])):
+            problems.append(f"gibbs.{key}: sweep grid must be nonempty")
     if any(g <= 0 for g in gammas):
         problems.append("gibbs.gamma: entries must be positive")
     if any(v < 0 for v in ridges):
         problems.append("gibbs.ridge: entries must be nonnegative")
-    if not _as_list(gibbs.get("m", [])):
-        problems.append("gibbs.m: sweep grid must be nonempty")
     if any(v < 1 for v in ms):
         problems.append("gibbs.m: entries must be >= 1")
     # None selects the landscape's M and the Hoeffding σ = M/2
@@ -224,16 +224,12 @@ def validate_config(raw: dict) -> ExperimentConfig:
             if value is not None and value <= 0:
                 problems.append(f"gibbs.{key}: must be positive")
         scalars[key] = value
-    if gibbs["gen_bound_variant"] not in bnd.GEN_BOUND_VARIANTS:
-        problems.append(
-            f"gibbs.gen_bound_variant: must be one of {bnd.GEN_BOUND_VARIANTS}"
-        )
 
     radius = sections["radius"]
-    modes = [k for k in ("relative", "absolute", "tuning_p") if radius.get(k) is not None]
+    modes = [k for k in ("relative", "tuning_p") if radius.get(k) is not None]
     radius_mode, radius_values = "relative", ()
     if len(modes) != 1:
-        problems.append("radius: exactly one of relative/absolute/tuning_p must be set")
+        problems.append("radius: exactly one of relative/tuning_p must be set")
     else:
         radius_mode = modes[0]
         path = f"radius.{radius_mode}"
@@ -244,8 +240,6 @@ def validate_config(raw: dict) -> ExperimentConfig:
             problems.append("radius.relative: entries must lie in (0, 1]")
         if radius_mode == "tuning_p" and any(not 0 < v <= 1 / 3 for v in radius_values):
             problems.append("radius.tuning_p: entries must lie in (0, 1/3]")
-        if radius_mode == "absolute" and any(v <= 0 for v in radius_values):
-            problems.append("radius.absolute: entries must be positive")
 
     theorems = raw.get("theorems") or ()
     if not isinstance(theorems, (list, tuple)):
@@ -273,17 +267,17 @@ def validate_config(raw: dict) -> ExperimentConfig:
     steps = sampler["steps"]
     if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
         problems.append("sampler.steps: must be an integer >= 1")
-    oracle = {**_DEFAULTS["oracle"], **sections["oracle"]}
-    nodes = _number(oracle["nodes_per_dim"], "oracle.nodes_per_dim", problems, int)
+    given = {**_DEFAULTS["oracle"], **sections["oracle"]}
+    oracle = {
+        key: _number(given[key], f"oracle.{key}", problems, int) for key in _DEFAULTS["oracle"]
+    }
+    nodes, trials = oracle["nodes_per_dim"], oracle["mc_trials"]
     if nodes is not None and nodes < 0:
         problems.append("oracle.nodes_per_dim: must be >= 0 (0 picks the count)")
-    trials = _number(oracle["mc_trials"], "oracle.mc_trials", problems, int)
     if generalization and trials is not None and trials < 50:
         problems.append("oracle.mc_trials: the generalization oracle needs >= 50 trials")
-    if not isinstance(oracle["use_quadrature_weights"], bool):
-        problems.append("oracle.use_quadrature_weights: must be true or false")
 
-    # radius entries must respect r0 (needs the enumerated minima)
+    # tuned radii must respect r0 (needs the enumerated minima)
     landscape, minima = None, {}
     if not problems:
         try:
@@ -300,12 +294,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if landscape is not None and radius_values:
         try:
             minima = {ridge: enumerate_minima(landscape, ridge) for ridge in ridges}
-            r0 = min(disjoint_radius(found) for found in minima.values())
-            if radius_mode == "absolute":
-                bad = [v for v in radius_values if v > r0 * (1 + 1e-12)]
-                if bad:
-                    problems.append(f"radius.absolute: entries {bad} exceed r0={r0}")
-            elif radius_mode == "tuning_p":
+            if radius_mode == "tuning_p":
+                r0 = min(disjoint_radius(found) for found in minima.values())
                 for p in radius_values:
                     for g in gammas:
                         if bnd.tune_radius(g, p) > r0 * (1 + 1e-12):
@@ -326,20 +316,19 @@ def validate_config(raw: dict) -> ExperimentConfig:
         ms=tuple(ms),
         loss_bound=scalars["loss_bound"],
         sigma=scalars["sigma"],
-        gen_bound_variant=gibbs["gen_bound_variant"],
         radius_mode=radius_mode,
         radius_values=radius_values,
         sampler=sampler,
         oracle=oracle,
         theorems=theorems,
         master_seed=master_seed,
-        output_dir=str(raw.get("output_dir") or os.environ.get(OUTPUT_DIR_ENV, "runs")),
+        output_dir=str(raw.get("output_dir") or "runs"),
         raw=raw,
         minima=minima,
     )
 
 
-def _auto_nodes(landscape, minima, gamma: int, requested: int) -> int:
+def _auto_nodes(landscape, minima, gamma: float, requested: int) -> int:
     lam_max = max(float(np.linalg.eigvalsh(m.reg_hessian)[-1]) for m in minima)
     width = float(np.max(landscape.domain_box[:, 1] - landscape.domain_box[:, 0]))
     sigma = 1.0 / math.sqrt(gamma * lam_max)
@@ -348,7 +337,7 @@ def _auto_nodes(landscape, minima, gamma: int, requested: int) -> int:
         needed = min(needed, 400)
     if landscape.dimension == 3:
         needed = min(needed, 80)
-    return max(int(requested), needed, 64)
+    return max(requested, needed, 64)
 
 
 def _base_row(cfg: ExperimentConfig, theorem: str, gamma, ridge, m, r, p, idx=None):
@@ -387,8 +376,6 @@ def _base_row(cfg: ExperimentConfig, theorem: str, gamma, ridge, m, r, p, idx=No
 def _radius_points(cfg: ExperimentConfig, gamma: float, r0: float):
     if cfg.radius_mode == "relative":
         return [(rel * r0, None) for rel in cfg.radius_values]
-    if cfg.radius_mode == "absolute":
-        return [(r, None) for r in cfg.radius_values]
     return [(bnd.tune_radius(gamma, p), p) for p in cfg.radius_values]
 
 
@@ -400,7 +387,6 @@ class _Point(NamedTuple):
     gconf: bnd.GibbsConfig | None
     r: float
     r0: float
-    use_weights: bool
     log_z: float
     masses: np.ndarray  # of ellipsoid i
     weights: np.ndarray  # masses normalized over the ellipsoids
@@ -444,9 +430,8 @@ def _complement_bound(pt: _Point, _) -> tuple:
 
 
 def _global_bound(pt: _Point, _) -> tuple:
-    weights = pt.weights if pt.use_weights else None
     return _from_report(
-        bnd.global_excess_bound(pt.minima, pt.gconf, pt.r, weights=weights, r0=pt.r0)
+        bnd.global_excess_bound(pt.minima, pt.gconf, pt.r, weights=pt.weights, r0=pt.r0)
     )
 
 
@@ -530,7 +515,6 @@ def _radius_shares(cfg, landscape, minima, gamma, ridge, r0, theorems) -> list:
             gconf=None,
             r=r,
             r0=r0,
-            use_weights=cfg.oracle["use_quadrature_weights"],
             log_z=measure.log_z,
             masses=masses,
             weights=weights,
@@ -559,7 +543,6 @@ def _evaluate_point(cfg: ExperimentConfig, landscape, gamma, ridge) -> list[dict
             m=m,
             loss_bound=loss_bound,
             sigma=cfg.sigma,
-            gen_bound_variant=cfg.gen_bound_variant,
         )
         for r, p, point in shares:
             pt = point._replace(gconf=gconf)
@@ -581,7 +564,7 @@ def _generalization_rows(cfg: ExperimentConfig, gconf: bnd.GibbsConfig) -> list[
         gconf.gamma,
         gconf.ridge,
         gconf.m,
-        trials=int(cfg.oracle["mc_trials"]),
+        trials=cfg.oracle["mc_trials"],
         master_seed=cfg.master_seed,
         steps=cfg.sampler["steps"],
     )
@@ -649,21 +632,15 @@ def _next_run_dir(base: Path) -> Path:
 
 
 def run_experiment(
-    cfg: ExperimentConfig,
-    out_dir: str | Path | None = None,
-    workers: int = 1,
-    theorems: tuple[str, ...] | None = None,
+    cfg: ExperimentConfig, out_dir: str | Path | None = None, workers: int = 1
 ) -> RunResult:
-    """Execute every configuration point and write the reports.
+    """Execute every configuration point and write ``report.csv``,
+    ``report.json`` and ``run_meta.json`` into a fresh ``run-NNNN``
+    directory under ``out_dir`` (default: the config's ``output_dir``).
 
     (γ, λ) points run concurrently up to ``workers``; output rows are
     ordered by their configuration key, independent of completion order.
     """
-    if theorems:
-        unknown = set(theorems) - set(THEOREMS)
-        if unknown:
-            raise ConfigError([f"theorems: unknown {sorted(unknown)}"])
-        cfg = replace(cfg, theorems=tuple(theorems))
     start = time.time()
     landscape = make_landscape(cfg.landscape_name, **cfg.landscape_params)
     points = [(gamma, ridge) for gamma in cfg.gammas for ridge in cfg.ridges]
@@ -694,19 +671,6 @@ def run_experiment(
     with open(run_dir / "report.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, default=_json_default, allow_nan=True)
         fh.write("\n")
-
-    series_dir = run_dir / "series"
-    series_dir.mkdir()
-    for theorem in sorted({r["theorem"] for r in rows}):
-        with open(series_dir / f"{theorem}.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("gamma,bound_total,oracle_value\n")
-            for row in rows:
-                if row["theorem"] != theorem or row["variant"] == "monotone_decreasing":
-                    continue
-                fh.write(
-                    f"{_fmt_csv(row['gamma'])},{_fmt_csv(row['bound_total'])},"
-                    f"{_fmt_csv(row['oracle_value'])}\n"
-                )
 
     with open(run_dir / "run_meta.json", "w", encoding="utf-8") as fh:
         json.dump({"wall_time_seconds": time.time() - start}, fh, indent=2)

@@ -440,6 +440,8 @@ def disjoint_radius(minima: list[MinimumDescriptor]) -> float:
 
 
 def _box(bounds, dimension: int) -> np.ndarray:
+    if dimension < 1:
+        raise ArgumentError(f"dimension must be >= 1, got {dimension}")
     box = np.asarray(bounds, dtype=float)
     if box.ndim == 1:
         box = np.tile(box, (dimension, 1))
@@ -452,8 +454,8 @@ def quadratic_landscape(
     dimension: int = 1, matrix=None, bounds=(-5.0, 5.0)
 ) -> Landscape:
     """Risk ½wᵀAw with constant Hessian A (symmetric PSD), minimum at 0."""
-    if matrix is None:
-        matrix = np.eye(dimension)
+    if matrix is None:  # _box rejects a dimension below 1 before np.eye sees it
+        matrix = np.eye(len(_box(bounds, dimension)))
     a = np.asarray(matrix, dtype=float)
     if a.ndim == 0:
         a = a.reshape(1, 1)

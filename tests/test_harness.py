@@ -27,15 +27,25 @@ def minimal_config(**overrides):
     return cfg
 
 
-# (violated path, edit turning the minimal config into a malformed one)
+def _gibbs(**fields):
+    return lambda raw: {**raw, "gibbs": {**raw["gibbs"], **fields}}
+
+
+def _landscape(name, dimension):
+    return lambda raw: {**raw, "landscape": {"name": name, "params": {"dimension": dimension}}}
+
+
+# (violated path, case tag, edit turning the minimal config into a malformed one);
+# the test id is the path, followed by the tag when there is one
 MALFORMED = [
-    ("gibbs.gamma", lambda raw: {**raw, "gibbs": {**raw["gibbs"], "gamma": "abc"}}),
-    ("radius.relative", lambda raw: {**raw, "radius": {"relative": "abc"}}),
-    ("master_seed", lambda raw: {**raw, "master_seed": "abc"}),
-    ("config", lambda raw: [raw]),
-    ("oracle.nodes_per_dim", lambda raw: {**raw, "oracle": {"nodes_per_dim": "lots"}}),
+    ("gibbs.gamma", "", _gibbs(gamma="abc")),
+    ("radius.relative", "", lambda raw: {**raw, "radius": {"relative": "abc"}}),
+    ("master_seed", "", lambda raw: {**raw, "master_seed": "abc"}),
+    ("config", "", lambda raw: [raw]),
+    ("oracle.nodes_per_dim", "", lambda raw: {**raw, "oracle": {"nodes_per_dim": "lots"}}),
     (
         "oracle.mc_trials",
+        "",
         lambda raw: {
             **raw,
             "landscape": {"name": "rls", "params": {}},
@@ -43,14 +53,21 @@ MALFORMED = [
             "oracle": {"mc_trials": 10},
         },
     ),
-    ("gibbs.loss_bound", lambda raw: {**raw, "gibbs": {**raw["gibbs"], "loss_bound": -1}}),
-    ("gibbs.sigma", lambda raw: {**raw, "gibbs": {**raw["gibbs"], "sigma": 0.0}}),
-    ("sampler.steps", lambda raw: {**raw, "sampler": {"steps": True}}),
-    ("gibbs.m", lambda raw: {**raw, "gibbs": {**raw["gibbs"], "m": [True]}}),
-    (
-        "oracle.use_quadrature_weights",
-        lambda raw: {**raw, "oracle": {"use_quadrature_weights": "false"}},
-    ),
+    ("gibbs.loss_bound", "", _gibbs(loss_bound=-1)),
+    ("gibbs.sigma", "", _gibbs(sigma=0.0)),
+    ("sampler.steps", "", lambda raw: {**raw, "sampler": {"steps": True}}),
+    ("gibbs.m", "", _gibbs(m=[True])),
+    ("gibbs.m", "fractional", _gibbs(m=[1.5])),
+    ("gibbs.m", "string", _gibbs(m=["1000"])),
+    ("gibbs.gamma", "string", _gibbs(gamma=["20"])),
+    ("gibbs.ridge", "empty", _gibbs(ridge=[])),
+    ("master_seed", "fractional", lambda raw: {**raw, "master_seed": 2.9}),
+    ("oracle.nodes_per_dim", "fractional", lambda raw: {**raw, "oracle": {"nodes_per_dim": 10.7}}),
+    ("oracle.mc_trials", "fractional", lambda raw: {**raw, "oracle": {"mc_trials": 60.5}}),
+    ("landscape.params", "double_well-d0", _landscape("double_well", 0)),
+    ("landscape.params", "double_well-d-1", _landscape("double_well", -1)),
+    ("landscape.params", "quadratic-d0", _landscape("quadratic", 0)),
+    ("landscape.params", "quadratic-d-1", _landscape("quadratic", -1)),
 ]
 
 
@@ -73,12 +90,17 @@ class TestValidation:
         raw["typo_section"] = {}
         raw["gibbs"]["gamm"] = 3
         raw["sampler"] = {"kind": "sgld", "step_size": 0.1, "burn_in": 10, "chains": 2}
+        raw["gibbs"]["gen_bound_variant"] = "theorem"
+        raw["radius"]["absolute"] = [0.1]
+        raw["oracle"] = {"use_quadrature_weights": True}
         with pytest.raises(ConfigError) as err:
             validate_config(raw)
         text = str(err.value)
         assert "typo_section" in text and "gibbs.gamm" in text
         for key in ("kind", "step_size", "burn_in", "chains"):
             assert f"sampler.{key}: unknown key" in text
+        for path in ("gibbs.gen_bound_variant", "radius.absolute", "oracle.use_quadrature_weights"):
+            assert f"{path}: unknown key" in text
 
     def test_all_violations_collected(self):
         raw = minimal_config()
@@ -103,11 +125,6 @@ class TestValidation:
             "gibbs.loss_bound", "gibbs.sigma",
         } <= paths
 
-    def test_radius_exceeding_r0_rejected(self):
-        raw = minimal_config(radius={"absolute": [100.0]})
-        with pytest.raises(ConfigError, match="exceed"):
-            validate_config(raw)
-
     def test_tuned_radius_validated_per_gamma(self):
         raw = minimal_config(radius={"tuning_p": [1.0 / 3.0]})
         raw["gibbs"]["gamma"] = [1e-6]  # r = gamma^{-1/3} = 100 > r0
@@ -120,7 +137,7 @@ class TestValidation:
             validate_config(raw)
 
     def test_radius_mode_exclusive(self):
-        raw = minimal_config(radius={"relative": [0.3], "absolute": [0.5]})
+        raw = minimal_config(radius={"relative": [0.3], "tuning_p": [0.2]})
         with pytest.raises(ConfigError, match="exactly one"):
             validate_config(raw)
 
@@ -130,9 +147,8 @@ class TestRunExperiment:
         cfg = validate_config(minimal_config())
         result = run_experiment(cfg, out_dir=tmp_path)
         assert result.all_passed
-        assert (result.run_dir / "report.csv").exists()
-        assert (result.run_dir / "report.json").exists()
-        assert (result.run_dir / "series" / "local_excess.csv").exists()
+        written = {p.name for p in result.run_dir.iterdir()}
+        assert written == {"report.csv", "report.json", "run_meta.json"}
         header = (result.run_dir / "report.csv").read_text().splitlines()[0]
         assert header.split(",") == CSV_COLUMNS
 
@@ -231,13 +247,6 @@ class TestRunExperiment:
         monotone = [r for r in result.rows if r["variant"] == "monotone_decreasing"]
         assert len(monotone) == 1 and monotone[0]["passed"]
 
-    def test_theorem_filter(self, tmp_path):
-        cfg = validate_config(
-            minimal_config(theorems=["local_excess", "ellipsoid_mass"])
-        )
-        result = run_experiment(cfg, out_dir=tmp_path, theorems=("local_excess",))
-        assert {r["theorem"] for r in result.rows} == {"local_excess"}
-
 
 class TestCli:
     def test_validate_ok(self, tmp_path, capsys):
@@ -253,8 +262,10 @@ class TestCli:
         path.write_text(json.dumps(bad))
         assert cli.main(["validate", str(path)]) == 2
 
-    @pytest.mark.parametrize("path, edit", MALFORMED, ids=[p for p, _ in MALFORMED])
-    def test_malformed_config_exit_2(self, path, edit, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "path, tag, edit", MALFORMED, ids=[p + (f"-{t}" if t else "") for p, t, _ in MALFORMED]
+    )
+    def test_malformed_config_exit_2(self, path, tag, edit, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(edit(minimal_config())))
         assert cli.main(["validate", str(cfg)]) == 2
@@ -269,11 +280,11 @@ class TestCli:
         assert cli.main(["run", str(cfg)]) == 2
 
     def test_run_exit_0_and_seed_override(self, tmp_path):
-        raw = minimal_config()
+        raw = minimal_config(master_seed=77)
         raw["output_dir"] = str(tmp_path / "runs")
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
-        assert cli.main(["run", str(path), "--seed", "77"]) == 0
+        assert cli.main(["run", str(path)]) == 0
         report = json.loads(
             (tmp_path / "runs" / "run-0001" / "report.json").read_text()
         )
@@ -282,11 +293,22 @@ class TestCli:
     def test_run_out_flag_and_theorem_filter(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(minimal_config()))
-        rc = cli.main(
-            ["run", str(path), "--out", str(tmp_path / "o"), "--theorem", "local_excess"]
-        )
+        rc = cli.main(["run", str(path), "--out", str(tmp_path / "o")])
         assert rc == 0
-        assert (tmp_path / "o" / "run-0001" / "report.csv").exists()
+        report = json.loads((tmp_path / "o" / "run-0001" / "report.json").read_text())
+        assert {row["theorem"] for row in report["rows"]} == {"local_excess"}
+
+    @pytest.mark.parametrize(
+        "flag", [["--seed", "1"], ["--theorem", "local_excess"]], ids=["--seed", "--theorem"]
+    )
+    def test_removed_run_flags_exit_2(self, flag, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_config()))
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["run", str(path), "--out", str(tmp_path / "o"), *flag])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_numerical_error_exit_3(self, tmp_path, monkeypatch):
         path = tmp_path / "cfg.json"
@@ -333,11 +355,3 @@ class TestReportFormats:
         for loaded, original in zip(payload["rows"], result.rows):
             assert loaded["bound_total"] == original["bound_total"]
             assert loaded["oracle_value"] == original["oracle_value"]
-
-    def test_series_files_are_data_only(self, tmp_path):
-        cfg = validate_config(minimal_config())
-        result = run_experiment(cfg, out_dir=tmp_path)
-        series = (result.run_dir / "series" / "local_excess.csv").read_text()
-        header, *rows = series.splitlines()
-        assert header == "gamma,bound_total,oracle_value"
-        assert rows
