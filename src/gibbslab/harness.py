@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bounds as bnd
-from .errors import ArgumentError, ConfigError, GibbslabError
+from .errors import ConfigError, GibbslabError
 from .landscapes import (
     BUILTIN_DATA_MODELS,
     BUILTIN_LANDSCAPES,
@@ -248,9 +248,11 @@ def validate_config(raw: dict) -> ExperimentConfig:
     elif not theorems:
         problems.append("theorems: at least one theorem must be listed")
     theorems = tuple(theorems)
-    for t in theorems:
+    for i, t in enumerate(theorems):
         if t not in THEOREMS:
             problems.append(f"theorems: unknown theorem {t!r}; available {THEOREMS}")
+        elif t in theorems[:i]:
+            problems.append(f"theorems: {t!r} is listed more than once")
     generalization = "generalization" in theorems
     if generalization and not (isinstance(name, str) and name in BUILTIN_DATA_MODELS):
         problems.append(
@@ -282,7 +284,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if not problems:
         try:
             landscape = make_landscape(name, **params)
-        except (ArgumentError, TypeError) as exc:
+        # ArgumentError and numpy's LinAlgError are both ValueErrors
+        except (TypeError, ValueError) as exc:
             problems.append(f"landscape.params: {exc}")
     if landscape is not None and landscape.dimension > 3:
         quadrature_needed = set(theorems) - {"generalization"}

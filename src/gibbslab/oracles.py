@@ -313,16 +313,13 @@ def empirical_generalization_gap(
         rng = np.random.default_rng(chain_seed(master_seed, 2 * t))
         sample = data_model.sample_examples(rng, m)
         target = target_from_landscape(empirical_landscape(data_model, sample), ridge)
-        exact = target.quadratic is not None
+        if target.quadratic is not None:
+            # exact draws ignore the step size; any positive value does
+            kind, step_size, burn_in = "exact_gaussian", 1.0, 0
+        else:
+            kind, step_size, burn_in = "metropolis", default_step_size(target, gamma), steps // 5
         batch = sample_chain(
-            "exact_gaussian" if exact else "metropolis",
-            target,
-            gamma,
-            default_step_size(target, gamma),
-            steps,
-            0 if exact else steps // 5,
-            master_seed,
-            chain_id=2 * t + 1,
+            kind, target, gamma, step_size, steps, burn_in, master_seed, chain_id=2 * t + 1
         )
         # differencing per example keeps the gap of an example-independent
         # loss exactly zero; a mean of m equal losses can round off R(w)

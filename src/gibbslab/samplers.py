@@ -60,10 +60,10 @@ class GibbsTarget:
     Built by ``target_from_landscape`` as the ridge-regularized risk of a
     landscape; the empirical risk of a sample is the landscape
     ``landscapes.empirical_landscape`` returns. ``value`` accepts (..., d)
-    batches; ``grad`` accepts a single point. ``quadratic`` carries
-    (minimizer, Hessian of f) when the landscape is declared exactly
-    quadratic and the Hessian of f is positive definite, which enables
-    the exact_gaussian kind.
+    float arrays; ``grad`` accepts a single point as a float array.
+    ``quadratic`` carries (minimizer, Hessian of f) when the landscape is
+    declared exactly quadratic and the Hessian of f is positive definite,
+    which enables the exact_gaussian kind.
     """
 
     dim: int
@@ -104,11 +104,13 @@ def target_from_landscape(landscape: Landscape, ridge: float) -> GibbsTarget:
         hess0 = landscape.reg_hessian(w0, ridge)
         if np.linalg.eigvalsh(hess0)[0] > 0.0:
             quadratic = (w0 - np.linalg.solve(hess0, grad0), hess0)
+    # bound once: the chains call these per step, on float arrays
+    risk, gradient, lam, lam2 = landscape.risk, landscape.gradient, ridge, 2.0 * ridge
     return GibbsTarget(
         dim=landscape.dimension,
         domain_box=np.array(landscape.domain_box),
-        value=lambda w: landscape.reg_risk(w, ridge),
-        grad=lambda w: landscape.reg_gradient(np.asarray(w, dtype=float), ridge),
+        value=lambda w: risk(w) + lam * (w * w).sum(axis=-1),
+        grad=lambda w: gradient(w) + lam2 * w,
         quadratic=quadratic,
     )
 
@@ -137,8 +139,10 @@ def default_step_size(target: GibbsTarget, gamma: float) -> float:
 
 
 # Chains draw their randomness in blocks of _BLOCK steps, which fixes the
-# Metropolis stream (see sample_chain). Metropolis evaluates up to _WINDOW
-# speculative proposals per potential call; the window changes no chain.
+# Metropolis stream (see sample_chain). Metropolis starts with _WINDOW
+# speculative proposals per potential call and then sizes the window from
+# the running acceptance, between _WINDOW // 4 and 4 · _WINDOW; the window
+# changes no chain.
 _BLOCK = 4096
 _WINDOW = 16
 
@@ -149,29 +153,38 @@ def _sgld_path(target, gamma, step_size, steps, rng, noise_free):
     width = box[:, 1] - box[:, 0]
     halo_lo, halo_hi = box[:, 0] - 10.0 * width, box[:, 1] + 10.0 * width
     noise_scale = 0.0 if noise_free else math.sqrt(2.0 * step_size / gamma)
+    grad = target.grad
     path = np.empty((steps, d))
     w = box.mean(axis=1)
     for start in range(0, steps, _BLOCK):
         n = min(_BLOCK, steps - start)
         noise = noise_scale * rng.standard_normal((n, d)) if noise_scale else np.zeros((n, d))
-        for i in range(n):
-            w = w - step_size * np.asarray(target.grad(w), dtype=float) + noise[i]
-            if (w < halo_lo).any() or (w > halo_hi).any():
-                raise DivergenceError(
-                    f"SGLD iterate left the domain box by more than 10 widths "
-                    f"(step_size={step_size}); reduce the step size"
-                )
-            path[start + i] = w
+        # a diverging iterate may overflow, or turn NaN, before the block check sees it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(n):
+                w = w - step_size * grad(w) + noise[i]
+                path[start + i] = w
+        blk = path[start : start + n]
+        # written so that a NaN iterate fails the test too
+        inside = ((blk >= halo_lo) & (blk <= halo_hi)).all(axis=1)
+        if not inside.all():
+            raise DivergenceError(
+                f"SGLD iterate of step {start + int(inside.argmin()) + 1} left the domain "
+                f"box by more than 10 widths or is NaN (step_size={step_size}); "
+                "reduce the step size"
+            )
     return path
 
 
 def _metropolis_path(target, gamma, step_size, steps, rng, restart_prob):
     d = target.dim
     lo, hi = target.domain_box[:, 0], target.domain_box[:, 1]
+    value = target.value
     path = np.empty((steps, d))
     w = target.domain_box.mean(axis=1)
-    fw = float(target.value(w))
+    fw = float(value(w))
     accepted = 0
+    window, narrowest, widest = _WINDOW, max(1, _WINDOW // 4), 4 * _WINDOW
     for start in range(0, steps, _BLOCK):
         n = min(_BLOCK, steps - start)
         restart = rng.random(n) < restart_prob
@@ -181,25 +194,27 @@ def _metropolis_path(target, gamma, step_size, steps, rng, restart_prob):
         s = 0
         while s < n:
             # proposals s..e-1 as if every step before them were rejected
-            e = min(s + _WINDOW, n)
+            e = min(s + window, n)
             cand = np.where(restart[s:e, None], uniform[s:e], w + jump[s:e])
             inside = ((cand >= lo) & (cand <= hi)).all(axis=1).nonzero()[0]
             hit = None
             if inside.size:
-                f_cand = np.asarray(target.value(cand[inside]), dtype=float)
+                f_cand = value(cand[inside])
                 ok = log_u[s + inside] < -gamma * (f_cand - fw)
                 if ok.any():
                     hit = int(ok.argmax())
             if hit is None:
                 path[start + s : start + e] = w
                 s = e
-                continue
-            a = int(inside[hit])
-            path[start + s : start + s + a] = w
-            w, fw = cand[a], float(f_cand[hit])
-            path[start + s + a] = w
-            accepted += 1
-            s += a + 1
+            else:
+                a = int(inside[hit])
+                path[start + s : start + s + a] = w
+                w, fw = cand[a], float(f_cand[hit])
+                path[start + s + a] = w
+                accepted += 1
+                s += a + 1
+            # room for about four acceptances at the running rate
+            window = min(widest, max(narrowest, (4 * (start + s)) // (accepted + 1)))
     return path, accepted / steps
 
 
@@ -246,11 +261,14 @@ def sample_chain(
                     below −γ(f(w′) − f(w)).
     exact_gaussian: one ``standard_normal((steps − burn_in, d))``.
 
-    Metropolis evaluates f on up to 16 proposals per call, each built as
-    if the steps before it in the window were rejected, and keeps the
-    first accepted one; the chain equals the one-proposal-at-a-time chain
-    over the same stream. SGLD raises DivergenceError once an iterate
-    leaves the box by more than 10 widths.
+    Metropolis evaluates f on a window of proposals per call, each built
+    as if the steps before it in the window were rejected, and keeps the
+    first accepted one. The window starts at 16 proposals and is then
+    sized from the running acceptance (room for about four acceptances,
+    4 to 64 proposals); the chain equals the one-proposal-at-a-time chain
+    over the same stream whatever the width. SGLD checks each block once
+    it is written and raises DivergenceError, naming the step, when an
+    iterate in it is NaN or lies more than 10 box widths outside the box.
 
     The returned batch holds the ``steps − burn_in`` post-burn-in samples.
     """

@@ -68,6 +68,17 @@ MALFORMED = [
     ("landscape.params", "double_well-d-1", _landscape("double_well", -1)),
     ("landscape.params", "quadratic-d0", _landscape("quadratic", 0)),
     ("landscape.params", "quadratic-d-1", _landscape("quadratic", -1)),
+    (
+        "landscape.params",
+        "bounds-string",
+        lambda raw: {**raw, "landscape": {"name": "double_well", "params": {"bounds": "ab"}}},
+    ),
+    (
+        "landscape.params",
+        "quadratic-empty-matrix",
+        lambda raw: {**raw, "landscape": {"name": "quadratic", "params": {"matrix": []}}},
+    ),
+    ("theorems", "repeated", lambda raw: {**raw, "theorems": ["local_excess", "local_excess"]}),
 ]
 
 

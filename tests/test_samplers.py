@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -84,6 +85,11 @@ class TestSgld:
         with pytest.raises(DivergenceError, match="step_size=3.0"):
             sample_chain("sgld", tgt, 10.0, 3.0, 200, 0, 1)
 
+    def test_nan_iterate_diverges(self):
+        tgt = dataclasses.replace(quadratic_target(), grad=lambda w: np.full_like(w, np.nan))
+        with pytest.raises(DivergenceError, match=r"step 1 .*step_size=0\.01"):
+            sample_chain("sgld", tgt, 10.0, 0.01, 200, 0, 1)
+
     def test_default_step_size_rule(self):
         tgt = quadratic_target()
         assert default_step_size(tgt, 10.0) == pytest.approx(0.5 / 10.0)
@@ -127,8 +133,10 @@ class TestStream:
             # the box [-1, 1] rejects part of the local proposals
             (quadratic_landscape(1, bounds=(-1.0, 1.0)), 1.0, 0.5),
             (double_well_landscape(dimension=2), 5.0, 0.3),
+            # acceptance about 0.655 keeps the window near 6 proposals
+            (quadratic_landscape(1), 10.0, 0.3),
         ],
-        ids=["d1_tight_box", "d2_double_well"],
+        ids=["d1_tight_box", "d2_double_well", "d1_high_acceptance"],
     )
     def test_metropolis_equals_one_proposal_at_a_time(
         self, monkeypatch, landscape, gamma, eta, restart_prob, window
