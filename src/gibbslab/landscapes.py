@@ -64,7 +64,10 @@ class EllipsoidSpec:
 
     def metric_norm(self, w: np.ndarray) -> np.ndarray:
         diff = np.asarray(w, dtype=float) - self.center
-        return np.sqrt(np.einsum("...i,ij,...j->...", diff, self.metric, diff))
+        if self.metric.shape == (1, 1):
+            # numpy's matmul by a 1×1 matrix is 3-6x slower than this einsum
+            return np.sqrt(np.einsum("...i,ij,...j->...", diff, self.metric, diff))
+        return np.sqrt(np.einsum("...i,...i->...", diff @ self.metric, diff))
 
     def contains(self, w: np.ndarray) -> np.ndarray:
         return self.metric_norm(w) <= self.radius
@@ -469,7 +472,7 @@ def quadratic_landscape(
 
     def risk(w):
         w = np.asarray(w, dtype=float)
-        return 0.5 * np.einsum("...i,ij,...j->...", w, a, w)
+        return 0.5 * np.einsum("...i,...i->...", w @ a, w)
 
     def gradient(w):
         return np.asarray(w, dtype=float) @ a.T

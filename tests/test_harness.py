@@ -194,12 +194,12 @@ class TestRunExperiment:
         ).read_bytes()
 
     def test_one_quadrature_pass_per_gamma_ridge(self, tmp_path, monkeypatch):
-        grids = []
+        points = []
         measure = harness.quadrature_measure
 
         def counting_measure(potential, *args, **kwargs):
             def counted(w):
-                grids.append(len(w))
+                points.append(len(w))
                 return potential(w)
 
             return measure(counted, *args, **kwargs)
@@ -216,7 +216,7 @@ class TestRunExperiment:
         raw["radius"] = {"relative": [0.8]}
         result = run_experiment(validate_config(raw), out_dir=tmp_path)
         # a coarse grid and its doubling, shared by both m and all six theorems
-        assert len(grids) == 2
+        assert sum(points) == 400**2 + 800**2
         assert {r["m"] for r in result.rows} == {100, 1000}
 
     def test_radius_sweep_matches_separate_runs(self, tmp_path):

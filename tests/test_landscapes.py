@@ -439,6 +439,37 @@ class TestEllipsoidSpec:
         np.testing.assert_array_equal(spec.contains(w), spec.contains(reflected))
 
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_metric_norm_matches_per_point_loop(self, d):
+        from gibbslab.landscapes import EllipsoidSpec
+
+        rng = np.random.default_rng(11)
+        g = rng.standard_normal((d, d))
+        spec = EllipsoidSpec(center=rng.standard_normal(d), metric=g @ g.T + np.eye(d), radius=1.0)
+        w = rng.standard_normal((200, d)) * 3.0
+        loop = [
+            math.sqrt(sum((p[i] - spec.center[i]) * spec.metric[i, j] * (p[j] - spec.center[j])
+                          for i in range(d) for j in range(d)))
+            for p in w
+        ]
+        np.testing.assert_allclose(spec.metric_norm(w), loop, rtol=1e-14)
+        assert float(spec.metric_norm(w[0])) == pytest.approx(loop[0], rel=1e-14)
+
+
+class TestQuadraticRisk:
+    def test_risk_matches_per_point_loop(self):
+        rng = np.random.default_rng(12)
+        g = rng.standard_normal((3, 3))
+        a = g @ g.T + 0.1 * np.eye(3)
+        land = quadratic_landscape(3, matrix=a)
+        w = rng.uniform(-5.0, 5.0, size=(4, 50, 3))
+        loop = np.array([
+            [0.5 * sum(p[i] * a[i, j] * p[j] for i in range(3) for j in range(3)) for p in row]
+            for row in w
+        ])
+        np.testing.assert_allclose(land.risk(w), loop, rtol=1e-14)
+        assert float(land.risk(w[0, 0])) == pytest.approx(loop[0, 0], rel=1e-14)
+
 class TestDataModels:
     def test_monte_carlo_loss_matches_risk(self):
         dm = rls_data_model()

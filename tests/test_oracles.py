@@ -96,6 +96,126 @@ class TestQuadratureMeasure:
             quadrature_measure(sharp, 100.0, grid)
         assert err.value.suggested_nodes is not None
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda w: np.where(w[:, 0] > 1.5, np.nan, 0.5 * w[:, 0] ** 2),
+            lambda w: np.full(len(w), np.nan),
+            lambda w: np.where(w[:, 0] < -1.9, -np.inf, 0.5 * w[:, 0] ** 2),
+        ],
+        ids=["partly_nan", "wholly_nan", "partly_minus_inf"],
+    )
+    def test_nan_or_minus_inf_potential_raises_with_count(self, bad):
+        # the coarse grid is read first; its count of bad values is reported
+        grid = tensor_gauss_legendre([[-2.0, 2.0]], 64)
+        values = bad(grid.nodes)
+        expected = int(np.count_nonzero(np.isnan(values) | (values == -np.inf)))
+        assert 0 < expected
+        with pytest.raises(ArgumentError, match=rf"at {expected} of {len(values)} grid nodes"):
+            quadrature_measure(bad, 1.0, grid)
+
+    def test_nan_outside_empty_region_conditionals_fails_the_doubling_check(self):
+        grid = tensor_gauss_legendre([[-9.0, 9.0]], 500)
+        outside = EllipsoidSpec(center=np.array([20.0]), metric=np.eye(1), radius=1.0)
+        meas = quadrature_measure(
+            gaussian_potential, 1.0, grid, regions=[outside],
+            integrands={"w": lambda w: 1.0 + w[:, 0]},
+        )
+        assert meas.masses[0] == 0.0 and np.isnan(meas.region_conditional["w"][0])
+        with pytest.raises(ResolutionError, match="drift nan"):
+            quadrature_measure(
+                gaussian_potential, 1.0, grid,
+                integrands={"g": lambda w: np.where(w[:, 0] > 8.0, np.nan, 1.0)},
+            )
+
+    def test_plus_inf_potential_is_zero_density(self):
+        # a panel edge sits at 0, so the half-line integral stays spectral
+        grid = tensor_gauss_legendre([[-9.0, 9.0]], 500)
+        half = lambda w: np.where(w[:, 0] < 0.0, np.inf, gaussian_potential(w))
+        meas = quadrature_measure(half, 1.0, grid)
+        assert math.exp(meas.log_z) == pytest.approx(math.sqrt(0.5 * math.pi), rel=1e-8)
+        with pytest.raises(ArgumentError, match="every grid node"):
+            quadrature_measure(lambda w: np.full(len(w), np.inf), 1.0, grid)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_blocks_match_whole_array_reference(self, d):
+        # two wells along the leading axis, the lower one placed in the last
+        # block so the running minimum drops late and every sum is rescaled;
+        # the other axes are smooth and narrow region boundaries only along
+        # the leading axis sit where the density is negligible, so the
+        # doubling check passes in d = 2 and 3 as well
+        gamma = 200.0
+        box = np.array([[-2.0, 2.0]] + [[-1.0, 1.0]] * (d - 1))
+        counts = {1: [20000], 2: [256, 128], 3: [128, 32, 32]}[d]
+        fine_counts = [2 * n for n in counts]
+        probe = tensor_gauss_legendre(box, fine_counts)
+        *_, (last_nodes, _) = probe.blocks()
+        low = np.r_[last_nodes[:, 0].mean(), np.zeros(d - 1)]
+        high = np.r_[-0.8, np.zeros(d - 1)]
+        metric = np.diag([1.0] + [1e-3] * (d - 1))
+        regions = [
+            EllipsoidSpec(center=high, metric=metric, radius=0.55),
+            EllipsoidSpec(center=low, metric=metric, radius=0.6),
+        ]
+
+        def pot(w):
+            well = lambda c: 0.5 * gamma * (w[:, 0] - c[0]) ** 2
+            side = 0.5 * np.sum(w[:, 1:] ** 2, axis=-1)
+            return -np.logaddexp(-well(high) - 2.0, -well(low)) / gamma + side / gamma
+
+        g = lambda w: w[:, 0] + np.sum(w * w, axis=-1)
+        meas = quadrature_measure(
+            pot, gamma, tensor_gauss_legendre(box, counts), regions=regions,
+            integrands={"g": g},
+        )
+
+        # the returned values are those of the doubled grid, which in d = 1
+        # also has panel edges on the region boundaries
+        edges = [[e.center[0] + s * e.radius for e in regions for s in (-1, 1)]]
+        fine = tensor_gauss_legendre(box, fine_counts, edges if d == 1 else None)
+        blocks = list(fine.blocks())
+        assert len(blocks) > 1
+        f = pot(fine.nodes)
+        assert np.argmin(f) >= len(f) - len(blocks[-1][1])
+        assert f[: len(f) - len(blocks[-1][1])].min() > f.min()
+        dens = fine.weights * np.exp(-gamma * (f - f.min()))
+        total = dens.sum()
+        masks = [e.contains(fine.nodes) for e in regions]
+        gd = dens * g(fine.nodes)
+        assert meas.log_z == pytest.approx(np.log(total) - gamma * f.min(), rel=1e-12)
+        np.testing.assert_allclose(
+            meas.masses, [dens[m].sum() / total for m in masks], rtol=1e-12
+        )
+        for e, m in zip(regions, masks):
+            assert meas.complement_mass[e.radius] == pytest.approx(
+                dens[~m].sum() / total, rel=1e-12
+            )
+        assert meas.conditional["g"] == pytest.approx(gd.sum() / total, rel=1e-12)
+        np.testing.assert_allclose(
+            meas.region_conditional["g"],
+            [gd[m].sum() / dens[m].sum() for m in masks],
+            rtol=1e-12,
+        )
+
+    def test_memory_does_not_grow_with_nodes(self):
+        import tracemalloc
+
+        # the fine grid holds 4M nodes: its whole node array alone is 64 MB;
+        # the region holds the whole box, so its boundary cannot fail the doubling check
+        grid = tensor_gauss_legendre([[-6.0, 6.0]] * 2, 1000)
+        region = EllipsoidSpec(center=np.zeros(2), metric=np.eye(2), radius=9.0)
+        tracemalloc.start()
+        try:
+            meas = quadrature_measure(
+                gaussian_potential, 1.0, grid, regions=[region],
+                integrands={"sq": lambda w: np.sum(w * w, axis=-1)},
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+        assert meas.log_z == pytest.approx(math.log(2.0 * math.pi), rel=1e-8)
+
     def test_conditional_moment_matches_tallis_formula(self):
         gamma, r = 10.0, 0.7
         grid = tensor_gauss_legendre([[-8.0, 8.0]], 600)
