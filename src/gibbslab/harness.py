@@ -14,6 +14,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import platform
+import resource
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -21,6 +24,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 
 from . import bounds as bnd
 from .errors import ConfigError, GibbslabError
@@ -489,12 +493,14 @@ def _finish(row: dict, total, secondary, terms, oracle, allowance, passes) -> di
     return row
 
 
-def _radius_shares(cfg, landscape, minima, gamma, ridge, r0, theorems) -> list:
+def _radius_shares(cfg, landscape, minima, gamma, ridge, r0, theorems) -> tuple[list, float]:
     """Per swept radius: (r, p, point without gconf), all read from one
-    Gibbs measure whose regions are every minimum's ellipsoid at every r."""
+    Gibbs measure whose regions are every minimum's ellipsoid at every r;
+    and the wall seconds spent in ``quadrature_measure``."""
     radii = _radius_points(cfg, gamma, r0)
     nodes = _auto_nodes(landscape, minima, gamma, cfg.oracle["nodes_per_dim"])
     needs_risk = {"local_excess", "global_excess", "pseudo_excess"} & set(theorems)
+    start = time.perf_counter()
     measure = quadrature_measure(
         lambda w: landscape.reg_risk(w, ridge),
         gamma,
@@ -502,6 +508,7 @@ def _radius_shares(cfg, landscape, minima, gamma, ridge, r0, theorems) -> list:
         regions=[mn.ellipsoid(r) for r, _ in radii for mn in minima],
         integrands={"risk": landscape.risk} if needs_risk else None,
     )
+    quadrature_s = time.perf_counter() - start
     risk_at_minima = np.array([float(landscape.risk(mn.location)) for mn in minima])
     shares = []
     for k, (r, p) in enumerate(radii):
@@ -526,16 +533,19 @@ def _radius_shares(cfg, landscape, minima, gamma, ridge, r0, theorems) -> list:
             excess=excess,
         )
         shares.append((r, p, point))
-    return shares
+    return shares, quadrature_s
 
 
-def _evaluate_point(cfg: ExperimentConfig, landscape, gamma, ridge) -> list[dict]:
-    """Rows of every m and radius at one (γ, λ); m enters only the bounds."""
+def _evaluate_point(cfg: ExperimentConfig, landscape, gamma, ridge) -> tuple[list[dict], float]:
+    """Rows of every m and radius at one (γ, λ), and the seconds its
+    quadrature took; m enters only the bounds."""
     minima = cfg.minima[ridge]
     r0 = disjoint_radius(minima)
     theorems = [t for t in cfg.theorems if t in _TABLE]
-    shares = (
-        _radius_shares(cfg, landscape, minima, gamma, ridge, r0, theorems) if theorems else []
+    shares, quadrature_s = (
+        _radius_shares(cfg, landscape, minima, gamma, ridge, r0, theorems)
+        if theorems
+        else ([], 0.0)
     )
     loss_bound = cfg.loss_bound if cfg.loss_bound is not None else landscape.loss_bound
     rows: list[dict] = []
@@ -557,7 +567,7 @@ def _evaluate_point(cfg: ExperimentConfig, landscape, gamma, ridge) -> list[dict
                     rows.append(_finish(row, *bound(pt, mn), oracle(pt, mn), 0.0, passes))
         if "generalization" in cfg.theorems:
             rows += _generalization_rows(cfg, gconf)
-    return rows
+    return rows, quadrature_s
 
 
 def _generalization_rows(cfg: ExperimentConfig, gconf: bnd.GibbsConfig) -> list[dict]:
@@ -647,17 +657,15 @@ def run_experiment(
     start = time.time()
     landscape = make_landscape(cfg.landscape_name, **cfg.landscape_params)
     points = [(gamma, ridge) for gamma in cfg.gammas for ridge in cfg.ridges]
-    rows: list[dict] = []
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_evaluate_point, cfg, landscape, *pt) for pt in points
             ]
-            for fut in futures:
-                rows.extend(fut.result())
+            results = [fut.result() for fut in futures]
     else:
-        for pt in points:
-            rows.extend(_evaluate_point(cfg, landscape, *pt))
+        results = [_evaluate_point(cfg, landscape, *pt) for pt in points]
+    rows = [row for point_rows, _ in results for row in point_rows]
     rows.extend(_monotone_series_rows(cfg, rows))
     rows.sort(key=lambda r: (r["theorem"], r["key"]))
 
@@ -675,12 +683,29 @@ def run_experiment(
         json.dump(payload, fh, indent=2, default=_json_default, allow_nan=True)
         fh.write("\n")
 
+    meta = {
+        "wall_time_seconds": time.time() - start,
+        "quadrature_s": sum(seconds for _, seconds in results),
+        "peak_rss_mb": _peak_rss_mb(),
+        "versions": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
+    }
     with open(run_dir / "run_meta.json", "w", encoding="utf-8") as fh:
-        json.dump({"wall_time_seconds": time.time() - start}, fh, indent=2)
+        json.dump(meta, fh, indent=2)
         fh.write("\n")
 
     all_passed = all(r["passed"] is not False for r in rows)
     return RunResult(rows=rows, run_dir=run_dir, all_passed=all_passed)
+
+
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MiB (``ru_maxrss``
+    counts KiB on Linux and bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
 
 
 def _json_default(obj):

@@ -45,6 +45,21 @@ GLOBAL_VALUE_TOL = 1e-9
 ZERO_EIG_REL_THRESHOLD = 1e-10
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Σₖ a[..., k]·b[..., k], summed left to right over the last axis.
+
+    numpy reduces or broadcasts over a short trailing axis with one inner
+    loop per point; on 32k-point batches with d ≤ 3 that costs 5-10x this
+    loop over the d coordinate columns. The sum has the bits of
+    ``np.sum(a * b, axis=-1)`` for d ≤ 3 and of
+    ``np.einsum("...i,...i->...", a, b)`` for d ≤ 2.
+    """
+    out = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        out += a[..., k] * b[..., k]
+    return out
+
+
 @dataclass(frozen=True)
 class RiskJet:
     """Value, gradient, and Hessian of a risk function at one point."""
@@ -63,11 +78,11 @@ class EllipsoidSpec:
     radius: float
 
     def metric_norm(self, w: np.ndarray) -> np.ndarray:
-        diff = np.asarray(w, dtype=float) - self.center
-        if self.metric.shape == (1, 1):
-            # numpy's matmul by a 1×1 matrix is 3-6x slower than this einsum
-            return np.sqrt(np.einsum("...i,ij,...j->...", diff, self.metric, diff))
-        return np.sqrt(np.einsum("...i,...i->...", diff @ self.metric, diff))
+        w = np.asarray(w, dtype=float)
+        diff = np.empty_like(w)
+        for k, c in enumerate(self.center):
+            np.subtract(w[..., k], c, out=diff[..., k])
+        return np.sqrt(_rowdot(diff @ self.metric, diff))
 
     def contains(self, w: np.ndarray) -> np.ndarray:
         return self.metric_norm(w) <= self.radius
@@ -141,7 +156,7 @@ class Landscape:
 
     def reg_risk(self, w: np.ndarray, lam: float) -> np.ndarray:
         w = np.asarray(w, dtype=float)
-        return self.risk(w) + lam * np.sum(w * w, axis=-1)
+        return self.risk(w) + lam * _rowdot(w, w)
 
     def reg_gradient(self, w: np.ndarray, lam: float) -> np.ndarray:
         w = np.asarray(w, dtype=float)
@@ -357,8 +372,8 @@ def _halton_ellipsoid_points(minimum: MinimumDescriptor, r: float, count: int) -
     collected = []
     total = drawn = 0
     while total < count:
-        index = np.arange(drawn, drawn + 4 * count)
-        drawn += 4 * count
+        index = np.arange(drawn, drawn + count)
+        drawn += count
         u = np.stack([_radical_inverse(index, b) for b in bases], axis=-1)
         v = 2.0 * u - 1.0
         keep = np.sum(v * v, axis=1) <= 1.0
@@ -472,7 +487,7 @@ def quadratic_landscape(
 
     def risk(w):
         w = np.asarray(w, dtype=float)
-        return 0.5 * np.einsum("...i,...i->...", w @ a, w)
+        return 0.5 * _rowdot(w @ a, w)
 
     def gradient(w):
         return np.asarray(w, dtype=float) @ a.T
@@ -513,7 +528,8 @@ def double_well_landscape(dimension: int = 1, bounds=(-2.0, 2.0)) -> Landscape:
 
     def risk(w):
         w = np.asarray(w, dtype=float)
-        return np.sum((w * w - 1.0) ** 2, axis=-1)
+        t = w * w - 1.0
+        return _rowdot(t, t)
 
     def gradient(w):
         w = np.asarray(w, dtype=float)

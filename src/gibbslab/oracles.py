@@ -23,6 +23,7 @@ from .landscapes import (
     EllipsoidSpec,
     Landscape,
     MinimumDescriptor,
+    _rowdot,
     empirical_landscape,
 )
 from .samplers import (
@@ -98,11 +99,19 @@ class QuadratureGrid:
 
     def _rows(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
         (x0, w0), *rest = self.axes
-        mesh = np.meshgrid(x0[rows], *[x for x, _ in rest], indexing="ij")
+        xs = [x0[rows], *[x for x, _ in rest]]
+        shape = tuple(len(x) for x in xs)
+        nodes = np.empty((math.prod(shape), len(xs)))
+        # fill coordinate column k through the (n0, ..., n_{d-1}, d) view by
+        # broadcasting axis k's nodes along the other axes: C order, last
+        # axis fastest, one strided pass per column
+        tensor = nodes.reshape(*shape, len(xs))
+        for k, x in enumerate(xs):
+            tensor[..., k] = x.reshape((-1,) + (1,) * (len(xs) - 1 - k))
         w = w0[rows]
         for _, extra in rest:
             w = np.multiply.outer(w, extra)
-        return np.stack([m.ravel() for m in mesh], axis=-1), w.ravel()
+        return nodes, w.ravel()
 
 
 @dataclass(frozen=True)
@@ -438,7 +447,7 @@ def irm_objective(
         raise ArgumentError(f"density must integrate to 1 on the grid, got {mass}")
     d = grid.dimension
     precision = 2.0 * gamma * ridge
-    sq = np.sum(grid.nodes * grid.nodes, axis=-1)
+    sq = _rowdot(grid.nodes, grid.nodes)
     log_ref = 0.5 * d * math.log(precision / (2.0 * math.pi)) - 0.5 * precision * sq
     f_vals = np.asarray(potential(grid.nodes), dtype=float)
     positive = p > 0.0

@@ -163,6 +163,16 @@ class TestRunExperiment:
         header = (result.run_dir / "report.csv").read_text().splitlines()[0]
         assert header.split(",") == CSV_COLUMNS
 
+    def test_run_meta_telemetry(self, tmp_path):
+        cfg = validate_config(minimal_config())
+        result = run_experiment(cfg, out_dir=tmp_path)
+        meta = json.loads((result.run_dir / "run_meta.json").read_text())
+        assert set(meta) == {"wall_time_seconds", "quadrature_s", "peak_rss_mb", "versions"}
+        assert 0.0 < meta["quadrature_s"] <= meta["wall_time_seconds"]
+        assert isinstance(meta["peak_rss_mb"], float) and meta["peak_rss_mb"] > 0.0
+        assert set(meta["versions"]) == {"python", "numpy", "scipy"}
+        assert all(isinstance(v, str) and v for v in meta["versions"].values())
+
     def test_reports_append_only(self, tmp_path):
         cfg = validate_config(minimal_config())
         first = run_experiment(cfg, out_dir=tmp_path)

@@ -15,6 +15,7 @@ from gibbslab.errors import ArgumentError, DomainError, LandscapeDefinitionError
 from gibbslab.landscapes import (
     _halton_ellipsoid_points,
     DataModel,
+    EllipsoidSpec,
     disjoint_radius,
     double_well_landscape,
     empirical_landscape,
@@ -439,7 +440,7 @@ class TestEllipsoidSpec:
         np.testing.assert_array_equal(spec.contains(w), spec.contains(reflected))
 
 
-    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_metric_norm_matches_per_point_loop(self, d):
         from gibbslab.landscapes import EllipsoidSpec
 
@@ -469,6 +470,59 @@ class TestQuadraticRisk:
         ])
         np.testing.assert_allclose(land.risk(w), loop, rtol=1e-14)
         assert float(land.risk(w[0, 0])) == pytest.approx(loop[0, 0], rel=1e-14)
+
+
+class TestCoordinateKernels:
+    """The per-coordinate-column kernels against the whole-axis numpy
+    formulas they replaced: bit for bit where those summed the d terms in
+    order, within 1e-14 relative where an einsum over d = 3 did not."""
+
+    @staticmethod
+    def _batches(d, seed):
+        # points of shape (d,), (n, d) and (a, b, d)
+        rng = np.random.default_rng(seed)
+        return [rng.uniform(-5.0, 5.0, size=lead + (d,)) for lead in [(), (40,), (3, 5)]]
+
+    @staticmethod
+    def _assert_matches(new, old, exact):
+        assert np.shape(new) == np.shape(old)
+        if exact:
+            assert np.array_equal(new, old)
+        else:
+            np.testing.assert_allclose(new, old, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_double_well_risk_and_ridge_term(self, d):
+        land = double_well_landscape(d)
+        for w in self._batches(d, 21):
+            self._assert_matches(land.risk(w), np.sum((w * w - 1.0) ** 2, axis=-1), True)
+            old = np.sum((w * w - 1.0) ** 2, axis=-1) + 0.3 * np.sum(w * w, axis=-1)
+            self._assert_matches(land.reg_risk(w, 0.3), old, True)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_quadratic_risk(self, d):
+        rng = np.random.default_rng(22)
+        g = rng.standard_normal((d, d))
+        a = g @ g.T + 0.1 * np.eye(d)
+        land = quadratic_landscape(d, matrix=a)
+        a = land.params["matrix"]
+        for w in self._batches(d, 23):
+            old = 0.5 * np.einsum("...i,...i->...", w @ a, w)
+            self._assert_matches(land.risk(w), old, d <= 2)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_metric_norm(self, d):
+        rng = np.random.default_rng(24)
+        g = rng.standard_normal((d, d))
+        spec = EllipsoidSpec(center=rng.standard_normal(d), metric=g @ g.T + np.eye(d), radius=1.0)
+        for w in self._batches(d, 25):
+            diff = w - spec.center
+            if d == 1:
+                old = np.sqrt(np.einsum("...i,ij,...j->...", diff, spec.metric, diff))
+            else:
+                old = np.sqrt(np.einsum("...i,...i->...", diff @ spec.metric, diff))
+            self._assert_matches(spec.metric_norm(w), old, d <= 2)
+
 
 class TestDataModels:
     def test_monte_carlo_loss_matches_risk(self):

@@ -52,6 +52,28 @@ class TestQuadratureGrid:
         with pytest.raises(ArgumentError):
             tensor_gauss_legendre(np.tile([-1, 1], (4, 1)), 8)
 
+    @pytest.mark.parametrize(
+        "counts", [[40000], [300, 1000], [48, 64, 96]], ids=["d1", "d2", "d3"]
+    )
+    def test_node_layout_matches_meshgrid(self, counts):
+        # unequal counts per axis; each grid spans several blocks, all but
+        # the last of them holding many rows of the leading axis
+        d = len(counts)
+        grid = tensor_gauss_legendre(np.tile([-1.5, 2.0], (d, 1)), counts)
+        mesh = np.meshgrid(*[x for x, _ in grid.axes], indexing="ij")
+        nodes = np.stack([m.ravel() for m in mesh], axis=-1)
+        wmesh = np.meshgrid(*[w for _, w in grid.axes], indexing="ij")
+        weights = wmesh[0]
+        for extra in wmesh[1:]:
+            weights = weights * extra
+        weights = weights.ravel()
+        blocks = list(grid.blocks())
+        assert len(blocks) > 1 and len(blocks[0][1]) >= 2 * math.prod(grid.nodes_per_dim[1:])
+        assert np.array_equal(np.concatenate([b for b, _ in blocks]), nodes)
+        assert np.array_equal(np.concatenate([w for _, w in blocks]), weights)
+        assert np.array_equal(grid.nodes, nodes)
+        assert np.array_equal(grid.weights, weights)
+
     def test_breakpoints_on_panel_edges(self):
         grid = tensor_gauss_legendre([[-2.0, 2.0]], 160, breakpoints=[[0.3]])
         # no node may straddle the breakpoint inside a panel: check by
@@ -425,6 +447,24 @@ class TestIrmObjective:
             assert gap <= 0.0 or gap < 1e-6  # gibbs never worse
             gaps.append(abs(gap))
         assert gaps[-1] < gaps[0]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_whole_axis_formula(self, d):
+        # the objective as written with numpy sums over the coordinate axis
+        rng = np.random.default_rng(30 + d)
+        g = rng.standard_normal((d, d))
+        land = quadratic_landscape(d, matrix=g @ g.T + np.eye(d), bounds=(-3.0, 3.0))
+        grid = tensor_gauss_legendre(land.domain_box, [48, 32, 16][:d])
+        gamma, ridge = 2.0, 0.3
+        nodes, weights = grid.nodes, grid.weights
+        sq = np.sum(nodes * nodes, axis=-1)
+        p = np.exp(-gamma * (land.risk(nodes) + ridge * sq))
+        p /= np.sum(weights * p)
+        precision = 2.0 * gamma * ridge
+        log_ref = 0.5 * d * math.log(precision / (2.0 * math.pi)) - 0.5 * precision * sq
+        kl = float(np.sum(weights * (p * (np.log(p) - log_ref))))
+        old = float(np.sum(weights * p * land.risk(nodes))) + kl / gamma
+        assert irm_objective(p, land.risk, gamma, ridge, grid) == old
 
     def test_unnormalized_density_rejected(self):
         land, grid, pot, gibbs, gamma, ridge = self._setup()
