@@ -18,7 +18,6 @@ import gibbslab as gl
 def main():
     land = gl.double_well_landscape()
     minima = gl.enumerate_minima(land, 0.0)
-    r0 = gl.disjoint_radius(minima)
     pot = lambda w: land.reg_risk(w, 0.0)
     p = 1.0 / 3.0
 
@@ -31,7 +30,7 @@ def main():
             pot, gamma, grid, regions=[m.ellipsoid(r) for m in minima]
         ).complement_mass[r]
         cfg = gl.GibbsConfig(gamma=gamma, ridge=0.0, m=1000, loss_bound=land.loss_bound)
-        cb = gl.complement_mass_bound(minima, cfg, r, r0=r0)
+        cb = gl.complement_mass_bound(minima, cfg, r)
         print(f"{gamma:8.0f} {r:8.4f} {comp:16.6e} {cb.raw:12.4f} {cb.clamped:9.4f}")
 
     print("\nthe same sweep through the experiment harness "

@@ -3,14 +3,15 @@
 Each operation maps minimum descriptors and a GibbsConfig to the bound
 terms of one theorem. Totals always use explicit constants assembled from
 the proofs' final displays, never an anonymous universal constant. Raw
-formula values are reported unclamped alongside copies clamped to [0, 1]
-wherever the formula is compared against a probability.
+formula values are reported unclamped; only the complement-mass bound,
+which can leave [0, 1], also carries a copy clamped to [0, 1] for
+comparison against a probability.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -91,7 +92,6 @@ class BoundReport:
 
     terms: dict[str, float]
     total: float
-    extras: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -106,16 +106,14 @@ class MinimaDistribution:
 class EllipsoidMassBounds:
     """Laplace sandwich on one ellipsoid's Gibbs probability mass.
 
-    ``upper`` and ``lower_with_z`` need the normalization constant (as
-    log Z) and are None when it was not supplied; ``lower_free`` is Z-free.
-    The ``clamped`` mapping holds copies clipped to [0, 1] for comparison
-    to probabilities.
+    ``upper`` and ``lower_with_z`` use the normalization constant (as
+    log Z); ``lower_free`` is Z-free. All three are raw formula values:
+    ``upper`` can exceed 1.
     """
 
-    upper: float | None
-    lower_with_z: float | None
+    upper: float
+    lower_with_z: float
     lower_free: float
-    clamped: dict[str, float | None]
 
 
 @dataclass(frozen=True)
@@ -198,11 +196,7 @@ def local_excess_bound(
         "sqrt": 0.5 * loss_bound * math.sqrt(gamma * eps / 3.0 + gamma * gen),
         "generalization": gen,
     }
-    return BoundReport(
-        terms=terms,
-        total=sum(terms.values()),
-        extras={"taylor_error": eps, "lipschitz_is_estimate": minimum.lipschitz_is_estimate},
-    )
+    return BoundReport(terms=terms, total=sum(terms.values()))
 
 
 def _log_sqrt_det(minimum: MinimumDescriptor) -> float:
@@ -252,11 +246,11 @@ def ellipsoid_mass_bounds(
     minimum: MinimumDescriptor,
     config: GibbsConfig,
     r: float,
-    log_z: float | None = None,
+    log_z: float,
 ) -> EllipsoidMassBounds:
     """Laplace sandwich on the Gibbs mass of one curvature ellipsoid.
 
-    With the log normalization constant log Z supplied:
+    With log Z the log normalization constant of the Gibbs density:
         upper / lower = (1/Z)·e^(−γRλ(w*) ± γε(r)/6)·(2π/γ)^(d/2)
                         · P(d/2, r²γ/2) / √det(Hλ),
     so upper/lower_with_z = e^(γε(r)/3) exactly. The Z-free lower bound is
@@ -264,7 +258,7 @@ def ellipsoid_mass_bounds(
     """
     if not r > 0.0:
         raise ArgumentError(f"radius must be positive, got r={r}")
-    if log_z is not None and not math.isfinite(log_z):
+    if not math.isfinite(log_z):
         raise ArgumentError(f"log normalization constant must be finite, got {log_z}")
     gamma = config.gamma
     d = minimum.dimension
@@ -277,26 +271,11 @@ def ellipsoid_mass_bounds(
         if p_ball > 0.0
         else -math.inf
     )
-    lower_free = math.exp(-gamma * eps / 3.0) * p_ball
-
-    upper = lower_with_z = None
-    if log_z is not None:
-        log_core = -gamma * minimum.reg_risk_value + log_gauss - log_z
-        upper = math.exp(min(log_core + gamma * eps / 6.0, 700.0))
-        lower_with_z = math.exp(log_core - gamma * eps / 6.0)
-
-    def clamp(v):
-        return None if v is None else min(max(v, 0.0), 1.0)
-
+    log_core = -gamma * minimum.reg_risk_value + log_gauss - log_z
     return EllipsoidMassBounds(
-        upper=upper,
-        lower_with_z=lower_with_z,
-        lower_free=lower_free,
-        clamped={
-            "upper": clamp(upper),
-            "lower_with_z": clamp(lower_with_z),
-            "lower_free": clamp(lower_free),
-        },
+        upper=math.exp(min(log_core + gamma * eps / 6.0, 700.0)),
+        lower_with_z=math.exp(log_core - gamma * eps / 6.0),
+        lower_free=math.exp(-gamma * eps / 3.0) * p_ball,
     )
 
 
@@ -304,7 +283,6 @@ def complement_mass_bound(
     minima: Sequence[MinimumDescriptor],
     config: GibbsConfig,
     r: float,
-    r0: float | None = None,
 ) -> ComplementMassBound:
     """Bound on the Gibbs mass outside every minimum's ellipsoid.
 
@@ -312,14 +290,14 @@ def complement_mass_bound(
     dimension of the minima and α_{d/2} = 1 for d = 1 and
     Γ(1 + d/2)^(−2/d) otherwise. The raw value may leave
     [0, 1] (notably with several minima); the clamped copy is the one to
-    compare against probabilities.
+    compare against probabilities. r may not exceed the disjointness
+    radius r0 = ``disjoint_radius(minima)``.
     """
     if not minima:
         raise ArgumentError("need at least one minimum")
     if not r > 0.0:
         raise ArgumentError(f"radius must be positive, got r={r}")
-    if r0 is None:
-        r0 = disjoint_radius(list(minima))
+    r0 = disjoint_radius(list(minima))
     if r > r0 * (1.0 + 1e-12):
         raise RadiusError(f"radius r={r} exceeds the disjointness radius r0={r0}")
     gamma, d = config.gamma, minima[0].dimension
@@ -345,44 +323,25 @@ def tune_radius(gamma: float, p: float) -> float:
     return gamma ** (0.5 * (p - 1.0))
 
 
-def _expectation_weights(
-    minima: Sequence[MinimumDescriptor],
-    config: GibbsConfig,
-    r: float,
-    weights,
-) -> tuple[np.ndarray, str]:
-    if weights is not None:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (len(minima),) or np.any(w < 0) or w.sum() <= 0:
-            raise ArgumentError("weights must be a nonnegative vector over the minima")
-        return w / w.sum(), "quadrature"
-    dist = minima_distribution(minima, config, r)
-    w = dist.upper_bounds
-    return w / w.sum(), "upper_bound_heuristic"
-
-
 def global_excess_bound(
     minima: Sequence[MinimumDescriptor],
     config: GibbsConfig,
     r: float,
-    weights=None,
-    r0: float | None = None,
+    weights,
 ) -> BoundReport:
     """Global excess risk bound with explicit constants.
 
     Total = (1/γ)E[tr] + E[ε]/6 + (M/2)√(γE[ε]/3 + γ·gen) + gen
     + M·P̄(complement), expectations over the minima under ``weights``
-    (quadrature values of π_{γ,r} when given, otherwise the renormalized
-    Lemma upper bounds, flagged heuristic) and P̄ the clamped complement
-    bound.
+    (the probabilities of the minima's ellipsoids under the Gibbs density,
+    renormalized here) and P̄ the clamped complement bound, whose checks
+    on the minima and on r ≤ r0 = ``disjoint_radius(minima)`` apply.
     """
-    if not minima:
-        raise ArgumentError("need at least one minimum")
-    if r0 is None:
-        r0 = disjoint_radius(list(minima))
-    if not 0.0 < r <= r0 * (1.0 + 1e-12):
-        raise RadiusError(f"radius r={r} must lie in (0, r0={r0}]")
-    w, mode = _expectation_weights(minima, config, r, weights)
+    complement = complement_mass_bound(minima, config, r)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (len(minima),) or np.any(w < 0) or w.sum() <= 0:
+        raise ArgumentError("weights must be a nonnegative vector over the minima")
+    w = w / w.sum()
     gamma, loss_bound = config.gamma, config.loss_bound
     eff_dims = np.array(
         [effective_dimension(m.hessian, config.ridge) for m in minima]
@@ -391,7 +350,6 @@ def global_excess_bound(
     e_tr = float(w @ eff_dims)
     e_eps = float(w @ eps)
     gen = generalization_bound(config)
-    complement = complement_mass_bound(minima, config, r, r0=r0)
     terms = {
         "effective_dimension": e_tr / gamma,
         "taylor": e_eps / 6.0,
@@ -399,17 +357,7 @@ def global_excess_bound(
         "generalization": gen,
         "complement": loss_bound * complement.clamped,
     }
-    return BoundReport(
-        terms=terms,
-        total=sum(terms.values()),
-        extras={
-            "weights": w,
-            "weights_mode": mode,
-            "complement_raw": complement.raw,
-            "complement_clamped": complement.clamped,
-            "r0": r0,
-        },
-    )
+    return BoundReport(terms=terms, total=sum(terms.values()))
 
 
 def pseudo_excess_bound(
@@ -437,8 +385,4 @@ def pseudo_excess_bound(
         local = local_excess_bound(minimum, config, r)
         for key in terms:
             terms[key] += weight * local.terms[key]
-    return BoundReport(
-        terms=terms,
-        total=sum(terms.values()),
-        extras={"pi_infinity": pi},
-    )
+    return BoundReport(terms=terms, total=sum(terms.values()))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import platform
 import resource
 import sys
@@ -393,7 +394,6 @@ class _Point(NamedTuple):
     minima: list[MinimumDescriptor]
     gconf: bnd.GibbsConfig | None
     r: float
-    r0: float
     log_z: float
     masses: np.ndarray  # of ellipsoid i
     weights: np.ndarray  # masses normalized over the ellipsoids
@@ -432,14 +432,12 @@ def _inside_sandwich(row: dict) -> bool:
 
 
 def _complement_bound(pt: _Point, _) -> tuple:
-    comp = bnd.complement_mass_bound(pt.minima, pt.gconf, pt.r, r0=pt.r0)
+    comp = bnd.complement_mass_bound(pt.minima, pt.gconf, pt.r)
     return comp.clamped, comp.raw, {}
 
 
 def _global_bound(pt: _Point, _) -> tuple:
-    return _from_report(
-        bnd.global_excess_bound(pt.minima, pt.gconf, pt.r, weights=pt.weights, r0=pt.r0)
-    )
+    return _from_report(bnd.global_excess_bound(pt.minima, pt.gconf, pt.r, pt.weights))
 
 
 # theorem -> (per_minimum, bound, oracle, passes), all read at one (γ, λ, m, r):
@@ -524,7 +522,6 @@ def _radius_shares(cfg, landscape, minima, gamma, ridge, r0, theorems) -> tuple[
             minima=minima,
             gconf=None,
             r=r,
-            r0=r0,
             log_z=measure.log_z,
             masses=masses,
             weights=weights,
@@ -636,11 +633,12 @@ def _fmt_csv(value) -> str:
 
 def _next_run_dir(base: Path) -> Path:
     base.mkdir(parents=True, exist_ok=True)
-    existing = [
-        int(p.name.split("-")[1])
-        for p in base.iterdir()
-        if p.is_dir() and p.name.startswith("run-") and p.name.split("-")[1].isdigit()
-    ]
+    with os.scandir(base) as entries:
+        existing = [
+            int(e.name.split("-")[1])
+            for e in entries
+            if e.name.startswith("run-") and e.name.split("-")[1].isdigit() and e.is_dir()
+        ]
     return base / f"run-{(max(existing) + 1 if existing else 1):04d}"
 
 
@@ -680,7 +678,8 @@ def run_experiment(
 
     payload = {"config": cfg.raw, "rows": rows}
     with open(run_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, default=_json_default, allow_nan=True)
+        # json.dumps uses the C encoder; json.dump never does
+        fh.write(json.dumps(payload, default=_json_default, allow_nan=True))
         fh.write("\n")
 
     meta = {

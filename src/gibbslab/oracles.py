@@ -58,15 +58,18 @@ _GAP_BLOCK = 32768
 class QuadratureGrid:
     """Tensorized composite Gauss-Legendre rule over a box, d ≤ 3.
 
-    ``axes`` holds each dimension's 1-d rule as (nodes, weights). The
-    tensor ``nodes`` (N, d) and ``weights`` (N,), in C order with the last
-    axis fastest, are built on first access; ``blocks()`` yields the same
-    nodes and weights in slices without building them. Weights are
-    positive and sum to the box volume to relative 1e-12.
+    ``axes`` holds each dimension's 1-d rule as (nodes, weights) and
+    ``breakpoints`` each dimension's coordinates forced onto panel edges,
+    as given to ``tensor_gauss_legendre``. The tensor ``nodes`` (N, d)
+    and ``weights`` (N,), in C order with the last axis fastest, are
+    built on first access; ``blocks()`` yields the same nodes and weights
+    in slices without building them. Weights are positive and sum to the
+    box volume to relative 1e-12.
     """
 
     axes: tuple[tuple[np.ndarray, np.ndarray], ...]
     domain_box: np.ndarray
+    breakpoints: tuple[tuple[float, ...], ...]
 
     @property
     def dimension(self) -> int:
@@ -182,11 +185,12 @@ def tensor_gauss_legendre(domain_box, nodes_per_dim, breakpoints=None) -> Quadra
         counts = [int(n) for n in nodes_per_dim]
     if breakpoints is None:
         breakpoints = [()] * d
+    breakpoints = tuple(tuple(float(b) for b in bps) for bps in breakpoints)
     axes = tuple(
         _composite_gl_1d(lo, hi, n, bps)
         for (lo, hi), n, bps in zip(box, counts, breakpoints)
     )
-    return QuadratureGrid(axes=axes, domain_box=box)
+    return QuadratureGrid(axes=axes, domain_box=box, breakpoints=breakpoints)
 
 
 def _region_edges_1d(regions, box: np.ndarray) -> list[float]:
@@ -282,11 +286,12 @@ def quadrature_measure(
     Returns log Z, the mass of each region, for each radius among the
     regions the mass outside the union of the regions of that radius, and
     for each batched integrand g(w) its box expectation and its
-    expectation given each region. In d = 1 the region boundaries become
-    panel edges, so masked masses converge spectrally.
+    expectation given each region. In d = 1 the region boundaries join
+    the grid's breakpoints as panel edges, so masked masses converge
+    spectrally.
 
     The potential is evaluated on the grid and on one with doubled
-    resolution; if any returned value moves by more than 1e-6 relative,
+    resolution and the same panel edges; if any returned value moves by more than 1e-6 relative,
     ResolutionError is raised with a suggested node count. The fine-grid
     values are returned. A potential that is NaN or −inf at any node, or
     +inf at every node, raises ArgumentError; +inf elsewhere is zero
@@ -298,9 +303,9 @@ def quadrature_measure(
     if not gamma > 0.0:
         raise ArgumentError(f"gamma must be positive, got {gamma}")
     regions, integrands = list(regions), integrands or {}
-    breakpoints = None
+    breakpoints = grid.breakpoints
     if regions and grid.dimension == 1:
-        breakpoints = [_region_edges_1d(regions, grid.domain_box)]
+        breakpoints = [breakpoints[0] + tuple(_region_edges_1d(regions, grid.domain_box))]
         grid = tensor_gauss_legendre(grid.domain_box, grid.nodes_per_dim, breakpoints)
     coarse = _measure_on_grid(potential, gamma, grid, regions, integrands)
     fine_grid = tensor_gauss_legendre(
@@ -348,7 +353,7 @@ def empirical_excess_risk(
     The batch must already be conditioned on the minimum's curvature
     ellipsoid of radius r (ContractError otherwise).
     """
-    if batch.region is None or batch.region_complement:
+    if batch.region is None:
         raise ContractError("batch must be conditioned on the minimum's ellipsoid")
     if not np.allclose(batch.region.center, minimum.location) or not math.isclose(
         batch.region.radius, r, rel_tol=1e-12, abs_tol=1e-15

@@ -60,7 +60,8 @@ class GibbsTarget:
     Built by ``target_from_landscape`` as the ridge-regularized risk of a
     landscape; the empirical risk of a sample is the landscape
     ``landscapes.empirical_landscape`` returns. ``value`` accepts (..., d)
-    float arrays; ``grad`` accepts a single point as a float array.
+    float arrays; ``grad`` and ``hessian`` (the landscape's declared
+    regularized Hessian, (d, d)) accept a single point as a float array.
     ``quadratic`` carries (minimizer, Hessian of f) when the landscape is
     declared exactly quadratic and the Hessian of f is positive definite,
     which enables the exact_gaussian kind.
@@ -70,6 +71,7 @@ class GibbsTarget:
     domain_box: np.ndarray
     value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
+    hessian: Callable[[np.ndarray], np.ndarray]
     quadratic: tuple[np.ndarray, np.ndarray] | None = None
 
 
@@ -86,7 +88,6 @@ class ChainBatch:
     steps: int
     acceptance_rate: float | None = None
     region: EllipsoidSpec | None = None
-    region_complement: bool = False
     retained_fraction: float | None = None
 
     def __len__(self) -> int:
@@ -105,60 +106,57 @@ def target_from_landscape(landscape: Landscape, ridge: float) -> GibbsTarget:
         if np.linalg.eigvalsh(hess0)[0] > 0.0:
             quadratic = (w0 - np.linalg.solve(hess0, grad0), hess0)
     # bound once: the chains call these per step, on float arrays
-    risk, gradient, lam, lam2 = landscape.risk, landscape.gradient, ridge, 2.0 * ridge
+    risk, gradient, reg_hessian = landscape.risk, landscape.gradient, landscape.reg_hessian
+    lam, lam2 = ridge, 2.0 * ridge
     return GibbsTarget(
         dim=landscape.dimension,
         domain_box=np.array(landscape.domain_box),
         value=lambda w: risk(w) + lam * (w * w).sum(axis=-1),
         grad=lambda w: gradient(w) + lam2 * w,
+        hessian=lambda w: reg_hessian(w, lam),
         quadratic=quadratic,
     )
 
 
 def default_step_size(target: GibbsTarget, gamma: float) -> float:
-    """Step-size heuristic 0.5/(γ·λ_max(H)) from the Hessian scale at the start.
+    """Step-size heuristic 0.5/(γ·ρ(H)), with ρ(H) the largest absolute
+    eigenvalue of the Hessian H of f at the chain's start.
 
-    For non-quadratic targets the curvature is probed by the gradient
-    change over a small displacement from the box center.
+    H is the declared Hessian of a quadratic target and otherwise the
+    target's regularized Hessian at the box centre, where every chain
+    starts; ρ(H) is floored at 1e-12.
     """
     if target.quadratic is not None:
         h = target.quadratic[1]
     else:
-        center = target.domain_box.mean(axis=1)
-        h_step = 1e-4
-        g0 = np.asarray(target.grad(center), dtype=float)
-        rows = []
-        for k in range(target.dim):
-            e = np.zeros(target.dim)
-            e[k] = h_step
-            rows.append((np.asarray(target.grad(center + e)) - g0) / h_step)
-        h = np.abs(np.array(rows))
-    lam_max = float(np.linalg.eigvalsh(0.5 * (h + h.T))[-1]) if h.ndim == 2 else float(h)
-    lam_max = max(abs(lam_max), 1e-12)
+        h = target.hessian(target.domain_box.mean(axis=1))
+    lam_max = max(float(np.abs(np.linalg.eigvalsh(h)).max()), 1e-12)
     return 0.5 / (gamma * lam_max)
 
 
 # Chains draw their randomness in blocks of _BLOCK steps, which fixes the
-# Metropolis stream (see sample_chain). Metropolis starts with _WINDOW
-# speculative proposals per potential call and then sizes the window from
-# the running acceptance, between _WINDOW // 4 and 4 · _WINDOW; the window
-# changes no chain.
+# Metropolis stream (see sample_chain). A Metropolis proposal is a uniform
+# draw over the domain box with probability _RESTART_PROB. Metropolis
+# starts with _WINDOW speculative proposals per potential call and then
+# sizes the window from the running acceptance, between _WINDOW // 4 and
+# 4 · _WINDOW; the window changes no chain.
 _BLOCK = 4096
 _WINDOW = 16
+_RESTART_PROB = 0.1
 
 
-def _sgld_path(target, gamma, step_size, steps, rng, noise_free):
+def _sgld_path(target, gamma, step_size, steps, rng):
     d = target.dim
     box = target.domain_box
     width = box[:, 1] - box[:, 0]
     halo_lo, halo_hi = box[:, 0] - 10.0 * width, box[:, 1] + 10.0 * width
-    noise_scale = 0.0 if noise_free else math.sqrt(2.0 * step_size / gamma)
+    noise_scale = math.sqrt(2.0 * step_size / gamma)
     grad = target.grad
     path = np.empty((steps, d))
     w = box.mean(axis=1)
     for start in range(0, steps, _BLOCK):
         n = min(_BLOCK, steps - start)
-        noise = noise_scale * rng.standard_normal((n, d)) if noise_scale else np.zeros((n, d))
+        noise = noise_scale * rng.standard_normal((n, d))
         # a diverging iterate may overflow, or turn NaN, before the block check sees it
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(n):
@@ -176,7 +174,7 @@ def _sgld_path(target, gamma, step_size, steps, rng, noise_free):
     return path
 
 
-def _metropolis_path(target, gamma, step_size, steps, rng, restart_prob):
+def _metropolis_path(target, gamma, step_size, steps, rng):
     d = target.dim
     lo, hi = target.domain_box[:, 0], target.domain_box[:, 1]
     value = target.value
@@ -187,7 +185,7 @@ def _metropolis_path(target, gamma, step_size, steps, rng, restart_prob):
     window, narrowest, widest = _WINDOW, max(1, _WINDOW // 4), 4 * _WINDOW
     for start in range(0, steps, _BLOCK):
         n = min(_BLOCK, steps - start)
-        restart = rng.random(n) < restart_prob
+        restart = rng.random(n) < _RESTART_PROB
         uniform = rng.uniform(lo, hi, size=(n, d))
         jump = step_size * rng.standard_normal((n, d))
         log_u = np.log(rng.random(n))
@@ -227,17 +225,14 @@ def sample_chain(
     burn_in: int,
     master_seed: int,
     chain_id: int = 0,
-    noise_free: bool = False,
-    restart_prob: float = 0.1,
 ) -> ChainBatch:
     """Run one chain targeting the Gibbs density of ``target`` at inverse
     temperature γ.
 
-    sgld:           w ← w − η∇f(w) + √(2η/γ)·ξ with standard normal ξ
-                    (``noise_free`` drops the noise, the γ→∞ limit).
+    sgld:           w ← w − η∇f(w) + √(2η/γ)·ξ with standard normal ξ.
     metropolis:     symmetric mixture proposal (local Gaussian of scale η,
-                    probability ``restart_prob`` of a uniform draw over the
-                    domain box), acceptance min(1, e^(−γΔf)); exact for the
+                    probability 0.1 of a uniform draw over the domain
+                    box), acceptance min(1, e^(−γΔf)); exact for the
                     box-truncated target. Proposals outside the box are
                     rejected without evaluating f.
     exact_gaussian: i.i.d. draws from N(w_min, (γH)⁻¹); requires a
@@ -249,10 +244,9 @@ def sample_chain(
     in blocks of n = min(4096, steps left) steps, and each block makes
     these draws in this order:
 
-    sgld:           ``standard_normal((n, d))``, row i the ξ of step i
-                    (none with ``noise_free``); the same stream as one
-                    ``standard_normal(d)`` per step.
-    metropolis:     ``random(n) < restart_prob`` (restart flags),
+    sgld:           ``standard_normal((n, d))``, row i the ξ of step i;
+                    the same stream as one ``standard_normal(d)`` per step.
+    metropolis:     ``random(n) < 0.1`` (restart flags),
                     ``uniform(lo, hi, (n, d))`` (box proposals),
                     η·``standard_normal((n, d))`` (jumps) and
                     ``log(random(n))`` (log acceptance uniforms). Step i
@@ -295,11 +289,9 @@ def sample_chain(
         # x = w_min + L^{-T} ξ / sqrt(γ) gives covariance (γ H)^{-1}.
         samples = w_min + np.linalg.solve(chol.T, normal.T).T / math.sqrt(gamma)
     elif kind == "sgld":
-        samples = _sgld_path(target, gamma, step_size, steps, rng, noise_free)[burn_in:]
+        samples = _sgld_path(target, gamma, step_size, steps, rng)[burn_in:]
     else:
-        path, acceptance_rate = _metropolis_path(
-            target, gamma, step_size, steps, rng, restart_prob
-        )
+        path, acceptance_rate = _metropolis_path(target, gamma, step_size, steps, rng)
         samples = path[burn_in:]
 
     return ChainBatch(
@@ -314,24 +306,17 @@ def sample_chain(
     )
 
 
-def condition_on_region(
-    batch: ChainBatch, region: EllipsoidSpec | None, complement: bool = False
-) -> ChainBatch:
-    """Keep the samples inside ``region`` (or outside, with ``complement``).
+def condition_on_region(batch: ChainBatch, region: EllipsoidSpec) -> ChainBatch:
+    """Keep the samples inside ``region``.
 
     Order is preserved; the retained fraction is recorded on the batch as
-    an empirical region-mass estimate. ``region=None`` means the whole
-    domain (identity on samples). Raises ConditioningError when fewer than
-    100 samples survive, since conditional statistics would be unreliable.
+    an empirical region-mass estimate. Raises ConditioningError when fewer
+    than 100 samples survive, since conditional statistics would be
+    unreliable.
     """
     if len(batch) == 0:
         raise ArgumentError("cannot condition an empty batch")
-    if region is None:
-        mask = np.ones(len(batch), dtype=bool)
-    else:
-        mask = np.asarray(region.contains(batch.samples), dtype=bool)
-    if complement:
-        mask = ~mask
+    mask = np.asarray(region.contains(batch.samples), dtype=bool)
     retained = batch.samples[mask]
     if retained.shape[0] < 100:
         raise ConditioningError(
@@ -342,6 +327,5 @@ def condition_on_region(
         batch,
         samples=retained,
         region=region,
-        region_complement=complement,
         retained_fraction=float(mask.mean()),
     )

@@ -237,23 +237,23 @@ class TestEllipsoidMassBounds:
             math.exp(gamma * eps / 3.0), rel=1e-12
         )
 
-    def test_z_free_only_without_z(self):
-        m = build_descriptor([0.0], [[1.0]])
-        sb = ellipsoid_mass_bounds(m, config(), r=1.0)
-        assert sb.upper is None and sb.lower_with_z is None
-        assert sb.lower_free > 0.0
-        assert sb.clamped["upper"] is None
+    def test_lower_free_does_not_depend_on_z(self):
+        m = build_descriptor([0.0], [[1.0]], lipschitz=lambda r: 0.3)
+        a = ellipsoid_mass_bounds(m, config(), r=1.0, log_z=0.0)
+        b = ellipsoid_mass_bounds(m, config(), r=1.0, log_z=5.0)
+        assert a.lower_free == b.lower_free > 0.0
+        assert a.upper == pytest.approx(b.upper * math.exp(5.0), rel=1e-12)
 
-    def test_clamping(self):
+    def test_upper_is_raw(self):
+        # the sandwich is not clamped: the harness compares the raw values
         m = build_descriptor([0.0], [[1.0]])
         sb = ellipsoid_mass_bounds(m, config(), r=2.0, log_z=math.log(1e-12))
         assert sb.upper > 1.0
-        assert sb.clamped["upper"] == 1.0
 
     def test_argument_errors(self):
         m = build_descriptor([0.0], [[1.0]])
         with pytest.raises(ArgumentError):
-            ellipsoid_mass_bounds(m, config(), r=0.0)
+            ellipsoid_mass_bounds(m, config(), r=0.0, log_z=0.0)
         for log_z in (-math.inf, math.nan):
             with pytest.raises(ArgumentError):
                 ellipsoid_mass_bounds(m, config(), r=1.0, log_z=log_z)
@@ -318,7 +318,7 @@ class TestGlobalExcessBound:
     def test_single_minimum_reduces_to_local_plus_complement(self):
         m = build_descriptor([0.0], [[1.0]], domain_box=[[-5.0, 5.0]])
         cfg = config(gamma=4.0, loss_bound=2.0)
-        rep = global_excess_bound([m], cfg, r=1.0)
+        rep = global_excess_bound([m], cfg, r=1.0, weights=[1.0])
         local = local_excess_bound(m, cfg, r=1.0)
         comp = complement_mass_bound([m], cfg, r=1.0)
         assert rep.total == pytest.approx(local.total + 2.0 * comp.clamped, abs=1e-12)
@@ -328,27 +328,31 @@ class TestGlobalExcessBound:
         totals = []
         for gamma in (1e2, 1e4, 1e6):
             cfg = config(gamma=gamma, m=int(gamma**3), loss_bound=1.0)
-            totals.append(global_excess_bound([m], cfg, r=tune_radius(gamma, 1/3)).total)
+            r = tune_radius(gamma, 1 / 3)
+            totals.append(global_excess_bound([m], cfg, r, weights=[1.0]).total)
         assert totals[0] > totals[1] > totals[2]
         assert totals[2] < 1e-2
 
-    def test_quadrature_weights_mode_flagged(self):
+    def test_weights_are_normalized_and_checked(self):
         minima = [
-            build_descriptor([-1.0], [[4.0]]),
-            build_descriptor([1.0], [[4.0]], index=1),
+            build_descriptor([-1.0], [[4.0]], lipschitz=lambda r: 1.0),
+            build_descriptor([1.0], [[9.0]], lipschitz=lambda r: 10.0, index=1),
         ]
-        heur = global_excess_bound(minima, config(), r=0.5)
-        quad = global_excess_bound(minima, config(), r=0.5, weights=[0.5, 0.5])
-        assert heur.extras["weights_mode"] == "upper_bound_heuristic"
-        assert quad.extras["weights_mode"] == "quadrature"
-        np.testing.assert_allclose(heur.extras["weights"].sum(), 1.0)
+        half = global_excess_bound(minima, config(), r=0.5, weights=[0.5, 0.5])
+        scaled = global_excess_bound(minima, config(), r=0.5, weights=[3.0, 3.0])
+        assert scaled.terms == half.terms
+        skewed = global_excess_bound(minima, config(), r=0.5, weights=[0.0, 1.0])
+        assert skewed.terms["taylor"] > half.terms["taylor"]
+        for bad in ([1.0], [-0.5, 1.5], [0.0, 0.0]):
+            with pytest.raises(ArgumentError):
+                global_excess_bound(minima, config(), r=0.5, weights=bad)
 
     def test_radius_validation(self):
         m = build_descriptor([0.0], [[1.0]], domain_box=[[-5.0, 5.0]])
         with pytest.raises(RadiusError):
-            global_excess_bound([m], config(), r=100.0)
+            global_excess_bound([m], config(), r=100.0, weights=[1.0])
         with pytest.raises(ArgumentError):
-            global_excess_bound([], config(), r=0.5)
+            global_excess_bound([], config(), r=0.5, weights=[])
 
 
 class TestPseudoExcessBound:
@@ -392,7 +396,7 @@ class TestBoundTotalsWellFormed:
                 for r in (0.1, 1.0, 2.0):
                     reports = [
                         local_excess_bound(minima[0], cfg, r),
-                        global_excess_bound(minima, cfg, r),
+                        global_excess_bound(minima, cfg, r, np.ones(len(minima))),
                         pseudo_excess_bound(minima, cfg, r),
                     ]
                     for rep in reports:

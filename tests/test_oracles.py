@@ -111,6 +111,23 @@ class TestQuadratureMeasure:
             comp = meas.complement_mass[ellipsoids[0].radius]
             assert float(meas.masses.sum() + comp) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("with_region", [False, True], ids=["no_region", "region"])
+    def test_keeps_the_grid_breakpoints(self, with_region):
+        # a kink at 0.3 on a panel edge: both passes must keep it there,
+        # with or without the d = 1 region edges added to the panel edges
+        grid = tensor_gauss_legendre([[-2.0, 2.0]], 160, breakpoints=[[0.3]])
+        kink = lambda w: np.abs(w[..., 0] - 0.3)
+        gamma = 5.0
+        z = (2.0 - math.exp(-gamma * 2.3) - math.exp(-gamma * 1.7)) / gamma
+        # the interval [-1, 0], left of the kink
+        region = EllipsoidSpec(center=np.array([-0.5]), metric=np.eye(1), radius=0.5)
+        regions = [region] if with_region else []
+        meas = quadrature_measure(kink, gamma, grid, regions=regions)
+        assert meas.log_z == pytest.approx(math.log(z), rel=1e-13)
+        if with_region:
+            mass = (math.exp(-gamma * 0.3) - math.exp(-gamma * 1.3)) / (gamma * z)
+            assert meas.masses[0] == pytest.approx(mass, rel=1e-13)
+
     def test_under_resolved_raises_with_suggestion(self):
         grid = tensor_gauss_legendre([[-2.0, 2.0]], 32)
         sharp = lambda w: 0.5 * 1e4 * np.sum(w * w, axis=-1)

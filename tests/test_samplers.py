@@ -63,11 +63,12 @@ class TestSeeding:
 
 
 class TestSgld:
-    def test_noise_free_is_gradient_descent(self):
-        # risk (1/2)w^2 on a box centered at 3: iterates contract as (1-eta)^t
+    def test_vanishing_noise_is_gradient_descent(self):
+        # risk (1/2)w^2 on a box centered at 3: iterates contract as (1-eta)^t;
+        # at gamma = 1e300 the noise sqrt(2 eta/gamma) is below every ulp
         tgt = quadratic_target(bounds=(1.0, 5.0))
         eta = 0.1
-        batch = sample_chain("sgld", tgt, 10.0, eta, 20, 0, 5, noise_free=True)
+        batch = sample_chain("sgld", tgt, 1e300, eta, 20, 0, 5)
         w0 = 3.0
         expected = [w0 * (1 - eta) ** (t + 1) for t in range(20)]
         np.testing.assert_allclose(batch.samples[:, 0], expected, rtol=1e-12)
@@ -93,12 +94,24 @@ class TestSgld:
     def test_default_step_size_rule(self):
         tgt = quadratic_target()
         assert default_step_size(tgt, 10.0) == pytest.approx(0.5 / 10.0)
-        dw_target = target_from_landscape(double_well_landscape(), 0.0)
-        est = default_step_size(dw_target, 10.0)
-        assert est > 0.0
+
+    @pytest.mark.parametrize(
+        "landscape, gamma",
+        [(spline_double_well_landscape(), 50.0), (double_well_landscape(dimension=2), 20.0)],
+        ids=["spline", "double_well_d2"],
+    )
+    def test_step_size_reads_declared_curvature(self, landscape, gamma):
+        # chains start at the box centre 0, on the barrier: R''(0) < 0, and
+        # the d = 2 Hessian there is (R''(0))·I
+        center = landscape.domain_box.mean(axis=1)
+        assert np.all(center == 0.0)
+        curvature = float(landscape.hessian(center)[0, 0])
+        assert curvature < 0.0
+        tgt = target_from_landscape(landscape, 0.0)
+        assert default_step_size(tgt, gamma) == 0.5 / (gamma * abs(curvature))
 
 
-def metropolis_one_at_a_time(target, gamma, eta, steps, burn_in, seed, restart_prob):
+def metropolis_one_at_a_time(target, gamma, eta, steps, burn_in, seed, restart):
     """The Metropolis chain over sample_chain's documented block stream,
     one proposal and one potential call per step."""
     rng = np.random.default_rng(chain_seed(seed, 0))
@@ -109,12 +122,12 @@ def metropolis_one_at_a_time(target, gamma, eta, steps, burn_in, seed, restart_p
     path, accepted = [], 0
     for start in range(0, steps, 4096):
         n = min(4096, steps - start)
-        restart = rng.random(n) < restart_prob
+        flags = rng.random(n) < restart
         uniform = rng.uniform(lo, hi, size=(n, d))
         jump = eta * rng.standard_normal((n, d))
         log_u = np.log(rng.random(n))
         for i in range(n):
-            proposal = uniform[i] if restart[i] else w + jump[i]
+            proposal = uniform[i] if flags[i] else w + jump[i]
             if np.all(proposal >= lo) and np.all(proposal <= hi):
                 f_prop = float(target.value(proposal))
                 if log_u[i] < -gamma * (f_prop - fw):
@@ -126,7 +139,7 @@ def metropolis_one_at_a_time(target, gamma, eta, steps, burn_in, seed, restart_p
 
 class TestStream:
     @pytest.mark.parametrize("window", [16, 5])
-    @pytest.mark.parametrize("restart_prob", [0.0, 0.1])
+    @pytest.mark.parametrize("restart", [0.0, 0.1])
     @pytest.mark.parametrize(
         "landscape, gamma, eta",
         [
@@ -139,17 +152,14 @@ class TestStream:
         ids=["d1_tight_box", "d2_double_well", "d1_high_acceptance"],
     )
     def test_metropolis_equals_one_proposal_at_a_time(
-        self, monkeypatch, landscape, gamma, eta, restart_prob, window
+        self, monkeypatch, landscape, gamma, eta, restart, window
     ):
         monkeypatch.setattr(samplers, "_WINDOW", window)
+        monkeypatch.setattr(samplers, "_RESTART_PROB", restart)
         tgt = target_from_landscape(landscape, 0.0)
         steps, burn_in = 9000, 500
-        batch = sample_chain(
-            "metropolis", tgt, gamma, eta, steps, burn_in, 11, restart_prob=restart_prob
-        )
-        expected, rate = metropolis_one_at_a_time(
-            tgt, gamma, eta, steps, burn_in, 11, restart_prob
-        )
+        batch = sample_chain("metropolis", tgt, gamma, eta, steps, burn_in, 11)
+        expected, rate = metropolis_one_at_a_time(tgt, gamma, eta, steps, burn_in, 11, restart)
         assert np.array_equal(batch.samples, expected)
         assert batch.acceptance_rate == rate
 
@@ -279,7 +289,9 @@ class TestConditioning:
     def test_whole_domain_is_identity(self):
         tgt = quadratic_target()
         batch = sample_chain("exact_gaussian", tgt, 10.0, 0.1, 500, 0, 2)
-        kept = condition_on_region(batch, None)
+        # a ball of radius 1e3 holds the whole box [-5, 5] and every draw
+        whole = EllipsoidSpec(center=np.zeros(1), metric=np.eye(1), radius=1e3)
+        kept = condition_on_region(batch, whole)
         assert np.array_equal(kept.samples, batch.samples)
         assert kept.retained_fraction == 1.0
 
