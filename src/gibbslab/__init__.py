@@ -68,6 +68,7 @@ from .oracles import (
     empirical_excess_risk,
     empirical_generalization_gap,
     irm_objective,
+    product_measure,
     quadrature_measure,
     tensor_gauss_legendre,
 )

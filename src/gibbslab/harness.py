@@ -40,6 +40,7 @@ from .landscapes import (
 )
 from .oracles import (
     empirical_generalization_gap,
+    product_measure,
     quadrature_measure,
     tensor_gauss_legendre,
 )
@@ -336,14 +337,16 @@ def validate_config(raw: dict) -> ExperimentConfig:
     )
 
 
-def _auto_nodes(landscape, minima, gamma: float, requested: int) -> int:
+def _auto_nodes(landscape, minima, gamma: float, requested: int, tensor: bool) -> int:
+    """Nodes per axis: 20 per narrowest well width 1/√(γ·λ_max) across the
+    box, which a tensor grid caps at 400 in d = 2 and 80 in d = 3."""
     lam_max = max(float(np.linalg.eigvalsh(m.reg_hessian)[-1]) for m in minima)
     width = float(np.max(landscape.domain_box[:, 1] - landscape.domain_box[:, 0]))
     sigma = 1.0 / math.sqrt(gamma * lam_max)
     needed = int(math.ceil(20.0 * width / sigma))
-    if landscape.dimension >= 2:
+    if tensor and landscape.dimension >= 2:
         needed = min(needed, 400)
-    if landscape.dimension == 3:
+    if tensor and landscape.dimension == 3:
         needed = min(needed, 80)
     return max(requested, needed, 64)
 
@@ -491,22 +494,47 @@ def _finish(row: dict, total, secondary, terms, oracle, allowance, passes) -> di
     return row
 
 
-def _radius_shares(cfg, landscape, minima, gamma, ridge, r0, theorems) -> tuple[list, float]:
+def _coordinate_potential(risk_k, ridge: float):
+    return lambda x: risk_k(x) + ridge * (x * x)
+
+
+def _radius_shares(cfg, landscape, minima, gamma, ridge, r0, theorems) -> tuple[list, dict]:
     """Per swept radius: (r, p, point without gconf), all read from one
     Gibbs measure whose regions are every minimum's ellipsoid at every r;
-    and the wall seconds spent in ``quadrature_measure``."""
+    and how that measure was computed: its method (the ``product`` oracle
+    for a landscape that declares coordinate risks in d ≥ 2, the
+    ``tensor`` grid otherwise), the nodes per axis of both passes and its
+    wall seconds."""
     radii = _radius_points(cfg, gamma, r0)
-    nodes = _auto_nodes(landscape, minima, gamma, cfg.oracle["nodes_per_dim"])
+    product = landscape.coordinate_risks is not None and landscape.dimension >= 2
+    nodes = _auto_nodes(landscape, minima, gamma, cfg.oracle["nodes_per_dim"], not product)
     needs_risk = {"local_excess", "global_excess", "pseudo_excess"} & set(theorems)
+    regions = [mn.ellipsoid(r) for r, _ in radii for mn in minima]
     start = time.perf_counter()
-    measure = quadrature_measure(
-        lambda w: landscape.reg_risk(w, ridge),
-        gamma,
-        tensor_gauss_legendre(landscape.domain_box, nodes),
-        regions=[mn.ellipsoid(r) for r, _ in radii for mn in minima],
-        integrands={"risk": landscape.risk} if needs_risk else None,
-    )
-    quadrature_s = time.perf_counter() - start
+    if product:
+        measure = product_measure(
+            [_coordinate_potential(f, ridge) for f in landscape.coordinate_risks],
+            gamma,
+            landscape.domain_box,
+            nodes,
+            regions=regions,
+            integrands={"risk": landscape.coordinate_risks} if needs_risk else None,
+        )
+    else:
+        measure = quadrature_measure(
+            lambda w: landscape.reg_risk(w, ridge),
+            gamma,
+            tensor_gauss_legendre(landscape.domain_box, nodes),
+            regions=regions,
+            integrands={"risk": landscape.risk} if needs_risk else None,
+        )
+    quadrature = {
+        "gamma": gamma,
+        "ridge": ridge,
+        "method": "product" if product else "tensor",
+        "nodes_per_axis": [list(n) for n in measure.nodes_per_axis],
+        "seconds": time.perf_counter() - start,
+    }
     risk_at_minima = np.array([float(landscape.risk(mn.location)) for mn in minima])
     shares = []
     for k, (r, p) in enumerate(radii):
@@ -530,19 +558,19 @@ def _radius_shares(cfg, landscape, minima, gamma, ridge, r0, theorems) -> tuple[
             excess=excess,
         )
         shares.append((r, p, point))
-    return shares, quadrature_s
+    return shares, quadrature
 
 
-def _evaluate_point(cfg: ExperimentConfig, landscape, gamma, ridge) -> tuple[list[dict], float]:
-    """Rows of every m and radius at one (γ, λ), and the seconds its
-    quadrature took; m enters only the bounds."""
+def _evaluate_point(cfg: ExperimentConfig, landscape, gamma, ridge) -> tuple[list[dict], dict | None]:
+    """Rows of every m and radius at one (γ, λ), and how its quadrature
+    measure was computed (None without one); m enters only the bounds."""
     minima = cfg.minima[ridge]
     r0 = disjoint_radius(minima)
     theorems = [t for t in cfg.theorems if t in _TABLE]
-    shares, quadrature_s = (
+    shares, quadrature = (
         _radius_shares(cfg, landscape, minima, gamma, ridge, r0, theorems)
         if theorems
-        else ([], 0.0)
+        else ([], None)
     )
     loss_bound = cfg.loss_bound if cfg.loss_bound is not None else landscape.loss_bound
     rows: list[dict] = []
@@ -564,7 +592,7 @@ def _evaluate_point(cfg: ExperimentConfig, landscape, gamma, ridge) -> tuple[lis
                     rows.append(_finish(row, *bound(pt, mn), oracle(pt, mn), 0.0, passes))
         if "generalization" in cfg.theorems:
             rows += _generalization_rows(cfg, gconf)
-    return rows, quadrature_s
+    return rows, quadrature
 
 
 def _generalization_rows(cfg: ExperimentConfig, gconf: bnd.GibbsConfig) -> list[dict]:
@@ -682,9 +710,11 @@ def run_experiment(
         fh.write(json.dumps(payload, default=_json_default, allow_nan=True))
         fh.write("\n")
 
+    quadrature = [q for _, q in results if q is not None]
     meta = {
         "wall_time_seconds": time.time() - start,
-        "quadrature_s": sum(seconds for _, seconds in results),
+        "quadrature_s": sum((q["seconds"] for q in quadrature), 0.0),
+        "quadrature": quadrature,
         "peak_rss_mb": _peak_rss_mb(),
         "versions": {
             "python": platform.python_version(),

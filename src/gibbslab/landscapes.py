@@ -132,6 +132,10 @@ class Landscape:
     M of the risk (and of any attached loss) over the domain box.
     ``quadratic`` declares that the risk is exactly quadratic in w (its
     Hessian is constant), so its Gibbs targets admit exact Gaussian draws.
+    ``coordinate_risks``, when set, declares the risk separable: d maps of
+    an array of coordinate-k values with R(w) = Σₖ coordinate_risks[k](wₖ),
+    summed left to right, so that its Gibbs density on the box (the ridge
+    term is separable too) is a product of 1-d densities.
     """
 
     name: str
@@ -147,6 +151,7 @@ class Landscape:
     ) = None
     params: dict[str, Any] = field(default_factory=dict)
     quadratic: bool = False
+    coordinate_risks: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
 
     def contains(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
@@ -241,6 +246,7 @@ def empirical_landscape(data_model: DataModel, sample) -> Landscape:
         hessian=lambda w: np.mean(data_model.loss_hessian(w, sample), axis=-3),
         lipschitz_closed_form=None,
         quadratic=data_model.quadratic,
+        coordinate_risks=None,
     )
 
 
@@ -508,7 +514,23 @@ def quadratic_landscape(
         lipschitz_closed_form=lambda loc, hreg, r, lam: 0.0,
         params={"matrix": a, "bounds": [list(b) for b in box]},
         quadratic=True,
+        coordinate_risks=(
+            tuple(_half_square(float(h)) for h in np.diagonal(a))
+            if np.array_equal(a, np.diag(np.diagonal(a)))
+            else None
+        ),
     )
+
+
+def _half_square(h: float) -> Callable[[np.ndarray], np.ndarray]:
+    # ½·(x·h)·x: the operation order of ``quadratic_landscape``'s risk on a
+    # diagonal matrix, whose products with the zero entries add nothing
+    return lambda x: 0.5 * ((x * h) * x)
+
+
+def _well_1d(x: np.ndarray) -> np.ndarray:
+    t = x * x - 1.0
+    return t * t
 
 
 def double_well_landscape(dimension: int = 1, bounds=(-2.0, 2.0)) -> Landscape:
@@ -562,6 +584,7 @@ def double_well_landscape(dimension: int = 1, bounds=(-2.0, 2.0)) -> Landscape:
         initial_points=seeds,
         lipschitz_closed_form=lipschitz_closed_form,
         params={"bounds": [list(b) for b in box]},
+        coordinate_risks=(_well_1d,) * dimension,
     )
 
 

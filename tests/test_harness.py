@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -167,7 +168,9 @@ class TestRunExperiment:
         cfg = validate_config(minimal_config())
         result = run_experiment(cfg, out_dir=tmp_path)
         meta = json.loads((result.run_dir / "run_meta.json").read_text())
-        assert set(meta) == {"wall_time_seconds", "quadrature_s", "peak_rss_mb", "versions"}
+        assert set(meta) == {
+            "wall_time_seconds", "quadrature_s", "quadrature", "peak_rss_mb", "versions"
+        }
         assert 0.0 < meta["quadrature_s"] <= meta["wall_time_seconds"]
         assert isinstance(meta["peak_rss_mb"], float) and meta["peak_rss_mb"] > 0.0
         assert set(meta["versions"]) == {"python", "numpy", "scipy"}
@@ -228,6 +231,69 @@ class TestRunExperiment:
         # a coarse grid and its doubling, shared by both m and all six theorems
         assert sum(points) == 400**2 + 800**2
         assert {r["m"] for r in result.rows} == {100, 1000}
+
+    @pytest.mark.parametrize(
+        "landscape, method, nodes",
+        [
+            ({"name": "quadratic", "params": {"dimension": 1}}, "tensor", [[3088], [6192]]),
+            (
+                {"name": "quadratic", "params": {"dimension": 2, "matrix": [[1.0, 0.3], [0.3, 2.0]]}},
+                "tensor",
+                [[400, 400], [800, 800]],
+            ),
+            ({"name": "double_well", "params": {"dimension": 2}}, "product", [[3120, 3120], [6240, 6240]]),
+        ],
+        ids=["d1", "non_diagonal", "separable"],
+    )
+    def test_run_meta_records_each_quadrature(self, tmp_path, landscape, method, nodes):
+        raw = minimal_config(landscape=landscape, radius={"relative": [0.8]})
+        raw["gibbs"] = {"gamma": [100.0, 200.0], "ridge": [0.0, 0.1], "m": [100]}
+        result = run_experiment(validate_config(raw), out_dir=tmp_path)
+        meta = json.loads((result.run_dir / "run_meta.json").read_text())
+        points = [(q["gamma"], q["ridge"]) for q in meta["quadrature"]]
+        assert points == [(100.0, 0.0), (100.0, 0.1), (200.0, 0.0), (200.0, 0.1)]
+        for q in meta["quadrature"]:
+            assert set(q) == {"gamma", "ridge", "method", "nodes_per_axis", "seconds"}
+            assert q["method"] == method
+            coarse, fine = q["nodes_per_axis"]
+            assert len(coarse) == len(fine) == int(landscape["params"]["dimension"])
+        assert meta["quadrature"][-1]["nodes_per_axis"] == nodes
+        assert meta["quadrature_s"] == pytest.approx(sum(q["seconds"] for q in meta["quadrature"]))
+
+    def test_no_quadrature_without_quadrature_theorems(self, tmp_path):
+        raw = minimal_config(
+            landscape={"name": "rls", "params": {}}, theorems=["generalization"]
+        )
+        raw["sampler"] = {"steps": 20}
+        raw["oracle"] = {"mc_trials": 50}
+        result = run_experiment(validate_config(raw), out_dir=tmp_path)
+        meta = json.loads((result.run_dir / "run_meta.json").read_text())
+        assert meta["quadrature"] == [] and meta["quadrature_s"] == 0.0
+
+    @pytest.mark.parametrize(
+        "landscape, gamma, relative",
+        [
+            ({"name": "double_well", "params": {"dimension": 2}}, 100.0, 0.3),
+            ({"name": "quadratic", "params": {"dimension": 3}}, 100.0, 0.8),
+        ],
+        ids=["double_well2", "quadratic3"],
+    )
+    def test_separable_points_that_raised_on_the_tensor_grid(
+        self, tmp_path, landscape, gamma, relative
+    ):
+        # both raised ResolutionError on the masked tensor grid, whose
+        # drift on doubling falls only to first order
+        raw = minimal_config(
+            landscape=landscape,
+            theorems=[t for t in THEOREMS if t != "generalization"],
+        )
+        raw["gibbs"] = {"gamma": [gamma], "ridge": 0.0, "m": [1000]}
+        raw["radius"] = {"relative": [relative]}
+        result = run_experiment(validate_config(raw), out_dir=tmp_path)
+        assert result.rows and all(math.isfinite(r["oracle_value"]) for r in result.rows)
+        meta = json.loads((result.run_dir / "run_meta.json").read_text())
+        assert [q["method"] for q in meta["quadrature"]] == ["product"]
+        assert meta["quadrature_s"] < 0.1
 
     def test_radius_sweep_matches_separate_runs(self, tmp_path):
         theorems = [t for t in THEOREMS if t != "generalization"]

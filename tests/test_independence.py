@@ -1,4 +1,4 @@
-"""The library stays independent of the test suite.
+"""The library stays independent of the test suite and light to import.
 
 Oracles and bounds must not share code with the independent references in
 ``tests/helpers.py``, so no module of the package may import ``helpers``
@@ -6,6 +6,9 @@ or anything under ``tests``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,20 @@ def test_module_imports_nothing_from_the_tests(path):
         name for name in _imported_modules(path) if name.split(".")[0] in FORBIDDEN
     ]
     assert not offending, f"{path.name} imports {offending}"
+
+
+# scipy subpackages that ``import gibbslab`` must not load: each adds start-up
+# time and resident memory to every process (scipy.linalg alone 6.5 MB)
+UNLOADED = ("scipy.integrate", "scipy.stats", "scipy.optimize", "scipy.linalg")
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    code = (
+        "import sys, gibbslab; "
+        f"print([m for m in {UNLOADED!r} if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

@@ -15,6 +15,7 @@ from gibbslab.errors import ArgumentError, DomainError, LandscapeDefinitionError
 from gibbslab.landscapes import (
     _halton_ellipsoid_points,
     DataModel,
+    constant_loss_data_model,
     EllipsoidSpec,
     disjoint_radius,
     double_well_landscape,
@@ -522,6 +523,43 @@ class TestCoordinateKernels:
             else:
                 old = np.sqrt(np.einsum("...i,...i->...", diff @ spec.metric, diff))
             self._assert_matches(spec.metric_norm(w), old, d <= 2)
+
+
+class TestCoordinateRisks:
+    """A declared separable risk: Σₖ coordinate_risks[k](w[..., k]) is the
+    risk on random batches."""
+
+    @staticmethod
+    def _assert_declared(land, seed):
+        rng = np.random.default_rng(seed)
+        d = land.dimension
+        for lead in [(50,), (4, 5)]:
+            w = rng.uniform(land.domain_box[:, 0], land.domain_box[:, 1], size=lead + (d,))
+            total = land.coordinate_risks[0](w[..., 0])
+            for k in range(1, d):
+                total = total + land.coordinate_risks[k](w[..., k])
+            np.testing.assert_allclose(total, land.risk(w), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_double_well(self, d):
+        land = double_well_landscape(d)
+        assert len(land.coordinate_risks) == d
+        self._assert_declared(land, 31 + d)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_diagonal_quadratic(self, d):
+        spectrum = np.random.default_rng(40 + d).uniform(0.2, 5.0, size=d)
+        land = quadratic_landscape(d, matrix=np.diag(spectrum))
+        assert len(land.coordinate_risks) == d
+        self._assert_declared(land, 41 + d)
+
+    def test_non_diagonal_quadratic_declares_none(self):
+        assert quadratic_landscape(2, matrix=[[1.0, 0.3], [0.3, 2.0]]).coordinate_risks is None
+
+    def test_empirical_landscape_declares_none(self):
+        land = double_well_landscape(2)
+        model = constant_loss_data_model(land)
+        assert empirical_landscape(model, np.zeros((3, 1))).coordinate_risks is None
 
 
 class TestDataModels:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import gammainc, gammaincc
 
 from gibbslab.bounds import GibbsConfig, local_excess_bound
 from gibbslab.errors import ArgumentError, ContractError, ResolutionError
@@ -21,6 +23,7 @@ from gibbslab.oracles import (
     empirical_excess_risk,
     empirical_generalization_gap,
     irm_objective,
+    product_measure,
     quadrature_measure,
     tensor_gauss_legendre,
 )
@@ -282,6 +285,153 @@ class TestQuadratureMeasure:
         den = ball_quadrature(dens, r, 2)
         closed = truncated_quadratic_moment(a, np.eye(2) / gamma, r * math.sqrt(gamma))
         assert num / den == pytest.approx(closed, rel=1e-6)
+
+
+def _diagonal_quadratic_case(d, seed):
+    """A diagonal quadratic on a box 40 well widths wide each way, so that
+    truncation is below e^(-800), and the ellipsoid of its one minimum."""
+    gamma = 50.0
+    h = np.random.default_rng(seed).uniform(0.5, 4.0, size=d)
+    half = 40.0 / math.sqrt(gamma * h.min())
+    land = quadratic_landscape(d, matrix=np.diag(h), bounds=(-half, half))
+    return land, gamma, h
+
+
+class TestProductMeasure:
+    """The product oracle against independent references, at rel 1e-8."""
+
+    @staticmethod
+    def _measure(land, gamma, regions, ridge=0.0, nodes=1024):
+        pots = [lambda x, f=f: f(x) + ridge * (x * x) for f in land.coordinate_risks]
+        return product_measure(
+            pots, gamma, land.domain_box, nodes, regions=regions,
+            integrands={"risk": land.coordinate_risks},
+        )
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("whitened", [1.5, 3.0, 7.0])
+    def test_diagonal_quadratic_against_incomplete_gamma(self, d, whitened):
+        land, gamma, h = _diagonal_quadratic_case(d, seed=10 * d + int(whitened))
+        r = whitened / math.sqrt(gamma)
+        region = EllipsoidSpec(center=np.zeros(d), metric=np.diag(h), radius=r)
+        meas = self._measure(land, gamma, [region])
+        a, z = 0.5 * d, 0.5 * gamma * r * r
+        log_z = sum(0.5 * math.log(2.0 * math.pi / (gamma * hk)) for hk in h)
+        assert meas.log_z == pytest.approx(log_z, rel=1e-8)
+        assert meas.masses[0] == pytest.approx(gammainc(a, z), rel=1e-8)
+        # at whitened radius 7 the complement is about 1e-10 in d = 2: one
+        # minus the mass would keep at most six of its digits
+        assert meas.complement_mass[r] == pytest.approx(gammaincc(a, z), rel=1e-8)
+        excess = (d / (2.0 * gamma)) * gammainc(a + 1.0, z) / gammainc(a, z)
+        assert meas.region_conditional["risk"][0] == pytest.approx(excess, rel=1e-8)
+        assert meas.conditional["risk"] == pytest.approx(d / (2.0 * gamma), rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "d,gamma,ridge,rel,order",
+        [(2, 100.0, 0.0, 0.3, 160), (2, 20.0, 0.1, 0.8, 160), (3, 20.0, 0.1, 0.5, 64)],
+    )
+    def test_double_well_against_ball_quadrature(self, d, gamma, ridge, rel, order):
+        land = double_well_landscape(d)
+        minima = enumerate_minima(land, ridge)
+        r = rel * disjoint_radius(minima)
+        meas = self._measure(land, gamma, [m.ellipsoid(r) for m in minima], ridge)
+        # the 1-d Gibbs factors, normalized by scipy.integrate.quad
+        lo, hi = land.domain_box[0]
+        well = lambda x: (x * x - 1.0) ** 2 + ridge * x * x
+        f_min = min(well(x) for x in np.linspace(lo, hi, 4001))
+        factor = lambda x: np.exp(-gamma * (well(x) - f_min))
+        peaks = [-1.0, 1.0]
+        z1 = quad(factor, lo, hi, points=peaks, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        assert meas.log_z == pytest.approx(d * (math.log(z1) - gamma * f_min), rel=1e-8)
+        mean1 = quad(
+            lambda x: factor(x) * (x * x - 1.0) ** 2, lo, hi,
+            points=peaks, epsabs=0.0, epsrel=1e-13, limit=200,
+        )[0] / z1
+        assert meas.conditional["risk"] == pytest.approx(d * mean1, rel=1e-8)
+        # in d = 3 the first and last of the 8 wells (mirror images) keep
+        # the reference's 262k-point rules affordable
+        for i, m in [*enumerate(minima)][:: 1 if d == 2 else len(minima) - 1]:
+            # whitened ellipsoid: w = c + y / √h over the ball |y| <= r
+            scale = 1.0 / np.sqrt(np.diagonal(m.reg_hessian))
+
+            def dens(y):
+                w = m.location + y * scale
+                return np.prod(factor(w) / z1, axis=-1) * np.prod(scale)
+
+            mass = ball_quadrature(dens, r, d, order)
+            risk = ball_quadrature(
+                lambda y: dens(y) * land.risk(m.location + y * scale), r, d, order
+            )
+            assert meas.masses[i] == pytest.approx(mass, rel=1e-8)
+            assert meas.region_conditional["risk"][i] == pytest.approx(risk / mass, rel=1e-8)
+
+    def test_double_well_2d_complement_against_nested_quad(self):
+        # a point the masked tensor grid cannot resolve: one minus the masses
+        # would carry about 1e-4 relative rounding on this complement of 1.3e-12
+        land = double_well_landscape(2)
+        gamma = 100.0
+        minima = enumerate_minima(land, 0.0)
+        r = 0.3 * disjoint_radius(minima)
+        meas = self._measure(land, gamma, [m.ellipsoid(r) for m in minima])
+        factor = lambda x: math.exp(-gamma * (x * x - 1.0) ** 2)
+        opts = dict(epsabs=0.0, epsrel=1e-12, limit=200)
+        z1 = quad(factor, -2.0, 2.0, points=[-1.0, 1.0], **opts)[0]
+        rho = r / math.sqrt(8.0)  # both curvatures are 8 at (±1, ±1)
+
+        def outside_x2(x1):
+            # chords of the two ellipsoids centred at x1 ≈ ±1, if any
+            off = 1.0 - ((abs(x1) - 1.0) / rho) ** 2
+            if off <= 0.0:
+                return z1
+            s = rho * math.sqrt(off)
+            gaps = [(-2.0, -1.0 - s), (-1.0 + s, 1.0 - s), (1.0 + s, 2.0)]
+            return sum(quad(factor, a, b, **opts)[0] for a, b in gaps)
+
+        ends = [-1.0 - rho, -1.0 + rho, 1.0 - rho, 1.0 + rho]
+        comp = quad(lambda x1: factor(x1) * outside_x2(x1), -2.0, 2.0, points=ends, **opts)[0]
+        comp /= z1 * z1
+        assert 1e-12 < comp < 2e-12
+        assert meas.complement_mass[r] == pytest.approx(comp, rel=1e-8)
+
+    def test_agrees_with_tensor_rule_where_it_converges(self):
+        land = quadratic_landscape(2, matrix=np.diag([1.0, 2.0]))
+        gamma = 100.0
+        minima = enumerate_minima(land, 0.0)
+        regions = [minima[0].ellipsoid(0.8 * disjoint_radius(minima))]
+        product = self._measure(land, gamma, regions, nodes=400)
+        tensor = quadrature_measure(
+            lambda w: land.reg_risk(w, 0.0), gamma,
+            tensor_gauss_legendre(land.domain_box, 400),
+            regions=regions, integrands={"risk": land.risk},
+        )
+        assert product.log_z == pytest.approx(tensor.log_z, rel=1e-6)
+        np.testing.assert_allclose(product.masses, tensor.masses, rtol=1e-6)
+        r = regions[0].radius
+        assert product.complement_mass[r] == pytest.approx(tensor.complement_mass[r], abs=1e-12)
+        assert product.conditional["risk"] == pytest.approx(tensor.conditional["risk"], rel=1e-6)
+        np.testing.assert_allclose(
+            product.region_conditional["risk"], tensor.region_conditional["risk"], rtol=1e-6
+        )
+        assert product.nodes_per_axis == ((400, 400), (800, 800))
+
+    def test_rejects_what_it_cannot_integrate(self):
+        land = double_well_landscape(2)
+        minima = enumerate_minima(land, 0.0)
+        tilted = EllipsoidSpec(np.ones(2), np.array([[8.0, 1.0], [1.0, 8.0]]), 0.5)
+        with pytest.raises(ArgumentError, match="axis-aligned"):
+            self._measure(land, 20.0, [tilted])
+        # at twice r0 the ellipsoids of (1, 1) and (1, -1) overlap
+        overlapping = [m.ellipsoid(2.0 * disjoint_radius(minima)) for m in minima]
+        with pytest.raises(ArgumentError, match="overlap"):
+            self._measure(land, 20.0, overlapping)
+        nan = [lambda x: np.where(x > 1.9, np.nan, x * x)] * 2
+        with pytest.raises(ArgumentError, match="NaN or -inf"):
+            product_measure(nan, 1.0, land.domain_box, 64)
+
+    def test_under_resolved_raises(self):
+        land = quadratic_landscape(2, matrix=np.diag([1.0, 2.0]))
+        with pytest.raises(ResolutionError):
+            self._measure(land, 1e4, [], nodes=16)
 
 
 class TestEmpiricalExcessRisk:
