@@ -28,7 +28,7 @@ import numpy as np
 import scipy
 
 from . import bounds as bnd
-from .errors import ConfigError, GibbslabError
+from .errors import ConfigError, GibbslabError, ResolutionError
 from .landscapes import (
     BUILTIN_DATA_MODELS,
     BUILTIN_LANDSCAPES,
@@ -337,9 +337,15 @@ def validate_config(raw: dict) -> ExperimentConfig:
     )
 
 
+# cap on the coarse pass's nodes per axis: the doubled pass then builds
+# per-axis arrays of at most 2^23 doubles (64 MiB) each
+_MAX_NODES_PER_AXIS = 2**22
+
+
 def _auto_nodes(landscape, minima, gamma: float, requested: int, tensor: bool) -> int:
     """Nodes per axis: 20 per narrowest well width 1/√(γ·λ_max) across the
-    box, which a tensor grid caps at 400 in d = 2 and 80 in d = 3."""
+    box, which a tensor grid caps at 400 in d = 2 and 80 in d = 3.
+    ResolutionError when the count exceeds ``_MAX_NODES_PER_AXIS``."""
     lam_max = max(float(np.linalg.eigvalsh(m.reg_hessian)[-1]) for m in minima)
     width = float(np.max(landscape.domain_box[:, 1] - landscape.domain_box[:, 0]))
     sigma = 1.0 / math.sqrt(gamma * lam_max)
@@ -348,7 +354,13 @@ def _auto_nodes(landscape, minima, gamma: float, requested: int, tensor: bool) -
         needed = min(needed, 400)
     if tensor and landscape.dimension == 3:
         needed = min(needed, 80)
-    return max(requested, needed, 64)
+    nodes = max(requested, needed, 64)
+    if nodes > _MAX_NODES_PER_AXIS:
+        raise ResolutionError(
+            f"the quadrature at gamma={gamma:g} needs {nodes} nodes per axis, "
+            f"above the cap of {_MAX_NODES_PER_AXIS}"
+        )
+    return nodes
 
 
 def _base_row(cfg: ExperimentConfig, theorem: str, gamma, ridge, m, r, p, idx=None):

@@ -96,9 +96,10 @@ class MinimumDescriptor:
     ``reg_hessian`` the regularized one (hessian + 2λI). ``lambda_min`` is
     the smallest eigenvalue of ``hessian`` above the zero threshold
     (1e-10 times its largest eigenvalue). ``lipschitz`` maps a radius r to
-    the local Hessian-Lipschitz constant L(r) on the curvature ellipsoid;
-    ``lipschitz_is_estimate`` flags the sampled (possibly under-estimating)
-    fallback instead of a closed form.
+    the local Hessian-Lipschitz constant L(r) on the curvature ellipsoid
+    (``lipschitz_estimate``, once per radius: 0, a closed form, or in d = 1
+    a grid scan); ``lipschitz_is_estimate`` flags the grid scan, which may
+    under-estimate the supremum.
     """
 
     index: int
@@ -110,7 +111,6 @@ class MinimumDescriptor:
     is_global: bool
     lipschitz: Callable[[float], float]
     lipschitz_is_estimate: bool
-    ridge: float
     domain_box: np.ndarray | None = None
 
     def ellipsoid(self, r: float) -> EllipsoidSpec:
@@ -131,7 +131,10 @@ class Landscape:
     seeds handed to Newton polishing; ``loss_bound`` is the exact supremum
     M of the risk (and of any attached loss) over the domain box.
     ``quadratic`` declares that the risk is exactly quadratic in w (its
-    Hessian is constant), so its Gibbs targets admit exact Gaussian draws.
+    Hessian is constant), so its Gibbs targets admit exact Gaussian draws
+    and L(r) ≡ 0. ``lipschitz_closed_form(location, reg_hessian, r)``
+    declares L(r) on the curvature ellipsoid of radius r around a minimizer
+    otherwise; a d ≥ 2 landscape must declare one of the two.
     ``coordinate_risks``, when set, declares the risk separable: d maps of
     an array of coordinate-k values with R(w) = Σₖ coordinate_risks[k](wₖ),
     summed left to right, so that its Gibbs density on the box (the ridge
@@ -146,9 +149,7 @@ class Landscape:
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
     initial_points: tuple[np.ndarray, ...]
-    lipschitz_closed_form: (
-        Callable[[np.ndarray, np.ndarray, float, float], float] | None
-    ) = None
+    lipschitz_closed_form: Callable[[np.ndarray, np.ndarray, float], float] | None = None
     params: dict[str, Any] = field(default_factory=dict)
     quadratic: bool = False
     coordinate_risks: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
@@ -276,8 +277,9 @@ def _newton_polish(landscape: Landscape, seed: np.ndarray, lam: float) -> np.nda
     )
 
 
-def _nonzero_min_eigenvalue(hessian: np.ndarray) -> float:
-    eigs = np.linalg.eigvalsh(hessian)
+def _nonzero_min_eigenvalue(eigs: np.ndarray) -> float:
+    """Smallest of the ascending eigenvalues ``eigs`` above the zero
+    threshold, 0 when there is none."""
     largest = float(eigs[-1])
     if largest <= 0.0:
         return 0.0
@@ -293,10 +295,18 @@ def enumerate_minima(landscape: Landscape, lam: float) -> list[MinimumDescriptor
     order); ``is_global`` marks those within 1e-9 of the best value.
     Raises LandscapeDefinitionError when a polished point violates the
     isolated-minima assumption (indefinite regularized Hessian, risk
-    Hessian with negative curvature, or Newton divergence).
+    Hessian with negative curvature, or Newton divergence), and for a
+    d ≥ 2 landscape that declares neither ``quadratic`` nor
+    ``lipschitz_closed_form``.
     """
     if lam < 0.0:
         raise ArgumentError(f"ridge weight must be nonnegative, got {lam}")
+    declared = landscape.quadratic or landscape.lipschitz_closed_form is not None
+    if landscape.dimension >= 2 and not declared:
+        raise LandscapeDefinitionError(
+            f"landscape '{landscape.name}' (d={landscape.dimension}) declares "
+            "neither quadratic nor lipschitz_closed_form"
+        )
     polished: list[np.ndarray] = []
     for seed in landscape.initial_points:
         w = _newton_polish(landscape, np.asarray(seed, dtype=float), lam)
@@ -320,109 +330,72 @@ def enumerate_minima(landscape: Landscape, lam: float) -> list[MinimumDescriptor
             raise LandscapeDefinitionError(
                 f"risk Hessian has negative curvature at {w}"
             )
-        records.append((float(landscape.reg_risk(w, lam)), order, w, hess, reg_hess))
+        records.append((float(landscape.reg_risk(w, lam)), order, w, hess, reg_hess, eigs))
 
     records.sort(key=lambda rec: (rec[0], rec[1]))
     best = records[0][0]
     minima: list[MinimumDescriptor] = []
-    for index, (value, _, w, hess, reg_hess) in enumerate(records):
-        desc = MinimumDescriptor(
-            index=index,
-            location=w,
-            reg_risk_value=value,
-            hessian=hess,
-            reg_hessian=reg_hess,
-            lambda_min=_nonzero_min_eigenvalue(hess),
-            is_global=bool(value - best <= GLOBAL_VALUE_TOL),
-            lipschitz=lambda r: 0.0,  # placeholder, replaced below
-            lipschitz_is_estimate=landscape.lipschitz_closed_form is None,
-            ridge=lam,
-            domain_box=np.array(landscape.domain_box),
+    for index, (value, _, w, hess, reg_hess, eigs) in enumerate(records):
+        minima.append(
+            MinimumDescriptor(
+                index=index,
+                location=w,
+                reg_risk_value=value,
+                hessian=hess,
+                reg_hessian=reg_hess,
+                lambda_min=_nonzero_min_eigenvalue(eigs),
+                is_global=bool(value - best <= GLOBAL_VALUE_TOL),
+                lipschitz=_lipschitz_profile(landscape, minima, index),
+                lipschitz_is_estimate=not declared,
+                domain_box=np.array(landscape.domain_box),
+            )
         )
-        profile = _make_lipschitz_profile(landscape, desc, lam)
-        minima.append(replace(desc, lipschitz=profile))
-    return minima
+    return list(minima)
 
 
-def _make_lipschitz_profile(
-    landscape: Landscape, minimum: MinimumDescriptor, lam: float
-) -> Callable[[float], float]:
-    # every bound at one radius reads L(r); the estimate costs a Hessian
-    # per Halton point, so each radius is evaluated once
+def _lipschitz_profile(landscape: Landscape, minima: list, index: int) -> Callable[[float], float]:
+    # every bound at one radius reads L(r), so each radius is evaluated once;
+    # minima[index] is the descriptor built with this profile
     @functools.lru_cache(maxsize=None)
     def profile(r: float) -> float:
-        return lipschitz_estimate(landscape, minimum, r)
+        return lipschitz_estimate(landscape, minima[index], r)
 
     return profile
 
 
-def _radical_inverse(index: np.ndarray, base: int) -> np.ndarray:
-    """Van der Corput points: the base-b digits of each index mirrored
-    about the radix point."""
-    out = np.zeros(index.shape)
-    scale = 1.0 / base
-    while index.any():
-        out += (index % base) * scale
-        scale /= base
-        index = index // base
-    return out
-
-
-def _halton_ellipsoid_points(minimum: MinimumDescriptor, r: float, count: int) -> np.ndarray:
-    d = minimum.dimension
-    eigval, eigvec = np.linalg.eigh(minimum.reg_hessian)
-    inv_sqrt = eigvec @ np.diag(eigval**-0.5) @ eigvec.T
-    # the unscrambled Halton sequence, from index 0, in the first d prime bases
-    primes = (n for n in itertools.count(2) if all(n % k for k in range(2, n)))
-    bases = list(itertools.islice(primes, d))
-    collected = []
-    total = drawn = 0
-    while total < count:
-        index = np.arange(drawn, drawn + count)
-        drawn += count
-        u = np.stack([_radical_inverse(index, b) for b in bases], axis=-1)
-        v = 2.0 * u - 1.0
-        keep = np.sum(v * v, axis=1) <= 1.0
-        pts = v[keep]
-        collected.append(pts)
-        total += pts.shape[0]
-    ball = np.concatenate(collected, axis=0)[: max(count, 1)]
-    return minimum.location + (r * ball) @ inv_sqrt.T
-
-
-def lipschitz_estimate(
-    landscape: Landscape, minimum: MinimumDescriptor, r: float, points: int = 4096
-) -> float:
+def lipschitz_estimate(landscape: Landscape, minimum: MinimumDescriptor, r: float) -> float:
     """Local Hessian-Lipschitz constant L(r) over the curvature ellipsoid.
 
-    Returns the landscape's closed form when available. Otherwise the
-    maximum of ||∇²R(w*) − ∇²R(w)||₂ / ||w* − w|| over a deterministic
-    low-discrepancy point set of at least ``points`` ellipsoid points; in
-    that case the value is an under-estimate of the true supremum (the
-    descriptor's ``lipschitz_is_estimate`` flag records this).
+    0 for a landscape declared ``quadratic``; else its declared
+    ``lipschitz_closed_form``; else, in d = 1 only, the maximum of
+    |R″(w) − R″(w*)| / |w − w*| over the grid w = w* + r·v/√h,
+    v = −1 + 2k/4096 for k < 4096, with h the regularized Hessian at w*:
+    an under-estimate of the supremum (flagged ``lipschitz_is_estimate``).
+    In d ≥ 2 a landscape that declares neither raises
+    LandscapeDefinitionError.
 
     By convention L(0) = 0: the ratio is only taken at w != w*.
     """
     if r < 0.0:
         raise ArgumentError(f"radius must be nonnegative, got r={r}")
-    if r == 0.0:
+    if r == 0.0 or landscape.quadratic:
         return 0.0
     if landscape.lipschitz_closed_form is not None:
-        return float(
-            landscape.lipschitz_closed_form(
-                minimum.location, minimum.reg_hessian, r, minimum.ridge
-            )
+        return float(landscape.lipschitz_closed_form(minimum.location, minimum.reg_hessian, r))
+    if minimum.dimension != 1:
+        raise LandscapeDefinitionError(
+            f"landscape '{landscape.name}' (d={minimum.dimension}) declares "
+            "neither quadratic nor lipschitz_closed_form"
         )
-    pts = _halton_ellipsoid_points(minimum, r, points)
-    diffs = pts - minimum.location
-    dists = np.linalg.norm(diffs, axis=1)
+    center = minimum.location[0]
+    v = np.linspace(-1.0, 1.0, 4096, endpoint=False)
+    # h^(-1/2) by numpy's array power, one ulp off the scalar power at times
+    w = center + (r * v) * (minimum.reg_hessian[0] ** -0.5)[0]
+    dists = np.abs(w - center)
     keep = dists > 1e-12
-    pts, dists = pts[keep], dists[keep]
-    h_star = minimum.hessian
-    h_all = landscape.hessian(pts)
-    gaps = np.linalg.eigvalsh(h_all - h_star)
-    spectral = np.maximum(np.abs(gaps[..., 0]), np.abs(gaps[..., -1]))
-    return float(np.max(spectral / dists))
+    w, dists = w[keep], dists[keep]
+    gaps = landscape.hessian(w[:, None])[:, 0, 0] - minimum.hessian[0, 0]
+    return float(np.max(np.abs(gaps) / dists))
 
 
 def disjoint_radius(minima: list[MinimumDescriptor]) -> float:
@@ -511,7 +484,6 @@ def quadratic_landscape(
         gradient=gradient,
         hessian=hessian,
         initial_points=(np.zeros(dimension),),
-        lipschitz_closed_form=lambda loc, hreg, r, lam: 0.0,
         params={"matrix": a, "bounds": [list(b) for b in box]},
         quadratic=True,
         coordinate_risks=(
@@ -562,7 +534,7 @@ def double_well_landscape(dimension: int = 1, bounds=(-2.0, 2.0)) -> Landscape:
         diag = 12.0 * w * w - 4.0
         return diag[..., :, None] * np.eye(dimension)
 
-    def lipschitz_closed_form(location, reg_hessian, r, lam):
+    def lipschitz_closed_form(location, reg_hessian, r):
         # |R''kk(w) − R''kk(w*)| = 12|wk − w*k||wk + w*k|; the ratio peaks on
         # a single-coordinate deviation of the full Euclidean ellipsoid radius.
         s = float(np.max(np.abs(location)))
@@ -752,7 +724,6 @@ def rls_data_model(
         gradient=gradient,
         hessian=hessian,
         initial_points=(np.array([slope]),),
-        lipschitz_closed_form=lambda loc, hreg, r, lam: 0.0,
         params={
             "slope": slope,
             "noise_halfwidth": noise_halfwidth,

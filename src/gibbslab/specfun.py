@@ -8,6 +8,7 @@ masses and truncated second moments are thin wrappers around it.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 from scipy import special
@@ -71,12 +72,24 @@ def chi2_cdf(k: float, x: float) -> float:
 
 
 def chi2_cdf_ratio(d: int, r_squared: float) -> float:
-    """Ratio F_{d+2}(r²) / F_d(r²); lies in (0, 1] for r² > 0, d ≥ 1."""
+    """Ratio F_{d+2}(r²) / F_d(r²); lies in (0, 1] for r² > 0, d ≥ 1.
+
+    With a = d/2 and z = r²/2 it is P(a + 1, z) / P(a, z). Where
+    P(a + 1, z) is below the smallest normal double (small r², large d)
+    that quotient has lost its digits or is 0/0, and the ratio is taken
+    from P(a, z) = zᵃe^(−z)/Γ(a + 1) · M(1, a + 1, z) instead:
+    z/(a + 1) · M(1, a + 2, z)/M(1, a + 1, z), with Kummer's M.
+    """
     if d < 1:
         raise ArgumentError(f"dimension must be >= 1, got d={d}")
     if not r_squared > 0.0:
         raise ArgumentError(f"squared radius must be positive, got {r_squared}")
-    return chi2_cdf(d + 2, r_squared) / chi2_cdf(d, r_squared)
+    upper = chi2_cdf(d + 2, r_squared)
+    if upper >= sys.float_info.min:
+        return upper / chi2_cdf(d, r_squared)
+    a, z = 0.5 * d, 0.5 * r_squared
+    kummer = special.hyp1f1(1.0, a + 2.0, z) / special.hyp1f1(1.0, a + 1.0, z)
+    return float(z / (a + 1.0) * kummer)
 
 
 def _check_symmetric(name: str, mat: np.ndarray) -> np.ndarray:

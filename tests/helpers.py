@@ -105,6 +105,5 @@ def build_descriptor(
         is_global=is_global,
         lipschitz=lipschitz,
         lipschitz_is_estimate=False,
-        ridge=float(ridge),
         domain_box=None if domain_box is None else np.asarray(domain_box, dtype=float),
     )

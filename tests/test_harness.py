@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -26,6 +27,17 @@ def minimal_config(**overrides):
     for key, value in overrides.items():
         cfg[key] = value
     return cfg
+
+
+def huge_gamma_config():
+    """A d = 1 double well at gamma = 1e13, whose quadrature would need
+    about 7.2e8 nodes per axis."""
+    raw = minimal_config(
+        landscape={"name": "double_well", "params": {"dimension": 1}},
+        theorems=["ellipsoid_mass"],
+    )
+    raw["gibbs"] = {"gamma": [1e13], "ridge": 0.0, "m": [100]}
+    return raw
 
 
 def _gibbs(**fields):
@@ -295,6 +307,11 @@ class TestRunExperiment:
         assert [q["method"] for q in meta["quadrature"]] == ["product"]
         assert meta["quadrature_s"] < 0.1
 
+    def test_gamma_beyond_the_node_cap_raises(self, tmp_path):
+        cfg = validate_config(huge_gamma_config())
+        with pytest.raises(ResolutionError, match=f"above the cap of {2**22}"):
+            run_experiment(cfg, out_dir=tmp_path)
+
     def test_radius_sweep_matches_separate_runs(self, tmp_path):
         theorems = [t for t in THEOREMS if t != "generalization"]
         raw = minimal_config(
@@ -406,6 +423,14 @@ class TestCli:
 
         monkeypatch.setattr(cli, "run_experiment", boom)
         assert cli.main(["run", str(path)]) == 3
+
+    def test_gamma_beyond_the_node_cap_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(huge_gamma_config()))
+        start = time.perf_counter()
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert time.perf_counter() - start < 10.0
+        assert "nodes per axis" in capsys.readouterr().err
 
     def test_large_gamma_ellipsoid_mass_exit_0(self, tmp_path):
         # log Z is about -2e3 here, so Z itself underflows to 0.0

@@ -1,19 +1,13 @@
 import dataclasses
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import qmc
 
 from gibbslab.bounds import taylor_approximation_error
-import gibbslab
 from gibbslab.errors import ArgumentError, DomainError, LandscapeDefinitionError
 from gibbslab.landscapes import (
-    _halton_ellipsoid_points,
     DataModel,
     constant_loss_data_model,
     EllipsoidSpec,
@@ -209,6 +203,21 @@ class TestEnumerateMinima:
             enumerate_minima(double_well_landscape(), 3.0)
 
 
+def scipy_halton_ellipsoid_points(minimum, r, count):
+    """The ellipsoid point set built on scipy's unscrambled Halton engine."""
+    eigval, eigvec = np.linalg.eigh(minimum.reg_hessian)
+    inv_sqrt = eigvec @ np.diag(eigval**-0.5) @ eigvec.T
+    sampler = qmc.Halton(d=minimum.dimension, scramble=False)
+    collected, total = [], 0
+    while total < count:
+        v = 2.0 * sampler.random(4 * count) - 1.0
+        pts = v[np.sum(v * v, axis=1) <= 1.0]
+        collected.append(pts)
+        total += pts.shape[0]
+    ball = np.concatenate(collected, axis=0)[:count]
+    return minimum.location + (r * ball) @ inv_sqrt.T
+
+
 class TestLipschitzEstimate:
     def test_quadratic_is_zero(self):
         land = quadratic_landscape(1)
@@ -247,6 +256,38 @@ class TestLipschitzEstimate:
         m = enumerate_minima(land, 0.0)[0]
         assert lipschitz_estimate(land, m, 0.2) == 0.0
 
+    @pytest.mark.parametrize("ridge", [0.0, 0.05])
+    def test_spline_grid_scan_equals_halton_reference(self, ridge):
+        # in d = 1 the first 4096 unscrambled Halton points are the grid
+        # -1 + 2k/4096, so the scan reproduces the Halton maximum bit for bit
+        land = spline_double_well_landscape()
+        minima = enumerate_minima(land, ridge)
+        r0 = disjoint_radius(minima)
+        rels = [0.1, 0.2, 0.3, 0.5, 0.8] + list(np.linspace(0.0, 1.0, 65)[1:])
+        for m in minima:
+            for rel in rels:
+                pts = scipy_halton_ellipsoid_points(m, rel * r0, 4096)
+                dists = np.linalg.norm(pts - m.location, axis=1)
+                keep = dists > 1e-12
+                gaps = np.linalg.eigvalsh(land.hessian(pts[keep]) - m.hessian)
+                spectral = np.maximum(np.abs(gaps[..., 0]), np.abs(gaps[..., -1]))
+                reference = float(np.max(spectral / dists[keep]))
+                assert lipschitz_estimate(land, m, rel * r0) == reference
+
+    def test_undeclared_landscape_in_two_dimensions_raises(self):
+        land = dataclasses.replace(double_well_landscape(2), lipschitz_closed_form=None)
+        with pytest.raises(LandscapeDefinitionError, match="neither quadratic"):
+            enumerate_minima(land, 0.0)
+
+    def test_rls_empirical_landscape_is_exactly_zero(self):
+        model = rls_data_model()
+        land = empirical_landscape(model, model.sample_examples(np.random.default_rng(3), 40))
+        assert land.lipschitz_closed_form is None
+        m = enumerate_minima(land, 0.1)[0]
+        assert not m.lipschitz_is_estimate
+        for r in (0.05, 0.5, 2.0):
+            assert m.lipschitz(r) == 0.0
+            assert lipschitz_estimate(land, m, r) == 0.0
 
     def test_profile_evaluates_each_radius_once(self):
         land = spline_double_well_landscape()
@@ -262,41 +303,6 @@ class TestLipschitzEstimate:
         assert seen > 0
         assert minimum.lipschitz(0.4) == first
         assert len(calls) == seen
-
-
-def scipy_halton_ellipsoid_points(minimum, r, count):
-    """The ellipsoid point set built on scipy's unscrambled Halton engine."""
-    eigval, eigvec = np.linalg.eigh(minimum.reg_hessian)
-    inv_sqrt = eigvec @ np.diag(eigval**-0.5) @ eigvec.T
-    sampler = qmc.Halton(d=minimum.dimension, scramble=False)
-    collected, total = [], 0
-    while total < count:
-        v = 2.0 * sampler.random(4 * count) - 1.0
-        pts = v[np.sum(v * v, axis=1) <= 1.0]
-        collected.append(pts)
-        total += pts.shape[0]
-    ball = np.concatenate(collected, axis=0)[:count]
-    return minimum.location + (r * ball) @ inv_sqrt.T
-
-
-class TestHaltonPoints:
-    # d = 8 keeps only ~6% of each draw inside the ball, so the point set
-    # needs many refills that must continue the sequence
-    @pytest.mark.parametrize("d,count", [(1, 4096), (2, 4096), (3, 4096), (8, 64)])
-    def test_equal_to_scipy_halton(self, d, count):
-        land = quadratic_landscape(d, matrix=np.eye(d) + 0.2)
-        minimum = enumerate_minima(land, 0.0)[0]
-        ours = _halton_ellipsoid_points(minimum, 0.7, count)
-        assert np.array_equal(ours, scipy_halton_ellipsoid_points(minimum, 0.7, count))
-
-    def test_import_leaves_scipy_stats_out(self):
-        src = str(Path(gibbslab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        code = "import sys, gibbslab; print('scipy.stats' in sys.modules)"
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert done.stdout.strip() == "False"
 
 
 class TestDisjointRadius:

@@ -111,10 +111,47 @@ class TestChiSquare:
         # F_{d+2}(r^2)/F_d(r^2) -> r^2/(d+2)... vanishes as r -> 0
         assert chi2_cdf_ratio(2, 1e-8) < 1e-8
 
+    @staticmethod
+    def series_ratio(d, r_squared):
+        """z/(a+1)·M(1, a+2, z)/M(1, a+1, z) with a = d/2, z = r²/2, each
+        M(1, b, z) = Σ zⁿ/(b(b+1)…(b+n−1)) summed until the terms vanish."""
+        a, z = 0.5 * d, 0.5 * r_squared
+
+        def kummer(b):
+            total, term, n = 1.0, 1.0, 0
+            while term > 1e-18 * total:
+                term *= z / (b + n)
+                total += term
+                n += 1
+            return total
+
+        return z / (a + 1.0) * kummer(a + 2.0) / kummer(a + 1.0)
+
+    @pytest.mark.parametrize(
+        "d, r_squared", [(200, 1e-3), (20, 1e-30), (2, 1e-320), (1, 1e-300)]
+    )
+    def test_ratio_where_the_incomplete_gamma_underflows(self, d, r_squared):
+        # P(d/2 + 1, r²/2) is below the smallest normal double here
+        assert gammainc(0.5 * d + 1.0, 0.5 * r_squared) < 2.2250738585072014e-308
+        ratio = chi2_cdf_ratio(d, r_squared)
+        assert 0.0 < ratio <= 1.0
+        assert ratio == pytest.approx(self.series_ratio(d, r_squared), rel=1e-15)
+
+    @pytest.mark.parametrize("d, r_squared", [(3, 0.5), (10, 5.0), (200, 150.0)])
+    def test_ratio_against_series(self, d, r_squared):
+        assert chi2_cdf_ratio(d, r_squared) == pytest.approx(
+            self.series_ratio(d, r_squared), rel=1e-14
+        )
+
 
 class TestTruncatedQuadraticMoment:
     def test_untruncated_limit(self):
         assert truncated_quadratic_moment(np.eye(2), np.eye(2), 100.0) == pytest.approx(2.0)
+
+    def test_high_dimension_small_radius(self):
+        # P(101, 4.5e-4) underflows to 0, which made the chi2 ratio 0/0
+        value = truncated_quadratic_moment(np.eye(200), np.eye(200), 0.03)
+        assert value == pytest.approx(200.0 * TestChiSquare.series_ratio(200, 9e-4), rel=1e-14)
 
     def test_one_dimensional_value_vs_monte_carlo(self):
         closed = truncated_quadratic_moment(np.eye(1), np.eye(1), 1.0)
