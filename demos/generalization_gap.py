@@ -4,7 +4,7 @@ Each trial resamples a dataset, forms the quadratic empirical risk, draws
 from the exact Gaussian posterior and averages R(w) - RHat_S(w). The gap
 shrinks linearly in 1/m and stays far below both bound variants (the
 Hoeffding-style constant and the sub-Gaussian one, which differ by a
-factor of two at the default sigma = M/2).
+factor of two since sigma = M/2 for a loss in [0, M]).
 """
 
 import gibbslab as gl

@@ -47,18 +47,18 @@ class GibbsConfig:
     """Scalar knobs shared by all bound formulas.
 
     ``gamma`` is the inverse temperature, ``ridge`` the ℓ2 weight λ,
-    ``m`` the sample size, ``loss_bound`` the uniform loss bound M and
-    ``sigma`` the sub-Gaussian parameter (defaults to M/2, the Hoeffding
-    value for a loss in [0, M]). ``gen_bound_variant`` selects between the
-    two generalization-bound constants: "theorem" gives 4σ²γ/m and
-    "hoeffding_stated" gives M²γ/(2m).
+    ``m`` the sample size and ``loss_bound`` the uniform loss bound M.
+    The sub-Gaussian parameter is σ = M/2: by Hoeffding's lemma a loss in
+    [0, M] is (M/2)-sub-Gaussian, so M alone fixes it.
+    ``gen_bound_variant`` selects between the two generalization-bound
+    constants: "theorem" gives 4σ²γ/m = M²γ/m and "hoeffding_stated"
+    gives M²γ/(2m).
     """
 
     gamma: float
     ridge: float
     m: int
     loss_bound: float
-    sigma: float | None = None
     gen_bound_variant: str = "hoeffding_stated"
 
     def __post_init__(self):
@@ -70,17 +70,11 @@ class GibbsConfig:
             raise ArgumentError(f"sample size must be >= 1, got {self.m}")
         if not self.loss_bound > 0.0:
             raise ArgumentError(f"loss bound must be positive, got {self.loss_bound}")
-        if self.sigma is not None and not self.sigma > 0.0:
-            raise ArgumentError(f"sigma must be positive, got {self.sigma}")
         if self.gen_bound_variant not in GEN_BOUND_VARIANTS:
             raise ArgumentError(
                 f"gen_bound_variant must be one of {GEN_BOUND_VARIANTS}, "
                 f"got {self.gen_bound_variant!r}"
             )
-
-    @property
-    def effective_sigma(self) -> float:
-        return self.sigma if self.sigma is not None else 0.5 * self.loss_bound
 
 
 @dataclass
@@ -171,9 +165,10 @@ def taylor_approximation_error(
 
 
 def generalization_bound(config: GibbsConfig) -> float:
-    """Generalization-error bound: 4σ²γ/m or M²γ/(2m) per the variant flag."""
+    """Generalization-error bound: 4σ²γ/m with σ = M/2, or M²γ/(2m), per
+    the variant flag."""
     if config.gen_bound_variant == "theorem":
-        return 4.0 * config.effective_sigma**2 * config.gamma / config.m
+        return 4.0 * (0.5 * config.loss_bound) ** 2 * config.gamma / config.m
     return config.loss_bound**2 * config.gamma / (2.0 * config.m)
 
 

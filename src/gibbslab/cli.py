@@ -1,7 +1,8 @@
 """Command-line interface for the experiment harness.
 
-``gibbslab run CONFIG [--out DIR] [--workers N]`` runs a configuration;
-the configuration alone selects the theorems and the master seed.
+``gibbslab run CONFIG [--out DIR]`` runs a configuration, one point
+after another; the configuration alone selects the theorems and the
+master seed.
 Exit codes: 0 all assertions pass, 1 assertion failure, 2 configuration
 error (also a usage error), 3 numerical/oracle error.
 """
@@ -27,7 +28,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute an experiment configuration")
     run.add_argument("config", help="path to the JSON configuration file")
     run.add_argument("--out", help="output directory (default: the config's output_dir)")
-    run.add_argument("--workers", type=int, default=1, help="concurrent sweep points")
 
     val = sub.add_parser("validate", help="validate a configuration and exit")
     val.add_argument("config", help="path to the JSON configuration file")
@@ -38,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    result = run_experiment(cfg, out_dir=args.out, workers=max(1, args.workers))
+    result = run_experiment(cfg, out_dir=args.out)
     n_fail = sum(1 for r in result.rows if r["passed"] is False)
     print(f"wrote {result.run_dir} ({len(result.rows)} rows, {n_fail} failures)")
     for row in result.rows:
@@ -57,14 +57,11 @@ def _cmd_list_landscapes() -> int:
     print("landscapes:")
     for name in sorted(BUILTIN_LANDSCAPES):
         factory = BUILTIN_DATA_MODELS.get(name, BUILTIN_LANDSCAPES[name])
-        try:
-            params = ", ".join(
-                p
-                for p, spec in inspect.signature(factory).parameters.items()
-                if spec.kind is not inspect.Parameter.VAR_KEYWORD
-            )
-        except (TypeError, ValueError):
-            params = "..."
+        params = ", ".join(
+            p
+            for p, spec in inspect.signature(factory).parameters.items()
+            if spec.kind is not inspect.Parameter.VAR_KEYWORD
+        )
         print(f"  {name}({params})")
     print("data models:")
     for name in sorted(BUILTIN_DATA_MODELS):

@@ -19,7 +19,6 @@ import platform
 import resource
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -28,7 +27,7 @@ import numpy as np
 import scipy
 
 from . import bounds as bnd
-from .errors import ConfigError, GibbslabError, ResolutionError
+from .errors import ArgumentError, ConfigError, GibbslabError, ResolutionError
 from .landscapes import (
     BUILTIN_DATA_MODELS,
     BUILTIN_LANDSCAPES,
@@ -91,7 +90,7 @@ CSV_COLUMNS = [
 
 _SCHEMA = {
     "landscape": {"name", "params"},
-    "gibbs": {"gamma", "ridge", "m", "loss_bound", "sigma"},
+    "gibbs": {"gamma", "ridge", "m"},
     "radius": {"relative", "tuning_p"},
     "sampler": {"steps"},
     "oracle": {"nodes_per_dim", "mc_trials"},
@@ -99,7 +98,7 @@ _SCHEMA = {
 _TOP_KEYS = {"landscape", "gibbs", "radius", "sampler", "oracle", "theorems", "master_seed", "output_dir"}
 
 _DEFAULTS = {
-    "gibbs": {"ridge": 0.0, "loss_bound": None, "sigma": None},
+    "gibbs": {"ridge": 0.0},
     "sampler": {"steps": 100_000},
     "oracle": {"nodes_per_dim": 0, "mc_trials": 200},
 }
@@ -114,8 +113,6 @@ class ExperimentConfig:
     gammas: tuple[float, ...]
     ridges: tuple[float, ...]
     ms: tuple[int, ...]
-    loss_bound: float | None
-    sigma: float | None
     radius_mode: str  # "relative" | "tuning_p"
     radius_values: tuple[float, ...]
     sampler: dict
@@ -221,15 +218,6 @@ def validate_config(raw: dict) -> ExperimentConfig:
         problems.append("gibbs.ridge: entries must be nonnegative")
     if any(v < 1 for v in ms):
         problems.append("gibbs.m: entries must be >= 1")
-    # None selects the landscape's M and the Hoeffding σ = M/2
-    scalars = {}
-    for key in ("loss_bound", "sigma"):
-        value = gibbs[key]
-        if value is not None:
-            value = _number(value, f"gibbs.{key}", problems)
-            if value is not None and value <= 0:
-                problems.append(f"gibbs.{key}: must be positive")
-        scalars[key] = value
 
     radius = sections["radius"]
     modes = [k for k in ("relative", "tuning_p") if radius.get(k) is not None]
@@ -272,9 +260,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
     else:
         master_seed = _number(raw["master_seed"], "master_seed", problems, int)
     sampler = {**_DEFAULTS["sampler"], **sections["sampler"]}
-    steps = sampler["steps"]
-    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
-        problems.append("sampler.steps: must be an integer >= 1")
+    sampler["steps"] = _number(sampler["steps"], "sampler.steps", problems, int)
+    if sampler["steps"] is not None and sampler["steps"] < 1:
+        problems.append("sampler.steps: must be >= 1")
     given = {**_DEFAULTS["oracle"], **sections["oracle"]}
     oracle = {
         key: _number(given[key], f"oracle.{key}", problems, int) for key in _DEFAULTS["oracle"]
@@ -323,8 +311,6 @@ def validate_config(raw: dict) -> ExperimentConfig:
         gammas=tuple(gammas),
         ridges=tuple(ridges),
         ms=tuple(ms),
-        loss_bound=scalars["loss_bound"],
-        sigma=scalars["sigma"],
         radius_mode=radius_mode,
         radius_values=radius_values,
         sampler=sampler,
@@ -584,16 +570,9 @@ def _evaluate_point(cfg: ExperimentConfig, landscape, gamma, ridge) -> tuple[lis
         if theorems
         else ([], None)
     )
-    loss_bound = cfg.loss_bound if cfg.loss_bound is not None else landscape.loss_bound
     rows: list[dict] = []
     for m in cfg.ms:
-        gconf = bnd.GibbsConfig(
-            gamma=gamma,
-            ridge=ridge,
-            m=m,
-            loss_bound=loss_bound,
-            sigma=cfg.sigma,
-        )
+        gconf = bnd.GibbsConfig(gamma=gamma, ridge=ridge, m=m, loss_bound=landscape.loss_bound)
         for r, p, point in shares:
             pt = point._replace(gconf=gconf)
             for theorem in theorems:
@@ -685,24 +664,22 @@ def _next_run_dir(base: Path) -> Path:
 def run_experiment(
     cfg: ExperimentConfig, out_dir: str | Path | None = None, workers: int = 1
 ) -> RunResult:
-    """Execute every configuration point and write ``report.csv``,
-    ``report.json`` and ``run_meta.json`` into a fresh ``run-NNNN``
-    directory under ``out_dir`` (default: the config's ``output_dir``).
-
-    (γ, λ) points run concurrently up to ``workers``; output rows are
-    ordered by their configuration key, independent of completion order.
+    """Execute every configuration point, one after another, and write
+    ``report.csv``, ``report.json`` and ``run_meta.json`` into a fresh
+    ``run-NNNN`` directory under ``out_dir`` (default: the config's
+    ``output_dir``). Output rows are ordered by their configuration key.
+    ``workers`` must be 1.
     """
+    # kept only because bench/worker.py passes workers=1
+    if workers != 1:
+        raise ArgumentError(f"workers must be 1, got {workers!r}")
     start = time.time()
     landscape = make_landscape(cfg.landscape_name, **cfg.landscape_params)
-    points = [(gamma, ridge) for gamma in cfg.gammas for ridge in cfg.ridges]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_evaluate_point, cfg, landscape, *pt) for pt in points
-            ]
-            results = [fut.result() for fut in futures]
-    else:
-        results = [_evaluate_point(cfg, landscape, *pt) for pt in points]
+    results = [
+        _evaluate_point(cfg, landscape, gamma, ridge)
+        for gamma in cfg.gammas
+        for ridge in cfg.ridges
+    ]
     rows = [row for point_rows, _ in results for row in point_rows]
     rows.extend(_monotone_series_rows(cfg, rows))
     rows.sort(key=lambda r: (r["theorem"], r["key"]))

@@ -99,7 +99,8 @@ class MinimumDescriptor:
     the local Hessian-Lipschitz constant L(r) on the curvature ellipsoid
     (``lipschitz_estimate``, once per radius: 0, a closed form, or in d = 1
     a grid scan); ``lipschitz_is_estimate`` flags the grid scan, which may
-    under-estimate the supremum.
+    under-estimate the supremum. ``domain_box`` is the landscape's (d, 2)
+    box, which bounds a lone minimum's ellipsoid (``disjoint_radius``).
     """
 
     index: int
@@ -111,7 +112,7 @@ class MinimumDescriptor:
     is_global: bool
     lipschitz: Callable[[float], float]
     lipschitz_is_estimate: bool
-    domain_box: np.ndarray | None = None
+    domain_box: np.ndarray
 
     def ellipsoid(self, r: float) -> EllipsoidSpec:
         return EllipsoidSpec(center=self.location, metric=self.reg_hessian, radius=float(r))
@@ -409,10 +410,6 @@ def disjoint_radius(minima: list[MinimumDescriptor]) -> float:
         raise ArgumentError("need at least one minimum")
     if len(minima) == 1:
         m = minima[0]
-        if m.domain_box is None:
-            raise ArgumentError(
-                "single-minimum disjoint radius needs the descriptor's domain box"
-            )
         inv = np.linalg.inv(m.reg_hessian)
         axis_extent = np.sqrt(np.diagonal(inv))
         slack = np.minimum(

@@ -120,16 +120,11 @@ def target_from_landscape(landscape: Landscape, ridge: float) -> GibbsTarget:
 
 def default_step_size(target: GibbsTarget, gamma: float) -> float:
     """Step-size heuristic 0.5/(γ·ρ(H)), with ρ(H) the largest absolute
-    eigenvalue of the Hessian H of f at the chain's start.
-
-    H is the declared Hessian of a quadratic target and otherwise the
-    target's regularized Hessian at the box centre, where every chain
-    starts; ρ(H) is floored at 1e-12.
+    eigenvalue of the target's regularized Hessian H at the box centre,
+    where every chain starts (for a quadratic target, its one Hessian);
+    ρ(H) is floored at 1e-12.
     """
-    if target.quadratic is not None:
-        h = target.quadratic[1]
-    else:
-        h = target.hessian(target.domain_box.mean(axis=1))
+    h = target.hessian(target.domain_box.mean(axis=1))
     lam_max = max(float(np.abs(np.linalg.eigvalsh(h)).max()), 1e-12)
     return 0.5 / (gamma * lam_max)
 

@@ -87,7 +87,8 @@ def build_descriptor(
     index: int = 0,
     domain_box=None,
 ) -> MinimumDescriptor:
-    """Fabricate a MinimumDescriptor for pure-formula tests."""
+    """Fabricate a MinimumDescriptor for pure-formula tests; the domain box
+    defaults to half-width 10 around the location."""
     location = np.atleast_1d(np.asarray(location, dtype=float))
     hessian = np.atleast_2d(np.asarray(hessian, dtype=float))
     d = location.shape[0]
@@ -105,5 +106,9 @@ def build_descriptor(
         is_global=is_global,
         lipschitz=lipschitz,
         lipschitz_is_estimate=False,
-        domain_box=None if domain_box is None else np.asarray(domain_box, dtype=float),
+        domain_box=(
+            np.column_stack([location - 10.0, location + 10.0])
+            if domain_box is None
+            else np.asarray(domain_box, dtype=float)
+        ),
     )

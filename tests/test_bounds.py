@@ -89,7 +89,8 @@ class TestTaylorApproximationError:
 
 class TestGeneralizationBound:
     def test_theorem_variant(self):
-        cfg = config(sigma=1.0, gen_bound_variant="theorem")
+        # σ = M/2 = 1
+        cfg = config(loss_bound=2.0, gen_bound_variant="theorem")
         assert generalization_bound(cfg) == pytest.approx(0.4)
 
     def test_hoeffding_variant(self):
@@ -100,8 +101,9 @@ class TestGeneralizationBound:
         assert generalization_bound(config(m=10**12)) < 1e-10
 
     def test_default_sigma_is_half_loss_bound(self):
-        cfg = config(loss_bound=4.0)
-        assert cfg.effective_sigma == 2.0
+        # the theorem variant 4σ²γ/m with σ = M/2 is M²γ/m
+        cfg = config(loss_bound=4.0, gen_bound_variant="theorem")
+        assert generalization_bound(cfg) == pytest.approx(16.0 * cfg.gamma / cfg.m)
 
     def test_variants_differ_by_factor_two_at_default_sigma(self):
         t = generalization_bound(config(gen_bound_variant="theorem"))

@@ -6,7 +6,7 @@ import pytest
 
 import gibbslab.cli as cli
 import gibbslab.harness as harness
-from gibbslab.errors import ConfigError, ResolutionError
+from gibbslab.errors import ArgumentError, ConfigError, ResolutionError
 from gibbslab.harness import (
     CSV_COLUMNS,
     THEOREMS,
@@ -66,9 +66,10 @@ MALFORMED = [
             "oracle": {"mc_trials": 10},
         },
     ),
-    ("gibbs.loss_bound", "", _gibbs(loss_bound=-1)),
-    ("gibbs.sigma", "", _gibbs(sigma=0.0)),
     ("sampler.steps", "", lambda raw: {**raw, "sampler": {"steps": True}}),
+    ("sampler.steps", "zero", lambda raw: {**raw, "sampler": {"steps": 0}}),
+    ("sampler.steps", "fractional", lambda raw: {**raw, "sampler": {"steps": 2.5}}),
+    ("sampler.steps", "string", lambda raw: {**raw, "sampler": {"steps": "400"}}),
     ("gibbs.m", "", _gibbs(m=[True])),
     ("gibbs.m", "fractional", _gibbs(m=[1.5])),
     ("gibbs.m", "string", _gibbs(m=["1000"])),
@@ -117,13 +118,18 @@ class TestValidation:
         raw["gibbs"]["gen_bound_variant"] = "theorem"
         raw["radius"]["absolute"] = [0.1]
         raw["oracle"] = {"use_quadrature_weights": True}
+        # M and σ = M/2 are the landscape's; a config cannot override them
+        raw["gibbs"].update(loss_bound=-1, sigma=0.0)
         with pytest.raises(ConfigError) as err:
             validate_config(raw)
         text = str(err.value)
         assert "typo_section" in text and "gibbs.gamm" in text
         for key in ("kind", "step_size", "burn_in", "chains"):
             assert f"sampler.{key}: unknown key" in text
-        for path in ("gibbs.gen_bound_variant", "radius.absolute", "oracle.use_quadrature_weights"):
+        for path in (
+            "gibbs.gen_bound_variant", "radius.absolute", "oracle.use_quadrature_weights",
+            "gibbs.loss_bound", "gibbs.sigma",
+        ):
             assert f"{path}: unknown key" in text
 
     def test_all_violations_collected(self):
@@ -139,15 +145,16 @@ class TestValidation:
 
     def test_malformed_values_listed_together(self):
         raw = minimal_config(master_seed="abc", oracle={"nodes_per_dim": "lots"})
-        raw["gibbs"].update(gamma="abc", loss_bound=-1, sigma=-1.0)
+        raw["gibbs"].update(gamma="abc")
         raw["radius"] = {"relative": "abc"}
         with pytest.raises(ConfigError) as err:
             validate_config(raw)
         paths = {v.split(":")[0] for v in err.value.violations}
-        assert {
-            "gibbs.gamma", "radius.relative", "master_seed", "oracle.nodes_per_dim",
-            "gibbs.loss_bound", "gibbs.sigma",
-        } <= paths
+        assert {"gibbs.gamma", "radius.relative", "master_seed", "oracle.nodes_per_dim"} <= paths
+
+    def test_integral_sampler_steps_accepted(self):
+        cfg = validate_config(minimal_config(sampler={"steps": 400.0}))
+        assert cfg.sampler["steps"] == 400 and isinstance(cfg.sampler["steps"], int)
 
     def test_tuned_radius_validated_per_gamma(self):
         raw = minimal_config(radius={"tuning_p": [1.0 / 3.0]})
@@ -208,15 +215,11 @@ class TestRunExperiment:
             b.run_dir / "report.csv"
         ).read_bytes()
 
-    def test_workers_do_not_change_output(self, tmp_path):
-        raw = minimal_config()
-        raw["gibbs"]["gamma"] = [5.0, 20.0, 80.0]
-        cfg = validate_config(raw)
-        serial = run_experiment(cfg, out_dir=tmp_path / "serial", workers=1)
-        threaded = run_experiment(cfg, out_dir=tmp_path / "threads", workers=3)
-        assert (serial.run_dir / "report.csv").read_bytes() == (
-            threaded.run_dir / "report.csv"
-        ).read_bytes()
+    def test_only_one_worker(self, tmp_path):
+        cfg = validate_config(minimal_config())
+        with pytest.raises(ArgumentError, match="workers"):
+            run_experiment(cfg, out_dir=tmp_path, workers=2)
+        assert not tmp_path.joinpath("run-0001").exists()
 
     def test_one_quadrature_pass_per_gamma_ridge(self, tmp_path, monkeypatch):
         points = []
@@ -403,7 +406,9 @@ class TestCli:
         assert {row["theorem"] for row in report["rows"]} == {"local_excess"}
 
     @pytest.mark.parametrize(
-        "flag", [["--seed", "1"], ["--theorem", "local_excess"]], ids=["--seed", "--theorem"]
+        "flag",
+        [["--seed", "1"], ["--theorem", "local_excess"], ["--workers", "2"]],
+        ids=["--seed", "--theorem", "--workers"],
     )
     def test_removed_run_flags_exit_2(self, flag, tmp_path, capsys):
         path = tmp_path / "cfg.json"

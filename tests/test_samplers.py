@@ -110,6 +110,32 @@ class TestSgld:
         tgt = target_from_landscape(landscape, 0.0)
         assert default_step_size(tgt, gamma) == 0.5 / (gamma * abs(curvature))
 
+    @pytest.mark.parametrize("ridge", [0.0, 0.05, 0.1])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: quadratic_landscape(1),
+            lambda: quadratic_landscape(matrix=[[3.0, 1.0], [1.0, 0.5]]),
+            lambda: quadratic_landscape(matrix=np.diag([0.2, 1.0, 7.0])),
+            lambda: rls_data_model().landscape,
+            lambda: empirical_landscape(
+                rls_data_model(),
+                rls_data_model().sample_examples(np.random.default_rng(3), 25),
+            ),
+            lambda: empirical_landscape(
+                constant_loss_data_model(quadratic_landscape(2)), np.zeros((5, 1))
+            ),
+        ],
+        ids=["quadratic_d1", "quadratic_d2_aniso", "quadratic_d3_diag", "rls",
+             "empirical_rls", "constant_loss_quadratic"],
+    )
+    def test_step_size_of_quadratic_target_reads_its_hessian(self, make, ridge):
+        # a constant Hessian: the one at the box centre is the declared one
+        tgt = target_from_landscape(make(), ridge)
+        assert tgt.quadratic is not None
+        rho = float(np.abs(np.linalg.eigvalsh(tgt.quadratic[1])).max())
+        assert default_step_size(tgt, 20.0) == 0.5 / (20.0 * rho)
+
 
 def metropolis_one_at_a_time(target, gamma, eta, steps, burn_in, seed, restart):
     """The Metropolis chain over sample_chain's documented block stream,
