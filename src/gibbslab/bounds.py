@@ -182,16 +182,23 @@ def local_excess_bound(
     hoeffding_stated variant gen = M²γ/(2m), reproducing the theorem's
     display exactly.
     """
-    gamma, loss_bound = config.gamma, config.loss_bound
-    eps = taylor_approximation_error(minimum, r, config.ridge)
+    trace = effective_dimension(minimum.hessian, config.ridge)
+    terms = _excess_terms(trace, taylor_approximation_error(minimum, r, config.ridge), config)
+    return BoundReport(terms=terms, total=sum(terms.values()))
+
+
+def _excess_terms(trace: float, eps: float, config: GibbsConfig) -> dict[str, float]:
+    """The four terms tr/γ, ε/6, (M/2)√(γε/3 + γ·gen) and gen shared by the
+    local and global excess bounds, for a trace tr(H(H+2λI)⁻¹) and a Taylor
+    error ε."""
+    gamma = config.gamma
     gen = generalization_bound(config)
-    terms = {
-        "effective_dimension": effective_dimension(minimum.hessian, config.ridge) / gamma,
+    return {
+        "effective_dimension": trace / gamma,
         "taylor": eps / 6.0,
-        "sqrt": 0.5 * loss_bound * math.sqrt(gamma * eps / 3.0 + gamma * gen),
+        "sqrt": 0.5 * config.loss_bound * math.sqrt(gamma * eps / 3.0 + gamma * gen),
         "generalization": gen,
     }
-    return BoundReport(terms=terms, total=sum(terms.values()))
 
 
 def _log_sqrt_det(minimum: MinimumDescriptor) -> float:
@@ -337,21 +344,10 @@ def global_excess_bound(
     if w.shape != (len(minima),) or np.any(w < 0) or w.sum() <= 0:
         raise ArgumentError("weights must be a nonnegative vector over the minima")
     w = w / w.sum()
-    gamma, loss_bound = config.gamma, config.loss_bound
-    eff_dims = np.array(
-        [effective_dimension(m.hessian, config.ridge) for m in minima]
-    )
+    eff_dims = np.array([effective_dimension(m.hessian, config.ridge) for m in minima])
     eps = np.array([taylor_approximation_error(m, r, config.ridge) for m in minima])
-    e_tr = float(w @ eff_dims)
-    e_eps = float(w @ eps)
-    gen = generalization_bound(config)
-    terms = {
-        "effective_dimension": e_tr / gamma,
-        "taylor": e_eps / 6.0,
-        "sqrt": 0.5 * loss_bound * math.sqrt(gamma * e_eps / 3.0 + gamma * gen),
-        "generalization": gen,
-        "complement": loss_bound * complement.clamped,
-    }
+    terms = _excess_terms(float(w @ eff_dims), float(w @ eps), config)
+    terms["complement"] = config.loss_bound * complement.clamped
     return BoundReport(terms=terms, total=sum(terms.values()))
 
 

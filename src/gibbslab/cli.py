@@ -4,7 +4,8 @@
 after another; the configuration alone selects the theorems and the
 master seed.
 Exit codes: 0 all assertions pass, 1 assertion failure, 2 configuration
-error (also a usage error), 3 numerical/oracle error.
+error (also a usage error, such as an unusable output directory),
+3 numerical/oracle error.
 """
 
 from __future__ import annotations
@@ -38,7 +39,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    result = run_experiment(cfg, out_dir=args.out)
+    try:
+        result = run_experiment(cfg, out_dir=args.out)
+    except OSError as exc:  # an output directory that cannot be made or written
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     n_fail = sum(1 for r in result.rows if r["passed"] is False)
     print(f"wrote {result.run_dir} ({len(result.rows)} rows, {n_fail} failures)")
     for row in result.rows:

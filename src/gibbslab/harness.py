@@ -31,6 +31,7 @@ from .errors import ArgumentError, ConfigError, GibbslabError, ResolutionError
 from .landscapes import (
     BUILTIN_DATA_MODELS,
     BUILTIN_LANDSCAPES,
+    Landscape,
     MinimumDescriptor,
     disjoint_radius,
     enumerate_minima,
@@ -106,7 +107,10 @@ _DEFAULTS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description; ``raw`` is its canonical dict form."""
+    """Validated experiment description; ``raw`` is its canonical dict form.
+    ``landscape`` is the one landscape that validation builds from the name
+    and params; the run reads it and its ``minima``, so both see one object.
+    """
 
     landscape_name: str
     landscape_params: dict
@@ -123,6 +127,7 @@ class ExperimentConfig:
     raw: dict = field(repr=False)
     # ridge -> the minima enumerated for the r0 check, reused by the run
     minima: dict = field(default_factory=dict, repr=False, compare=False)
+    landscape: Landscape | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -320,6 +325,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         output_dir=str(raw.get("output_dir") or "runs"),
         raw=raw,
         minima=minima,
+        landscape=landscape,
     )
 
 
@@ -358,26 +364,9 @@ def _base_row(cfg: ExperimentConfig, theorem: str, gamma, ridge, m, r, p, idx=No
     if idx is not None:
         key_parts.append(f"i={idx}")
     return {
-        "theorem": theorem,
-        "key": ";".join(key_parts),
-        "variant": "",
-        "minimum_index": idx,
-        "gamma": gamma,
-        "ridge": ridge,
-        "m": m,
-        "radius": r,
-        "tuning_p": p,
-        "bound_total": None,
-        "bound_secondary": None,
-        "term_effective_dimension": None,
-        "term_taylor": None,
-        "term_sqrt": None,
-        "term_generalization": None,
-        "term_complement": None,
-        "oracle_value": None,
-        "margin": None,
-        "stat_allowance": None,
-        "passed": None,
+        **dict.fromkeys(CSV_COLUMNS),
+        "theorem": theorem, "key": ";".join(key_parts), "variant": "", "minimum_index": idx,
+        "gamma": gamma, "ridge": ridge, "m": m, "radius": r, "tuning_p": p,
         "master_seed": cfg.master_seed,
     }
 
@@ -389,11 +378,11 @@ def _radius_points(cfg: ExperimentConfig, gamma: float, r0: float):
 
 
 class _Point(NamedTuple):
-    """One (γ, λ, m, r): the bound inputs and this radius's share of the
-    (γ, λ) Gibbs measure, per minimum i where indexed."""
+    """One (γ, λ, m, r): the bound inputs, this radius's share of the
+    (γ, λ) Gibbs measure, per minimum i where indexed, and the minima
+    distribution bound (None unless a theorem reads it)."""
 
     minima: list[MinimumDescriptor]
-    gconf: bnd.GibbsConfig | None
     r: float
     log_z: float
     masses: np.ndarray  # of ellipsoid i
@@ -401,6 +390,8 @@ class _Point(NamedTuple):
     complement: float  # outside every ellipsoid
     global_excess: float | None  # E[R] − Σ weightᵢ·R(w*ᵢ)
     excess: np.ndarray | None  # E[R | ellipsoid i] − R(w*ᵢ)
+    gconf: bnd.GibbsConfig | None = None
+    distribution: bnd.MinimaDistribution | None = None
 
 
 def _from_report(report: bnd.BoundReport) -> tuple:
@@ -412,12 +403,11 @@ def _within_allowance(row: dict) -> bool:
 
 
 def _pseudo_excess(pt: _Point, _) -> float:
-    pi_inf = bnd.minima_distribution(pt.minima, pt.gconf, pt.r).pi_infinity
-    return sum(w * pt.excess[i] for i, w in enumerate(pi_inf) if w != 0.0)
+    return sum(w * pt.excess[i] for i, w in enumerate(pt.distribution.pi_infinity) if w != 0.0)
 
 
 def _minima_bound(pt: _Point, mn: MinimumDescriptor) -> tuple:
-    dist = bnd.minima_distribution(pt.minima, pt.gconf, pt.r)
+    dist = pt.distribution
     return float(dist.upper_bounds[mn.index]), float(dist.pi_infinity[mn.index]), {}
 
 
@@ -497,12 +487,12 @@ def _coordinate_potential(risk_k, ridge: float):
 
 
 def _radius_shares(cfg, landscape, minima, gamma, ridge, r0, theorems) -> tuple[list, dict]:
-    """Per swept radius: (r, p, point without gconf), all read from one
-    Gibbs measure whose regions are every minimum's ellipsoid at every r;
-    and how that measure was computed: its method (the ``product`` oracle
-    for a landscape that declares coordinate risks in d ≥ 2, the
-    ``tensor`` grid otherwise), the nodes per axis of both passes and its
-    wall seconds."""
+    """Per swept radius: (r, p, point without gconf or distribution), all
+    read from one Gibbs measure whose regions are every minimum's ellipsoid
+    at every r; and how that measure was computed: its method (the
+    ``product`` oracle for a landscape that declares coordinate risks in
+    d ≥ 2, the ``tensor`` grid otherwise), the nodes per axis of both
+    passes and its wall seconds."""
     radii = _radius_points(cfg, gamma, r0)
     product = landscape.coordinate_risks is not None and landscape.dimension >= 2
     nodes = _auto_nodes(landscape, minima, gamma, cfg.oracle["nodes_per_dim"], not product)
@@ -546,7 +536,6 @@ def _radius_shares(cfg, landscape, minima, gamma, ridge, r0, theorems) -> tuple[
             global_excess = measure.conditional["risk"] - anchor
         point = _Point(
             minima=minima,
-            gconf=None,
             r=r,
             log_z=measure.log_z,
             masses=masses,
@@ -559,10 +548,11 @@ def _radius_shares(cfg, landscape, minima, gamma, ridge, r0, theorems) -> tuple[
     return shares, quadrature
 
 
-def _evaluate_point(cfg: ExperimentConfig, landscape, gamma, ridge) -> tuple[list[dict], dict | None]:
+def _evaluate_point(cfg: ExperimentConfig, data_model, gamma, ridge) -> tuple[list[dict], dict | None]:
     """Rows of every m and radius at one (γ, λ), and how its quadrature
-    measure was computed (None without one); m enters only the bounds."""
-    minima = cfg.minima[ridge]
+    measure was computed (None without one); m enters only the bounds.
+    ``data_model`` is the run's one, or None without generalization rows."""
+    landscape, minima = cfg.landscape, cfg.minima[ridge]
     r0 = disjoint_radius(minima)
     theorems = [t for t in cfg.theorems if t in _TABLE]
     shares, quadrature = (
@@ -570,24 +560,25 @@ def _evaluate_point(cfg: ExperimentConfig, landscape, gamma, ridge) -> tuple[lis
         if theorems
         else ([], None)
     )
+    needs_distribution = {"minima_distribution", "pseudo_excess"} & set(theorems)
     rows: list[dict] = []
     for m in cfg.ms:
         gconf = bnd.GibbsConfig(gamma=gamma, ridge=ridge, m=m, loss_bound=landscape.loss_bound)
         for r, p, point in shares:
-            pt = point._replace(gconf=gconf)
+            dist = bnd.minima_distribution(minima, gconf, r) if needs_distribution else None
+            pt = point._replace(gconf=gconf, distribution=dist)
             for theorem in theorems:
                 per_minimum, bound, oracle, passes = _TABLE[theorem]
                 for mn in minima if per_minimum else [None]:
                     idx = None if mn is None else mn.index
                     row = _base_row(cfg, theorem, gamma, ridge, m, r, p, idx)
                     rows.append(_finish(row, *bound(pt, mn), oracle(pt, mn), 0.0, passes))
-        if "generalization" in cfg.theorems:
-            rows += _generalization_rows(cfg, gconf)
+        if data_model is not None:
+            rows += _generalization_rows(cfg, data_model, gconf)
     return rows, quadrature
 
 
-def _generalization_rows(cfg: ExperimentConfig, gconf: bnd.GibbsConfig) -> list[dict]:
-    data_model = make_data_model(cfg.landscape_name, **cfg.landscape_params)
+def _generalization_rows(cfg: ExperimentConfig, data_model, gconf: bnd.GibbsConfig) -> list[dict]:
     estimate = empirical_generalization_gap(
         data_model,
         gconf.gamma,
@@ -674,9 +665,13 @@ def run_experiment(
     if workers != 1:
         raise ArgumentError(f"workers must be 1, got {workers!r}")
     start = time.time()
-    landscape = make_landscape(cfg.landscape_name, **cfg.landscape_params)
+    data_model = (
+        make_data_model(cfg.landscape_name, **cfg.landscape_params)
+        if "generalization" in cfg.theorems
+        else None
+    )
     results = [
-        _evaluate_point(cfg, landscape, gamma, ridge)
+        _evaluate_point(cfg, data_model, gamma, ridge)
         for gamma in cfg.gammas
         for ridge in cfg.ridges
     ]

@@ -612,7 +612,7 @@ def product_measure(
     potentials: Sequence[Callable[[np.ndarray], np.ndarray]],
     gamma: float,
     domain_box,
-    nodes_per_dim,
+    nodes_per_dim: int,
     regions: Sequence[EllipsoidSpec] = (),
     integrands: dict[str, Sequence[Callable[[np.ndarray], np.ndarray]]] | None = None,
 ) -> QuadratureMeasure:
@@ -622,8 +622,8 @@ def product_measure(
     ``potentials[k]`` maps an array of coordinate-k values to φₖ, and each
     integrand is given the same way, as its d coordinate pieces gₖ with
     g(w) = Σₖ gₖ(wₖ). log Z and the box expectations are sums of 1-d
-    composite Gauss-Legendre integrals of ``nodes_per_dim`` nodes per axis
-    (an int or one count per axis). Regions must be axis-aligned ellipsoids
+    composite Gauss-Legendre integrals of ``nodes_per_dim`` nodes on every
+    axis (one int for all axes). Regions must be axis-aligned ellipsoids
     (diagonal metric) whose metric is the curvature of the well they cover.
     Within any slice that fixes the coordinates before k, the extents along
     k of the regions of one radius must be equal or disjoint, else
@@ -654,11 +654,9 @@ def product_measure(
         metric = np.asarray(e.metric, dtype=float)
         if np.any(metric != np.diag(np.diagonal(metric))):
             raise ArgumentError("the product rule needs axis-aligned regions (diagonal metric)")
-    if np.ndim(nodes_per_dim) == 0:
-        counts = [int(nodes_per_dim)] * d
-    else:
-        counts = [int(n) for n in nodes_per_dim]
-    coarse = _product_pass(potentials, integrands, gamma, box, counts, regions, 1)
+    coarse = _product_pass(
+        potentials, integrands, gamma, box, [int(nodes_per_dim)] * d, regions, 1
+    )
     doubled = [2 * n for n in coarse.nodes_per_axis]
     fine = _product_pass(potentials, integrands, gamma, box, doubled, regions, 2)
     _check_doubling(coarse, fine, coarse.nodes_per_axis)

@@ -14,14 +14,32 @@ from scipy.special import gammainc, gammaincinv, roots_legendre
 from gibbslab.landscapes import MinimumDescriptor
 
 
-def ball_quadrature(fn, r: float, d: int, order: int = 64) -> float:
+def _legendre_rule(order: int, width: float | None):
+    """Gauss-Legendre nodes and weights on [-1, 1]: one rule of ``order``
+    nodes or, with ``width`` below 1, a composite rule of ``order`` nodes
+    per panel on the panels between 0, ±width, ±2·width, ±4·width,
+    ±8·width and ±1, which resolve an integrand of that width about 0."""
+    x_gl, w_gl = roots_legendre(order)
+    if width is None or width >= 1.0:
+        return x_gl, w_gl
+    inner = [k * width for k in (1.0, 2.0, 4.0, 8.0) if k * width < 1.0]
+    edges = np.array([-1.0, *(-e for e in reversed(inner)), 0.0, *inner, 1.0])
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return (mid + half * x_gl).ravel(), (half * w_gl).ravel()
+
+
+def ball_quadrature(fn, r: float, d: int, order: int = 64, width: float | None = None) -> float:
     """Integrate fn over the d-ball of radius r with mapped tensor GL rules.
 
     The ball is parameterized so the integrand stays smooth: in 2-d,
     x = r·sinθ, y = t·r·cosθ with Jacobian r²cos²θ; 3-d adds an outer
     slice coordinate z = r·sinφ. fn takes an (n, d) array of points.
+    With ``width``, the scale about the centre on which fn varies, each
+    mapped coordinate takes a composite rule of ``order`` nodes per panel
+    whose panels resolve width/r about its middle (``_legendre_rule``).
     """
-    x_gl, w_gl = roots_legendre(order)
+    x_gl, w_gl = _legendre_rule(order, None if width is None else width / r)
 
     if d == 1:
         nodes = (r * x_gl)[:, None]

@@ -247,6 +247,60 @@ class TestRunExperiment:
         assert sum(points) == 400**2 + 800**2
         assert {r["m"] for r in result.rows} == {100, 1000}
 
+    def test_one_landscape_per_run(self, tmp_path, monkeypatch):
+        built = []
+        make_landscape = harness.make_landscape
+
+        def counting_landscape(*args, **kwargs):
+            built.append(args)
+            return make_landscape(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "make_landscape", counting_landscape)
+        cfg = validate_config(minimal_config())
+        run_experiment(cfg, out_dir=tmp_path)
+        assert len(built) == 1
+
+    def test_one_data_model_per_run(self, tmp_path, monkeypatch):
+        built = []
+        make_data_model = harness.make_data_model
+
+        def counting_data_model(*args, **kwargs):
+            built.append(args)
+            return make_data_model(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "make_data_model", counting_data_model)
+        raw = minimal_config(
+            landscape={"name": "rls", "params": {}},
+            theorems=["generalization"],
+            sampler={"steps": 50},
+            oracle={"mc_trials": 50},
+        )
+        raw["gibbs"] = {"gamma": [1.0, 10.0], "ridge": 0.1, "m": [100]}
+        result = run_experiment(validate_config(raw), out_dir=tmp_path)
+        assert len({row["gamma"] for row in result.rows}) == 2
+        assert len(built) == 1
+
+    def test_one_minima_distribution_per_point(self, tmp_path, monkeypatch):
+        calls = []
+        minima_distribution = harness.bnd.minima_distribution
+
+        def counting_distribution(*args, **kwargs):
+            calls.append(args)
+            return minima_distribution(*args, **kwargs)
+
+        monkeypatch.setattr(harness.bnd, "minima_distribution", counting_distribution)
+        raw = minimal_config(
+            landscape={"name": "double_well", "params": {"dimension": 1}},
+            theorems=[t for t in THEOREMS if t != "generalization"],
+        )
+        raw["gibbs"] = {"gamma": [20.0, 100.0], "ridge": 0.0, "m": [100]}
+        raw["radius"] = {"relative": [0.3, 0.6]}
+        result = run_experiment(validate_config(raw), out_dir=tmp_path)
+        points = {(row["gamma"], row["radius"]) for row in result.rows}
+        assert len(points) == 4
+        # one for the point's two table entries, one inside pseudo_excess_bound
+        assert len(calls) == 2 * len(points)
+
     @pytest.mark.parametrize(
         "landscape, method, nodes",
         [
@@ -418,6 +472,18 @@ class TestCli:
         assert exit_.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "out", [lambda f: f, lambda f: f / "runs"], ids=["existing_file", "under_a_file"]
+    )
+    def test_unusable_output_directory_exit_2(self, out, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_config()))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert cli.main(["run", str(path), "--out", str(out(blocker))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error:") and "Traceback" not in err
 
     def test_numerical_error_exit_3(self, tmp_path, monkeypatch):
         path = tmp_path / "cfg.json"
