@@ -352,18 +352,27 @@ def global_excess_bound(
 
 
 def pseudo_excess_bound(
-    minima: Sequence[MinimumDescriptor], config: GibbsConfig, r: float
+    minima: Sequence[MinimumDescriptor],
+    config: GibbsConfig,
+    r: float,
+    pi_infinity: np.ndarray,
 ) -> BoundReport:
     """Asymptotic pseudo excess risk bound: π_∞-average of the local bounds.
 
     The localized bound is applied at each minimum and averaged exactly
-    under the closed-form zero-temperature distribution π_∞, so each
-    reported term is the π_∞-expectation of the corresponding local term.
+    under the zero-temperature distribution ``pi_infinity`` over the
+    minima (``minima_distribution(minima, config, r).pi_infinity``), so
+    each reported term is the π_∞-expectation of the corresponding local
+    term.
     """
     if r < 0.0:
         raise ArgumentError(f"radius must be nonnegative, got r={r}")
-    dist = minima_distribution(minima, config, r)
-    pi = dist.pi_infinity
+    pi = np.asarray(pi_infinity, dtype=float)
+    if pi.shape != (len(minima),):
+        raise ArgumentError(
+            f"pi_infinity must hold one weight per minimum, got shape {pi.shape} "
+            f"for {len(minima)} minima"
+        )
     terms = {
         "effective_dimension": 0.0,
         "taylor": 0.0,

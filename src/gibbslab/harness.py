@@ -447,7 +447,9 @@ _TABLE = {
     ),
     "pseudo_excess": (
         False,
-        lambda pt, _: _from_report(bnd.pseudo_excess_bound(pt.minima, pt.gconf, pt.r)),
+        lambda pt, _: _from_report(
+            bnd.pseudo_excess_bound(pt.minima, pt.gconf, pt.r, pt.distribution.pi_infinity)
+        ),
         _pseudo_excess,
         _within_allowance,
     ),
@@ -560,13 +562,20 @@ def _evaluate_point(cfg: ExperimentConfig, data_model, gamma, ridge) -> tuple[li
         if theorems
         else ([], None)
     )
-    needs_distribution = {"minima_distribution", "pseudo_excess"} & set(theorems)
+    gconfs = [
+        bnd.GibbsConfig(gamma=gamma, ridge=ridge, m=m, loss_bound=landscape.loss_bound)
+        for m in cfg.ms
+    ]
+    if {"minima_distribution", "pseudo_excess"} & set(theorems):
+        # the distribution reads γ, λ and r only: one per radius, for every m
+        shares = [
+            (r, p, point._replace(distribution=bnd.minima_distribution(minima, gconfs[0], r)))
+            for r, p, point in shares
+        ]
     rows: list[dict] = []
-    for m in cfg.ms:
-        gconf = bnd.GibbsConfig(gamma=gamma, ridge=ridge, m=m, loss_bound=landscape.loss_bound)
+    for m, gconf in zip(cfg.ms, gconfs):
         for r, p, point in shares:
-            dist = bnd.minima_distribution(minima, gconf, r) if needs_distribution else None
-            pt = point._replace(gconf=gconf, distribution=dist)
+            pt = point._replace(gconf=gconf)
             for theorem in theorems:
                 per_minimum, bound, oracle, passes = _TABLE[theorem]
                 for mn in minima if per_minimum else [None]:

@@ -4,6 +4,9 @@ Nothing here reuses the bound formulas it is meant to check. Quadrature
 is restricted to d ≤ 3. The tensor grid's time grows as n^d for n nodes
 per dimension, but it streams the grid in blocks of about 32k nodes, so
 its memory does not; its region masses converge spectrally only in d = 1.
+Nodes where the Gibbs density is exactly 0.0 in double precision are
+dropped before exp, so integrands and regions are read only where the
+density is nonzero.
 A separable potential gets the product rule instead, whose region masses
 and complements are nested 1-d rules that converge spectrally in d = 2
 and 3 as well. Monte-Carlo estimators return normal-approximation 95%
@@ -56,6 +59,10 @@ _PANEL_ORDER = 16
 _QUAD_BLOCK = 32768
 # (chain samples × examples) elements per block of the generalization gap
 _GAP_BLOCK = 32768
+# np.exp(x) is exactly 0.0 for every x at or below this cut (it underflows
+# below −745.1332), so a node whose exponent −γ(f − f_min) is there carries
+# no density; the subnormal band above it is computed
+_EXP_ZERO = -746.0
 
 
 @dataclass(frozen=True)
@@ -224,18 +231,26 @@ def _measure_on_grid(potential, gamma, grid, regions, integrands) -> QuadratureM
     f_min, bad = math.inf, 0
     for nodes, weights in grid.blocks():
         f = np.asarray(potential(nodes), dtype=float)
-        bad += f.size - int(np.count_nonzero(f > -math.inf))  # NaN or −inf
+        block_min = float(f.min())  # NaN if any value is NaN, −inf if any is −inf
+        if not block_min > -math.inf:
+            bad += f.size - int(np.count_nonzero(f > -math.inf))
         if bad:
             continue
-        block_min = float(f.min())
         if block_min == math.inf:  # no density anywhere in this block
             continue
         if block_min < f_min:
             acc *= math.exp(-gamma * (f_min - block_min))
             f_min = block_min
-        dens = f - f_min
-        dens *= -gamma
-        np.exp(dens, out=dens)
+        expo = f - f_min
+        expo *= -gamma
+        # only nodes whose density is nonzero are read from here on; a
+        # gather with take costs a fraction of a boolean mask's copy
+        live = np.flatnonzero(expo > _EXP_ZERO)
+        if not live.size:
+            continue
+        if live.size < expo.size:
+            nodes, weights, expo = nodes.take(live, axis=0), weights.take(live), expo.take(live)
+        dens = np.exp(expo, out=expo)
         dens *= weights
         masks = [np.asarray(e.contains(nodes), dtype=bool) for e in regions]
         sums = [dens.sum()]
@@ -310,6 +325,10 @@ def quadrature_measure(
 
     Each grid is read in one pass over blocks of about 32k nodes, so
     memory does not grow with the node count; time still grows as n^d.
+    Nodes where the density e^(−γ(f − f_min)) is exactly 0.0 (exponent at
+    or below −746) are dropped right after the potential, before exp:
+    integrands and regions are read only where the density is nonzero, so
+    a NaN or infinite integrand value at a zero-density node is never seen.
     """
     if not gamma > 0.0:
         raise ArgumentError(f"gamma must be positive, got {gamma}")
@@ -391,8 +410,8 @@ class _Axis:
 
     def _potential(self, x: np.ndarray) -> np.ndarray:
         f = np.asarray(self.potential(x), dtype=float)
-        bad = f.size - int(np.count_nonzero(f > -math.inf))  # NaN or −inf
-        if bad:
+        if not f.min(initial=math.inf) > -math.inf:  # NaN or −inf somewhere
+            bad = f.size - int(np.count_nonzero(f > -math.inf))
             raise ArgumentError(f"potential is NaN or -inf at {bad} of {f.size} axis nodes")
         return f
 

@@ -364,7 +364,8 @@ class TestPseudoExcessBound:
             build_descriptor([1.0], [[4.0]], index=1),
         ]
         cfg = config(loss_bound=1.0)
-        rep = pseudo_excess_bound(minima, cfg, r=0.5)
+        pi = minima_distribution(minima, cfg, r=0.5).pi_infinity
+        rep = pseudo_excess_bound(minima, cfg, r=0.5, pi_infinity=pi)
         local = local_excess_bound(minima[0], cfg, r=0.5)
         assert rep.total == pytest.approx(local.total, abs=1e-12)
         assert rep.terms["effective_dimension"] == pytest.approx(
@@ -379,13 +380,21 @@ class TestPseudoExcessBound:
             ),
         ]
         cfg = config()
-        rep = pseudo_excess_bound(minima, cfg, r=0.5)
+        pi = minima_distribution(minima, cfg, r=0.5).pi_infinity
+        rep = pseudo_excess_bound(minima, cfg, r=0.5, pi_infinity=pi)
         local = local_excess_bound(minima[0], cfg, r=0.5)
         assert rep.total == pytest.approx(local.total, abs=1e-12)
 
+    def test_pi_infinity_needs_one_weight_per_minimum(self):
+        minima = enumerate_minima(double_well_landscape(), 0.0)
+        with pytest.raises(ArgumentError, match="one weight per minimum"):
+            pseudo_excess_bound(minima, config(), r=0.5, pi_infinity=np.ones(len(minima) + 1))
+
     def test_total_is_sum_of_terms(self):
         minima = enumerate_minima(double_well_landscape(), 0.0)
-        rep = pseudo_excess_bound(minima, config(loss_bound=9.0), r=0.6)
+        cfg = config(loss_bound=9.0)
+        pi = minima_distribution(minima, cfg, r=0.6).pi_infinity
+        rep = pseudo_excess_bound(minima, cfg, r=0.6, pi_infinity=pi)
         assert rep.total == pytest.approx(sum(rep.terms.values()), abs=1e-12)
 
 
@@ -399,7 +408,9 @@ class TestBoundTotalsWellFormed:
                     reports = [
                         local_excess_bound(minima[0], cfg, r),
                         global_excess_bound(minima, cfg, r, np.ones(len(minima))),
-                        pseudo_excess_bound(minima, cfg, r),
+                        pseudo_excess_bound(
+                            minima, cfg, r, minima_distribution(minima, cfg, r).pi_infinity
+                        ),
                     ]
                     for rep in reports:
                         assert math.isfinite(rep.total)

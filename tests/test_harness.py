@@ -293,13 +293,14 @@ class TestRunExperiment:
             landscape={"name": "double_well", "params": {"dimension": 1}},
             theorems=[t for t in THEOREMS if t != "generalization"],
         )
-        raw["gibbs"] = {"gamma": [20.0, 100.0], "ridge": 0.0, "m": [100]}
+        raw["gibbs"] = {"gamma": [20.0, 100.0], "ridge": 0.0, "m": [100, 1000]}
         raw["radius"] = {"relative": [0.3, 0.6]}
         result = run_experiment(validate_config(raw), out_dir=tmp_path)
-        points = {(row["gamma"], row["radius"]) for row in result.rows}
+        assert {row["m"] for row in result.rows} == {100, 1000}
+        points = {(row["gamma"], row["ridge"], row["radius"]) for row in result.rows}
         assert len(points) == 4
-        # one for the point's two table entries, one inside pseudo_excess_bound
-        assert len(calls) == 2 * len(points)
+        # one per (γ, λ, r), shared by every m and by both table entries
+        assert len(calls) == len(points)
 
     @pytest.mark.parametrize(
         "landscape, method, nodes",

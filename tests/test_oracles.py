@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from gibbslab.landscapes import (
     rls_data_model,
     spline_double_well_landscape,
 )
+from gibbslab import oracles
 from gibbslab.oracles import (
     derivative_check,
     empirical_excess_risk,
@@ -41,6 +43,71 @@ from helpers import ball_quadrature
 
 def gaussian_potential(w):
     return 0.5 * np.sum(w * w, axis=-1)
+
+
+def _late_minimum_wells(d, gamma, counts):
+    """Two wells along the leading axis of width about 1/√γ, the lower one
+    placed in the last block of the doubled grid so the running minimum
+    drops late and every sum is rescaled; the other axes are smooth and
+    narrow region boundaries only along the leading axis sit where the
+    density is negligible, so the doubling check passes in d = 2 and 3 as
+    well. Returns the potential, box, regions and an integrand."""
+    box = np.array([[-2.0, 2.0]] + [[-1.0, 1.0]] * (d - 1))
+    probe = tensor_gauss_legendre(box, [2 * n for n in counts])
+    *_, (last_nodes, _) = probe.blocks()
+    low = np.r_[last_nodes[:, 0].mean(), np.zeros(d - 1)]
+    high = np.r_[-0.8, np.zeros(d - 1)]
+    metric = np.diag([1.0] + [1e-3] * (d - 1))
+    regions = [
+        EllipsoidSpec(center=high, metric=metric, radius=0.55),
+        EllipsoidSpec(center=low, metric=metric, radius=0.6),
+    ]
+
+    def pot(w):
+        well = lambda c: 0.5 * gamma * (w[:, 0] - c[0]) ** 2
+        side = 0.5 * np.sum(w[:, 1:] ** 2, axis=-1)
+        return -np.logaddexp(-well(high) - 2.0, -well(low)) / gamma + side / gamma
+
+    g = lambda w: w[:, 0] + np.sum(w * w, axis=-1)
+    return pot, box, regions, g
+
+
+def _assert_matches_whole_array(meas, pot, gamma, box, counts, regions, g):
+    """Every value of ``meas`` against numpy sums over the whole doubled
+    grid at rel 1e-12, with the running minimum shown to drop late."""
+    # the returned values are those of the doubled grid, which in d = 1
+    # also has panel edges on the region boundaries
+    d = len(counts)
+    edges = [[e.center[0] + s * e.radius for e in regions for s in (-1, 1)]]
+    fine = tensor_gauss_legendre(box, [2 * n for n in counts], edges if d == 1 else None)
+    blocks = list(fine.blocks())
+    assert len(blocks) > 1
+    f = pot(fine.nodes)
+    assert np.argmin(f) >= len(f) - len(blocks[-1][1])
+    assert f[: len(f) - len(blocks[-1][1])].min() > f.min()
+    dens = fine.weights * np.exp(-gamma * (f - f.min()))
+    total = dens.sum()
+    masks = [e.contains(fine.nodes) for e in regions]
+    gd = dens * g(fine.nodes)
+    assert meas.log_z == pytest.approx(np.log(total) - gamma * f.min(), rel=1e-12)
+    np.testing.assert_allclose(meas.masses, [dens[m].sum() / total for m in masks], rtol=1e-12)
+    for e, m in zip(regions, masks):
+        assert meas.complement_mass[e.radius] == pytest.approx(dens[~m].sum() / total, rel=1e-12)
+    assert meas.conditional["g"] == pytest.approx(gd.sum() / total, rel=1e-12)
+    np.testing.assert_allclose(
+        meas.region_conditional["g"], [gd[m].sum() / dens[m].sum() for m in masks], rtol=1e-12
+    )
+
+
+@dataclasses.dataclass(frozen=True)
+class _CountingRegion(EllipsoidSpec):
+    """An ellipsoid that records how many points each ``contains`` reads."""
+
+    seen: list = dataclasses.field(default_factory=list)
+
+    def contains(self, w):
+        self.seen.append(len(w))
+        return super().contains(w)
 
 
 class TestQuadratureGrid:
@@ -181,63 +248,61 @@ class TestQuadratureMeasure:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_blocks_match_whole_array_reference(self, d):
-        # two wells along the leading axis, the lower one placed in the last
-        # block so the running minimum drops late and every sum is rescaled;
-        # the other axes are smooth and narrow region boundaries only along
-        # the leading axis sit where the density is negligible, so the
-        # doubling check passes in d = 2 and 3 as well
-        gamma = 200.0
-        box = np.array([[-2.0, 2.0]] + [[-1.0, 1.0]] * (d - 1))
         counts = {1: [20000], 2: [256, 128], 3: [128, 32, 32]}[d]
-        fine_counts = [2 * n for n in counts]
-        probe = tensor_gauss_legendre(box, fine_counts)
-        *_, (last_nodes, _) = probe.blocks()
-        low = np.r_[last_nodes[:, 0].mean(), np.zeros(d - 1)]
-        high = np.r_[-0.8, np.zeros(d - 1)]
-        metric = np.diag([1.0] + [1e-3] * (d - 1))
-        regions = [
-            EllipsoidSpec(center=high, metric=metric, radius=0.55),
-            EllipsoidSpec(center=low, metric=metric, radius=0.6),
-        ]
-
-        def pot(w):
-            well = lambda c: 0.5 * gamma * (w[:, 0] - c[0]) ** 2
-            side = 0.5 * np.sum(w[:, 1:] ** 2, axis=-1)
-            return -np.logaddexp(-well(high) - 2.0, -well(low)) / gamma + side / gamma
-
-        g = lambda w: w[:, 0] + np.sum(w * w, axis=-1)
+        pot, box, regions, g = _late_minimum_wells(d, 200.0, counts)
         meas = quadrature_measure(
-            pot, gamma, tensor_gauss_legendre(box, counts), regions=regions,
+            pot, 200.0, tensor_gauss_legendre(box, counts), regions=regions,
             integrands={"g": g},
         )
+        _assert_matches_whole_array(meas, pot, 200.0, box, counts, regions, g)
 
-        # the returned values are those of the doubled grid, which in d = 1
-        # also has panel edges on the region boundaries
-        edges = [[e.center[0] + s * e.radius for e in regions for s in (-1, 1)]]
-        fine = tensor_gauss_legendre(box, fine_counts, edges if d == 1 else None)
-        blocks = list(fine.blocks())
-        assert len(blocks) > 1
-        f = pot(fine.nodes)
-        assert np.argmin(f) >= len(f) - len(blocks[-1][1])
-        assert f[: len(f) - len(blocks[-1][1])].min() > f.min()
-        dens = fine.weights * np.exp(-gamma * (f - f.min()))
-        total = dens.sum()
-        masks = [e.contains(fine.nodes) for e in regions]
-        gd = dens * g(fine.nodes)
-        assert meas.log_z == pytest.approx(np.log(total) - gamma * f.min(), rel=1e-12)
-        np.testing.assert_allclose(
-            meas.masses, [dens[m].sum() / total for m in masks], rtol=1e-12
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_zero_density_nodes_are_not_read(self, d):
+        # at γ = 20000 the wells are a few hundredths wide and most nodes
+        # have density exactly 0.0: the integrand and the regions see only
+        # the others, and every sum still matches the whole-array one
+        gamma = 20000.0
+        counts = {1: [20000], 2: [1024, 32], 3: [1024, 16, 16]}[d]
+        pot, box, regions, g = _late_minimum_wells(d, gamma, counts)
+        seen = []
+
+        def counting_g(w):
+            seen.append(len(w))
+            return g(w)
+
+        counting = [_CountingRegion(e.center, e.metric, e.radius) for e in regions]
+        meas = quadrature_measure(
+            pot, gamma, tensor_gauss_legendre(box, counts), regions=counting,
+            integrands={"g": counting_g},
         )
-        for e, m in zip(regions, masks):
-            assert meas.complement_mass[e.radius] == pytest.approx(
-                dens[~m].sum() / total, rel=1e-12
-            )
-        assert meas.conditional["g"] == pytest.approx(gd.sum() / total, rel=1e-12)
-        np.testing.assert_allclose(
-            meas.region_conditional["g"],
-            [gd[m].sum() / dens[m].sum() for m in masks],
-            rtol=1e-12,
+        read = sum(math.prod(n) for n in meas.nodes_per_axis)
+        assert 0 < sum(seen) < 0.5 * read
+        for region in counting:
+            assert sum(region.seen) == sum(seen)
+        _assert_matches_whole_array(meas, pot, gamma, box, counts, regions, g)
+
+    def test_nan_integrand_at_zero_density_nodes_is_never_read(self):
+        # e^(−50 w²) is exactly 0.0 for |w| > 3.87, so the NaN never meets
+        # a nonzero factor and cannot poison a sum or the doubling check
+        grid = tensor_gauss_legendre([[-9.0, 9.0]], 2000)
+        inside = EllipsoidSpec(center=np.zeros(1), metric=np.eye(1), radius=1.0)
+        assert np.exp(-100.0 * 0.5 * 5.0**2) == 0.0
+        meas = quadrature_measure(
+            gaussian_potential, 100.0, grid, regions=[inside],
+            integrands={"g": lambda w: np.where(np.abs(w[:, 0]) > 5.0, np.nan, 1.0 + w[:, 0])},
         )
+        assert meas.conditional["g"] == pytest.approx(1.0, abs=1e-12)
+        assert meas.region_conditional["g"][0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_exp_is_exactly_zero_at_or_below_the_cut(self):
+        # the skip drops only nodes whose factor np.exp gives as 0.0
+        cut = oracles._EXP_ZERO
+        below = np.linspace(cut - 100.0, cut, 2_000_001)
+        assert below[-1] == cut
+        assert not np.any(np.exp(below))
+        assert not np.any(np.exp(np.array([-np.inf, -1e300])))
+        # and the cut sits within one unit of the last nonzero subnormal
+        assert np.exp(cut + 1.0) > 0.0
 
     def test_memory_does_not_grow_with_nodes(self):
         import tracemalloc

@@ -97,10 +97,11 @@ def test_bounds_hold_on_one_gaussian_well(well):
     assert sandwich.lower_with_z <= mass + tol and mass <= sandwich.upper + tol
 
     assert local_excess_bound(minimum, cfg, r).total >= local_excess
-    assert pseudo_excess_bound(minima, cfg, r).total >= local_excess
+    dist = minima_distribution(minima, cfg, r)
+    assert pseudo_excess_bound(minima, cfg, r, dist.pi_infinity).total >= local_excess
     assert global_excess_bound(minima, cfg, r, np.array([1.0])).total >= global_excess
 
-    assert minima_distribution(minima, cfg, r).upper_bounds[0] >= 1.0 - 1e-9
+    assert dist.upper_bounds[0] >= 1.0 - 1e-9
 
 
 @st.composite
@@ -171,7 +172,9 @@ def test_bounds_hold_on_product_double_wells(instance):
     sandwiches = [ellipsoid_mass_bounds(mn, cfg, r, log_z=log_z) for mn in minima]
     edges = [s.upper for s in sandwiches] + [s.lower_with_z for s in sandwiches]
     local = [local_excess_bound(mn, cfg, r).total for mn in minima]
-    pseudo = pseudo_excess_bound(minima, cfg, r).total
+    pseudo = pseudo_excess_bound(
+        minima, cfg, r, minima_distribution(minima, cfg, r).pi_infinity
+    ).total
     # the masses are equal, so the harness's weights are uniform
     weights = np.full(len(minima), 1.0 / len(minima))
     global_bound = global_excess_bound(minima, cfg, r, weights).total
