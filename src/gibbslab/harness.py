@@ -550,9 +550,12 @@ def _radius_shares(cfg, landscape, minima, gamma, ridge, r0, theorems) -> tuple[
     return shares, quadrature
 
 
-def _evaluate_point(cfg: ExperimentConfig, data_model, gamma, ridge) -> tuple[list[dict], dict | None]:
-    """Rows of every m and radius at one (γ, λ), and how its quadrature
-    measure was computed (None without one); m enters only the bounds.
+def _evaluate_point(
+    cfg: ExperimentConfig, data_model, gamma, ridge
+) -> tuple[list[dict], dict | None, float]:
+    """Rows of every m and radius at one (γ, λ), how its quadrature
+    measure was computed (None without one) and the wall seconds spent in
+    the generalization-gap oracle; m enters only the bounds.
     ``data_model`` is the run's one, or None without generalization rows."""
     landscape, minima = cfg.landscape, cfg.minima[ridge]
     r0 = disjoint_radius(minima)
@@ -573,6 +576,7 @@ def _evaluate_point(cfg: ExperimentConfig, data_model, gamma, ridge) -> tuple[li
             for r, p, point in shares
         ]
     rows: list[dict] = []
+    generalization_s = 0.0
     for m, gconf in zip(cfg.ms, gconfs):
         for r, p, point in shares:
             pt = point._replace(gconf=gconf)
@@ -583,11 +587,18 @@ def _evaluate_point(cfg: ExperimentConfig, data_model, gamma, ridge) -> tuple[li
                     row = _base_row(cfg, theorem, gamma, ridge, m, r, p, idx)
                     rows.append(_finish(row, *bound(pt, mn), oracle(pt, mn), 0.0, passes))
         if data_model is not None:
-            rows += _generalization_rows(cfg, data_model, gconf)
-    return rows, quadrature
+            gen_rows, seconds = _generalization_rows(cfg, data_model, gconf)
+            rows += gen_rows
+            generalization_s += seconds
+    return rows, quadrature, generalization_s
 
 
-def _generalization_rows(cfg: ExperimentConfig, data_model, gconf: bnd.GibbsConfig) -> list[dict]:
+def _generalization_rows(
+    cfg: ExperimentConfig, data_model, gconf: bnd.GibbsConfig
+) -> tuple[list[dict], float]:
+    """The generalization rows at one (γ, λ, m) and the wall seconds of
+    their gap estimate."""
+    start = time.perf_counter()
     estimate = empirical_generalization_gap(
         data_model,
         gconf.gamma,
@@ -597,6 +608,7 @@ def _generalization_rows(cfg: ExperimentConfig, data_model, gconf: bnd.GibbsConf
         master_seed=cfg.master_seed,
         steps=cfg.sampler["steps"],
     )
+    seconds = time.perf_counter() - start
     allowance = 1.5 * estimate.halfwidth_95  # 3 sigma
     rows = []
     for variant in bnd.GEN_BOUND_VARIANTS:
@@ -605,7 +617,7 @@ def _generalization_rows(cfg: ExperimentConfig, data_model, gconf: bnd.GibbsConf
         row["key"] += f";variant={variant}"
         bound = bnd.generalization_bound(replace(gconf, gen_bound_variant=variant))
         rows.append(_finish(row, bound, None, {}, estimate.value, allowance, _within_allowance))
-    return rows
+    return rows, seconds
 
 
 def _monotone_series_rows(cfg: ExperimentConfig, rows: list[dict]) -> list[dict]:
@@ -684,7 +696,7 @@ def run_experiment(
         for gamma in cfg.gammas
         for ridge in cfg.ridges
     ]
-    rows = [row for point_rows, _ in results for row in point_rows]
+    rows = [row for point_rows, _, _ in results for row in point_rows]
     rows.extend(_monotone_series_rows(cfg, rows))
     rows.sort(key=lambda r: (r["theorem"], r["key"]))
 
@@ -703,10 +715,11 @@ def run_experiment(
         fh.write(json.dumps(payload, default=_json_default, allow_nan=True))
         fh.write("\n")
 
-    quadrature = [q for _, q in results if q is not None]
+    quadrature = [q for _, q, _ in results if q is not None]
     meta = {
         "wall_time_seconds": time.time() - start,
         "quadrature_s": sum((q["seconds"] for q in quadrature), 0.0),
+        "generalization_s": sum((g for _, _, g in results), 0.0),
         "quadrature": quadrature,
         "peak_rss_mb": _peak_rss_mb(),
         "versions": {

@@ -45,6 +45,18 @@ GLOBAL_VALUE_TOL = 1e-9
 ZERO_EIG_REL_THRESHOLD = 1e-10
 
 
+def _times_matrix(w: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """w @ matrix for a point batch w of shape (..., d).
+
+    numpy runs an (N, 1) @ (1, 1) product on a slow path, about 13x the
+    scalar product w · m₀₀ on 32k points, which has the same bits; d ≥ 2
+    keeps ``@``.
+    """
+    if matrix.shape == (1, 1):
+        return w * matrix[0, 0]
+    return w @ matrix
+
+
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Σₖ a[..., k]·b[..., k], summed left to right over the last axis.
 
@@ -82,7 +94,7 @@ class EllipsoidSpec:
         diff = np.empty_like(w)
         for k, c in enumerate(self.center):
             np.subtract(w[..., k], c, out=diff[..., k])
-        return np.sqrt(_rowdot(diff @ self.metric, diff))
+        return np.sqrt(_rowdot(_times_matrix(diff, self.metric), diff))
 
     def contains(self, w: np.ndarray) -> np.ndarray:
         return self.metric_norm(w) <= self.radius
@@ -163,10 +175,14 @@ class Landscape:
 
     def reg_risk(self, w: np.ndarray, lam: float) -> np.ndarray:
         w = np.asarray(w, dtype=float)
+        if lam == 0.0:  # the ridge term adds nothing; skip its pass
+            return self.risk(w)
         return self.risk(w) + lam * _rowdot(w, w)
 
     def reg_gradient(self, w: np.ndarray, lam: float) -> np.ndarray:
         w = np.asarray(w, dtype=float)
+        if lam == 0.0:
+            return self.gradient(w)
         return self.gradient(w) + 2.0 * lam * w
 
     def reg_hessian(self, w: np.ndarray, lam: float) -> np.ndarray:
@@ -463,10 +479,10 @@ def quadratic_landscape(
 
     def risk(w):
         w = np.asarray(w, dtype=float)
-        return 0.5 * _rowdot(w @ a, w)
+        return 0.5 * _rowdot(_times_matrix(w, a), w)
 
     def gradient(w):
-        return np.asarray(w, dtype=float) @ a.T
+        return _times_matrix(np.asarray(w, dtype=float), a.T)
 
     def hessian(w):
         w = np.asarray(w, dtype=float)
@@ -574,6 +590,12 @@ def _quintic_bridge(j1, j2, v1, g1, h1, v2, g2, h2):
     return np.array([a0, a1, a2, a3, a4, a5]), span
 
 
+def _square(t):
+    # t * t has the bits of the batch path's t ** 2 (numpy squares by
+    # multiplying); a float's ** 2 goes through libm's pow
+    return t * t
+
+
 def _horner(coeffs: tuple, t):
     # lowest degree first, the same operation order as polynomial.polyval
     acc = coeffs[-1]
@@ -634,31 +656,42 @@ def spline_double_well_landscape(
         max(0.5 * h1 * (lo - c1) ** 2, 0.5 * h2 * (hi - c2) ** 2, barrier)
     )
 
-    def risk(w):
-        x = np.asarray(w, dtype=float)[..., 0]
-        return np.where(
-            x <= j1,
-            0.5 * h1 * (x - c1) ** 2,
-            np.where(x >= j2, 0.5 * h2 * (x - c2) ** 2, _horner(poly, (x - j1) / span)),
-        )
+    def piecewise(left, right, bridge):
+        # x <= j1 is the left well, x >= j2 the right one. A single point
+        # (a sampler step) evaluates only its own piece, in float
+        # arithmetic with the bits of the batch path; a batch evaluates
+        # all three pieces and merges them (most Metropolis windows hold
+        # points on two or three pieces, so skipping absent ones does not pay).
+        def evaluate(w):
+            x = np.asarray(w, dtype=float)[..., 0]
+            if x.ndim == 0:
+                x = float(x)
+                return np.asarray(left(x) if x <= j1 else right(x) if x >= j2 else bridge(x))
+            return np.where(x <= j1, left(x), np.where(x >= j2, right(x), bridge(x)))
+
+        return evaluate
+
+    risk = piecewise(
+        lambda x: 0.5 * h1 * _square(x - c1),
+        lambda x: 0.5 * h2 * _square(x - c2),
+        lambda x: _horner(poly, (x - j1) / span),
+    )
+    slope = piecewise(
+        lambda x: h1 * (x - c1),
+        lambda x: h2 * (x - c2),
+        lambda x: _horner(dpoly, (x - j1) / span) / span,
+    )
+    curvature = piecewise(
+        lambda x: h1,
+        lambda x: h2,
+        lambda x: _horner(ddpoly, (x - j1) / span) / (span * span),
+    )
 
     def gradient(w):
-        x = np.asarray(w, dtype=float)[..., 0]
-        out = np.where(
-            x <= j1,
-            h1 * (x - c1),
-            np.where(x >= j2, h2 * (x - c2), _horner(dpoly, (x - j1) / span) / span),
-        )
-        return out[..., None]
+        return slope(w)[..., None]
 
     def hessian(w):
-        x = np.asarray(w, dtype=float)[..., 0]
-        out = np.where(
-            x <= j1,
-            h1,
-            np.where(x >= j2, h2, _horner(ddpoly, (x - j1) / span) / (span * span)),
-        )
-        return out[..., None, None]
+        return curvature(w)[..., None, None]
 
     return Landscape(
         name="spline_double_well",
@@ -730,12 +763,14 @@ def rls_data_model(
     )
 
     def residuals(w, sample):
+        # y − w·x in the one array that w·x allocates
         w = np.asarray(w, dtype=float)
-        return sample[:, 1] - w[..., :1] * sample[:, 0]
+        out = np.multiply(w[..., :1], sample[:, 0])
+        return np.subtract(sample[:, 1], out, out=out)
 
     def loss(w, sample):
         resid = residuals(w, sample)
-        return resid * resid
+        return np.multiply(resid, resid, out=resid)
 
     def loss_gradient(w, sample):
         return (-2.0 * residuals(w, sample) * sample[:, 0])[..., None]
@@ -748,7 +783,8 @@ def rls_data_model(
         x = rng.uniform(-1.0, 1.0, size=n)
         nu = rng.uniform(-noise_halfwidth, noise_halfwidth, size=n)
         y = np.clip(slope * x + nu, -1.0, 1.0)
-        return np.column_stack([x, y])
+        # column-major, so that the x and y columns the losses read are contiguous
+        return np.stack([x, y]).T
 
     return DataModel(
         name="rls",

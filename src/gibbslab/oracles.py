@@ -740,14 +740,21 @@ def empirical_generalization_gap(
     over the chain and the examples. The chain draws exact Gaussians when
     the data model declares a quadratic empirical risk and runs Metropolis
     (with the default step size and a fifth of the steps as burn-in)
-    otherwise. The losses are summed over blocks of chain samples of
-    about 32k (sample, example) pairs, so memory does not grow with
-    ``steps``. Requires trials ≥ 50.
+    otherwise. The gaps R(w) − ℓ(w, zᵢ) are summed over blocks of chain
+    samples of about 32k (sample, example) pairs, each written into one
+    buffer this function allocates once and reuses for every block and
+    trial, so memory does not grow with ``steps``. The arrays that
+    ``data_model.loss`` returns are only read (one may be a read-only
+    view). Requires trials ≥ 50 and m ≥ 1.
     """
     if trials < 50:
         raise ArgumentError(f"need at least 50 trials, got {trials}")
+    if m < 1:
+        raise ArgumentError(f"need a nonempty sample, got m={m}")
     land = data_model.landscape
     gaps = np.empty(trials)
+    rows = max(1, _GAP_BLOCK // m)
+    block = np.empty((rows, m))
     for t in range(trials):
         rng = np.random.default_rng(chain_seed(master_seed, 2 * t))
         sample = data_model.sample_examples(rng, m)
@@ -763,11 +770,13 @@ def empirical_generalization_gap(
         # differencing per example keeps the gap of an example-independent
         # loss exactly zero; a mean of m equal losses can round off R(w)
         risks = np.asarray(land.risk(batch.samples), dtype=float)
-        rows = max(1, _GAP_BLOCK // m)
         total = 0.0
         for i in range(0, len(batch), rows):
             w = batch.samples[i : i + rows]
-            total += float(np.sum(risks[i : i + rows, None] - data_model.loss(w, sample)))
+            gap = np.subtract(
+                risks[i : i + rows, None], data_model.loss(w, sample), out=block[: len(w)]
+            )
+            total += float(np.sum(gap))
         gaps[t] = total / (len(batch) * m)
     return Estimate(
         value=float(gaps.mean()),

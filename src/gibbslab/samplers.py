@@ -96,7 +96,13 @@ class ChainBatch:
 
 def target_from_landscape(landscape: Landscape, ridge: float) -> GibbsTarget:
     """Target f = R + λ‖w‖² of a landscape, population or empirical (see
-    ``landscapes.empirical_landscape``)."""
+    ``landscapes.empirical_landscape``).
+
+    At λ = 0 the target's ``value`` and ``grad`` are the landscape's own
+    ``risk`` and ``gradient``: the chains call them once per step, and
+    R + 0·‖w‖² adds only a ridge pass to each call. For λ > 0 they are
+    ``risk(w) + λ·(w * w).sum(axis=-1)`` and ``gradient(w) + 2λ·w``.
+    """
     quadratic = None
     if landscape.quadratic:
         # one Newton step from w = 0 lands on the minimizer of a quadratic f
@@ -108,11 +114,20 @@ def target_from_landscape(landscape: Landscape, ridge: float) -> GibbsTarget:
     # bound once: the chains call these per step, on float arrays
     risk, gradient, reg_hessian = landscape.risk, landscape.gradient, landscape.reg_hessian
     lam, lam2 = ridge, 2.0 * ridge
+    if lam == 0.0:
+        value, grad = risk, gradient
+    else:
+        def value(w):
+            return risk(w) + lam * (w * w).sum(axis=-1)
+
+        def grad(w):
+            return gradient(w) + lam2 * w
+
     return GibbsTarget(
         dim=landscape.dimension,
         domain_box=np.array(landscape.domain_box),
-        value=lambda w: risk(w) + lam * (w * w).sum(axis=-1),
-        grad=lambda w: gradient(w) + lam2 * w,
+        value=value,
+        grad=grad,
         hessian=lambda w: reg_hessian(w, lam),
         quadratic=quadratic,
     )

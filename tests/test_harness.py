@@ -188,9 +188,11 @@ class TestRunExperiment:
         result = run_experiment(cfg, out_dir=tmp_path)
         meta = json.loads((result.run_dir / "run_meta.json").read_text())
         assert set(meta) == {
-            "wall_time_seconds", "quadrature_s", "quadrature", "peak_rss_mb", "versions"
+            "wall_time_seconds", "quadrature_s", "generalization_s", "quadrature",
+            "peak_rss_mb", "versions",
         }
         assert 0.0 < meta["quadrature_s"] <= meta["wall_time_seconds"]
+        assert meta["generalization_s"] == 0.0
         assert isinstance(meta["peak_rss_mb"], float) and meta["peak_rss_mb"] > 0.0
         assert set(meta["versions"]) == {"python", "numpy", "scipy"}
         assert all(isinstance(v, str) and v for v in meta["versions"].values())
@@ -339,6 +341,7 @@ class TestRunExperiment:
         result = run_experiment(validate_config(raw), out_dir=tmp_path)
         meta = json.loads((result.run_dir / "run_meta.json").read_text())
         assert meta["quadrature"] == [] and meta["quadrature_s"] == 0.0
+        assert 0.0 < meta["generalization_s"] <= meta["wall_time_seconds"]
 
     @pytest.mark.parametrize(
         "landscape, gamma, relative",

@@ -412,19 +412,22 @@ class TestSplineDoubleWell:
         assert int(np.sum(signs[:-1] != signs[1:])) == 1
 
     def test_one_point_calls_match_batched_rows(self):
+        # a one-point call evaluates only its own piece; its bits and shapes
+        # are those of the batch row, on every piece, at both junctions
+        # (ties: x = j1 is left, x = j2 right) and at NaN
         land = spline_double_well_landscape()
         delta = land.params["junction_offset"]
-        points = []
+        points = list(np.random.default_rng(31).uniform(-3.0, 3.0, 300)) + [np.nan]
         for junction in (-1.0 + delta, 1.0 - delta):
             below, above = np.nextafter(junction, -np.inf), np.nextafter(junction, np.inf)
             points += [junction - 0.1, below, junction, above, junction + 0.1]
         batch = np.array(points)[:, None]
         risks, grads, hessians = land.risk(batch), land.gradient(batch), land.hessian(batch)
         for k, w in enumerate(batch):
-            assert land.risk(w).shape == ()
-            assert land.risk(w) == risks[k]
-            np.testing.assert_array_equal(land.gradient(w), grads[k])
-            np.testing.assert_array_equal(land.hessian(w), hessians[k])
+            for one, row in ((land.risk(w), risks[k]), (land.gradient(w), grads[k]),
+                             (land.hessian(w), hessians[k])):
+                assert np.shape(one) == np.shape(row)
+                assert np.array_equal(one, row, equal_nan=True)
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ArgumentError):
@@ -516,6 +519,18 @@ class TestCoordinateKernels:
         for w in self._batches(d, 23):
             old = 0.5 * np.einsum("...i,...i->...", w @ a, w)
             self._assert_matches(land.risk(w), old, d <= 2)
+            self._assert_matches(land.gradient(w), w @ a.T, True)
+
+    @pytest.mark.parametrize(
+        "land",
+        [double_well_landscape(1), double_well_landscape(2), quadratic_landscape(3),
+         spline_double_well_landscape()],
+        ids=["double_well1", "double_well2", "quadratic3", "spline"],
+    )
+    def test_zero_ridge_is_the_plain_risk(self, land):
+        for w in self._batches(land.dimension, 26):
+            self._assert_matches(land.reg_risk(w, 0.0), land.risk(w), True)
+            self._assert_matches(land.reg_gradient(w, 0.0), land.gradient(w), True)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_metric_norm(self, d):
@@ -580,6 +595,16 @@ class TestDataModels:
             resid = examples[:, 1] - w * examples[:, 0]
             mc = float(np.mean(resid * resid))
             assert mc == pytest.approx(float(land.risk(np.array([w]))), abs=tol)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_rls_loss_is_the_squared_residual(self, order):
+        dm = rls_data_model()
+        sample = np.asarray(dm.sample_examples(np.random.default_rng(8), 50), order=order)
+        x, y = sample[:, 0], sample[:, 1]
+        for w in (np.array([0.7]), np.random.default_rng(9).uniform(-3.0, 3.0, (4, 3, 1))):
+            resid = y - w[..., :1] * x
+            assert np.array_equal(dm.loss(w, sample), resid * resid)
+            assert np.array_equal(dm.loss_gradient(w, sample), (-2.0 * resid * x)[..., None])
 
     def test_rls_clipping_never_binds(self):
         dm = rls_data_model()

@@ -214,6 +214,48 @@ class TestStream:
             sample_chain("sgld", tgt, 1e6, eta, 20_000, 0, 2)
 
 
+def wrapped_target(landscape, ridge):
+    """A target whose value and gradient add the ridge term explicitly,
+    also at λ = 0 (the reference for the λ = 0 shortcut)."""
+    risk, gradient = landscape.risk, landscape.gradient
+    return samplers.GibbsTarget(
+        dim=landscape.dimension,
+        domain_box=np.array(landscape.domain_box),
+        value=lambda w: risk(w) + ridge * (w * w).sum(axis=-1),
+        grad=lambda w: gradient(w) + 2.0 * ridge * w,
+        hessian=lambda w: landscape.reg_hessian(w, ridge),
+    )
+
+
+class TestZeroRidgeTarget:
+    LANDSCAPES = [
+        (double_well_landscape(1), 20.0),
+        (double_well_landscape(2), 20.0),
+        (spline_double_well_landscape(), 50.0),
+    ]
+    IDS = ["double_well1", "double_well2", "spline"]
+
+    @pytest.mark.parametrize("landscape, gamma", LANDSCAPES, ids=IDS)
+    def test_value_and_grad_are_the_risk_and_gradient(self, landscape, gamma):
+        tgt = target_from_landscape(landscape, 0.0)
+        rng = np.random.default_rng(13)
+        lo, hi = landscape.domain_box[:, 0], landscape.domain_box[:, 1]
+        for w in (rng.uniform(lo, hi), rng.uniform(lo, hi, (40, landscape.dimension))):
+            assert np.array_equal(tgt.value(w), landscape.risk(w))
+            assert np.array_equal(tgt.grad(w), landscape.gradient(w))
+
+    @pytest.mark.parametrize("kind", ["sgld", "metropolis"])
+    @pytest.mark.parametrize("landscape, gamma", LANDSCAPES, ids=IDS)
+    def test_chains_equal_the_explicit_ridge_term(self, landscape, gamma, kind):
+        tgt = target_from_landscape(landscape, 0.0)
+        reference = wrapped_target(landscape, 0.0)
+        eta = default_step_size(tgt, gamma) if kind == "sgld" else 0.3
+        batch = sample_chain(kind, tgt, gamma, eta, 3000, 0, 17, chain_id=4)
+        expected = sample_chain(kind, reference, gamma, eta, 3000, 0, 17, chain_id=4)
+        assert np.array_equal(batch.samples, expected.samples)
+        assert batch.acceptance_rate == expected.acceptance_rate
+
+
 class TestMetropolis:
     def test_double_well_tv_against_quadrature(self):
         land = double_well_landscape()
