@@ -463,7 +463,14 @@ def _box(bounds, dimension: int) -> np.ndarray:
 def quadratic_landscape(
     dimension: int = 1, matrix=None, bounds=(-5.0, 5.0)
 ) -> Landscape:
-    """Risk ½wᵀAw with constant Hessian A (symmetric PSD), minimum at 0."""
+    """Risk ½wᵀAw with constant Hessian A (symmetric PSD), minimum at 0.
+
+    The loss bound M is the largest risk over the box corners. A diagonal
+    A (the default identity included) gives a sum of terms ½hₖwₖ², each
+    largest at one endpoint of its own axis, so only the corner made of
+    those endpoints is evaluated: M = ½Σₖhₖ·max(loₖ², hiₖ²). A non-diagonal
+    A scans all 2^d corners.
+    """
     if matrix is None:  # _box rejects a dimension below 1 before np.eye sees it
         matrix = np.eye(len(_box(bounds, dimension)))
     a = np.asarray(matrix, dtype=float)
@@ -474,8 +481,13 @@ def quadratic_landscape(
     if np.linalg.eigvalsh(a)[0] < -1e-12 * max(1.0, abs(np.linalg.eigvalsh(a)[-1])):
         raise ArgumentError("quadratic matrix must be positive semi-definite")
     box = _box(bounds, dimension)
-    corners = np.array(list(itertools.product(*box)))
-    loss_bound = float(max(0.5 * c @ a @ c for c in corners))
+    diagonal = np.array_equal(a, np.diag(np.diagonal(a)))
+    if diagonal:
+        worst = [max(ends, key=lambda c, h=h: c * h * c) for ends, h in zip(box, np.diagonal(a))]
+        corners = [worst]
+    else:
+        corners = itertools.product(*box)
+    loss_bound = float(max(0.5 * c @ a @ c for c in np.array(list(corners))))
 
     def risk(w):
         w = np.asarray(w, dtype=float)
@@ -500,9 +512,7 @@ def quadratic_landscape(
         params={"matrix": a, "bounds": [list(b) for b in box]},
         quadratic=True,
         coordinate_risks=(
-            tuple(_half_square(float(h)) for h in np.diagonal(a))
-            if np.array_equal(a, np.diag(np.diagonal(a)))
-            else None
+            tuple(_half_square(float(h)) for h in np.diagonal(a)) if diagonal else None
         ),
     )
 

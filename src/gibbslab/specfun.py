@@ -11,7 +11,6 @@ import math
 import sys
 
 import numpy as np
-from scipy import special
 
 from .errors import ArgumentError
 
@@ -40,7 +39,9 @@ def regularized_gamma_P(a: float, z: float) -> float:
         raise ArgumentError(f"shape parameter must be positive, got a={a}")
     if z < 0.0:
         raise ArgumentError(f"argument must be nonnegative, got z={z}")
-    return float(special.gammainc(a, z))
+    from scipy.special import gammainc
+
+    return float(gammainc(a, z))
 
 
 def ball_mass_rate(a: float) -> float:
@@ -87,8 +88,10 @@ def chi2_cdf_ratio(d: int, r_squared: float) -> float:
     upper = chi2_cdf(d + 2, r_squared)
     if upper >= sys.float_info.min:
         return upper / chi2_cdf(d, r_squared)
+    from scipy.special import hyp1f1
+
     a, z = 0.5 * d, 0.5 * r_squared
-    kummer = special.hyp1f1(1.0, a + 2.0, z) / special.hyp1f1(1.0, a + 1.0, z)
+    kummer = hyp1f1(1.0, a + 2.0, z) / hyp1f1(1.0, a + 1.0, z)
     return float(z / (a + 1.0) * kummer)
 
 

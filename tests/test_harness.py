@@ -438,6 +438,17 @@ class TestCli:
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"{path}:" in capsys.readouterr().err
 
+    def test_validate_refuses_quadrature_in_high_dimension(self, tmp_path, capsys):
+        # a d = 40 diagonal quadratic: its loss bound never visits the 2^40 corners
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(minimal_config(
+            landscape={"name": "quadratic", "params": {"dimension": 40}}
+        )))
+        assert cli.main(["validate", str(cfg)]) == 2
+        assert "quadrature-backed theorems need dimension <= 3, got d=40" in (
+            capsys.readouterr().err
+        )
+
     def test_file_that_is_not_json_exit_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"landscape": ')

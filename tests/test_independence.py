@@ -3,6 +3,11 @@
 Oracles and bounds must not share code with the independent references in
 ``tests/helpers.py``, so no module of the package may import ``helpers``
 or anything under ``tests``.
+
+``import gibbslab`` loads none of scipy's heavy subpackages. scipy.special
+loads on the first incomplete gamma P(a, z), the first Kummer M or the
+first Gauss-Legendre rule, so chains and generalization-only runs never
+load it.
 """
 
 import ast
@@ -39,8 +44,11 @@ def test_module_imports_nothing_from_the_tests(path):
 
 
 # scipy subpackages that ``import gibbslab`` must not load: each adds start-up
-# time and resident memory to every process (scipy.linalg alone 6.5 MB)
-UNLOADED = ("scipy.integrate", "scipy.stats", "scipy.optimize", "scipy.linalg")
+# time and resident memory to every process (scipy.special with the
+# scipy.linalg it imports about 25 MB, scipy.linalg alone 6.5 MB)
+UNLOADED = (
+    "scipy.integrate", "scipy.stats", "scipy.optimize", "scipy.linalg", "scipy.special"
+)
 
 
 def test_import_loads_no_heavy_scipy_subpackage():
@@ -53,3 +61,41 @@ def test_import_loads_no_heavy_scipy_subpackage():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+SAMPLING_SIDE = """
+import sys
+import numpy as np
+from gibbslab import harness, landscapes, oracles, samplers, specfun
+
+target = samplers.target_from_landscape(landscapes.double_well_landscape(1), 0.0)
+samplers.sample_chain("sgld", target, 10.0, 0.05, 2000, 100, master_seed=9)
+cfg = harness.validate_config({
+    "landscape": {"name": "rls", "params": {"slope": 0.5, "noise_halfwidth": 0.5}},
+    "gibbs": {"gamma": [1.0], "ridge": 0.1, "m": [100]},
+    "radius": {"relative": [0.3]},
+    "sampler": {"steps": 50},
+    "oracle": {"mc_trials": 50},
+    "theorems": ["generalization"],
+    "master_seed": 7,
+})
+assert harness.run_experiment(cfg, out_dir=sys.argv[1]).rows
+assert "scipy.special" not in sys.modules, "loaded by a chain or a generalization run"
+
+p = specfun.regularized_gamma_P(0.5, 1.0)
+nodes, weights = oracles.tensor_gauss_legendre([(-1.0, 1.0)], 16).axes[0]
+assert "scipy.special" in sys.modules
+from scipy.special import gammainc, roots_legendre
+x, w = roots_legendre(16)
+assert p == float(gammainc(0.5, 1.0))
+assert np.array_equal(nodes, x) and np.array_equal(weights, w)
+"""
+
+
+def test_sampling_side_leaves_scipy_special_unloaded(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", SAMPLING_SIDE, str(tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr

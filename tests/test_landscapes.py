@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -480,6 +482,20 @@ class TestQuadraticRisk:
         ])
         np.testing.assert_allclose(land.risk(w), loop, rtol=1e-14)
         assert float(land.risk(w[0, 0])) == pytest.approx(loop[0, 0], rel=1e-14)
+
+    def test_diagonal_loss_bound_is_the_worst_corner(self):
+        rng = np.random.default_rng(13)
+        h = rng.exponential(size=4)
+        box = [(-3.0, 1.0), (-0.5, 2.0), (1.0, 4.0), (-2.0, -1.0)]
+        corners = np.array(list(itertools.product(*box)))
+        worst = max(0.5 * c @ np.diag(h) @ c for c in corners)
+        assert quadratic_landscape(4, matrix=np.diag(h), bounds=box).loss_bound == worst
+
+    def test_diagonal_loss_bound_in_high_dimension(self):
+        start = time.perf_counter()
+        land = quadratic_landscape(40)
+        assert time.perf_counter() - start < 0.25
+        assert land.loss_bound == 500.0
 
 
 class TestCoordinateKernels:
