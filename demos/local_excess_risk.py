@@ -1,55 +1,39 @@
 """Localized excess risk: bound terms vs the quadrature oracle.
 
-Walks the inverse-temperature axis on two landscapes and prints, for each
-gamma, every term of the localized bound next to the exact (quadrature)
-conditional excess risk. On the quadratic landscape the Taylor term is
-identically zero and the bound is driven by the effective dimension at
-small gamma and by the sample terms at large gamma; on the double well the
-Taylor envelope enters through the local Hessian-Lipschitz profile.
+Walks the inverse-temperature axis on two landscapes through the harness
+and prints, for each gamma and minimum, every term of the localized bound
+next to the exact (quadrature) conditional excess risk. On the quadratic
+landscape the Taylor term is identically zero and the bound is driven by
+the effective dimension at small gamma and by the sample terms at large
+gamma; on the double well the Taylor envelope enters through the local
+Hessian-Lipschitz profile. Exits 1 if any row fails its pass rule.
 """
 
-import numpy as np
+import sys
+from pathlib import Path
 
-import gibbslab as gl
+from gibbslab.harness import load_config, run_experiment
 
-
-def conditional_excess(land, minimum, gamma, r):
-    lam_max = float(np.linalg.eigvalsh(minimum.reg_hessian)[-1])
-    width = float(land.domain_box[0, 1] - land.domain_box[0, 0])
-    nodes = max(400, int(20 * width * np.sqrt(gamma * lam_max)))
-    grid = gl.tensor_gauss_legendre(land.domain_box, nodes)
-    meas = gl.quadrature_measure(
-        lambda w: land.reg_risk(w, 0.0),
-        gamma,
-        grid,
-        regions=[minimum.ellipsoid(r)],
-        integrands={"excess": lambda w: land.risk(w) - float(land.risk(minimum.location))},
-    )
-    return meas.region_conditional["excess"][0]
+CONFIGS = Path(__file__).resolve().parent / "configs"
+TERMS = ("effective_dimension", "taylor", "sqrt", "generalization")
 
 
-def main():
-    m_size = 1000
-    for land in (gl.quadratic_landscape(1), gl.double_well_landscape()):
-        minima = gl.enumerate_minima(land, 0.0)
-        minimum = minima[-1]
-        r = 0.3 * gl.disjoint_radius(minima)
-        print(f"\n== {land.name} (M={land.loss_bound}, r={r:.3f}, m={m_size}) ==")
-        print(f"{'gamma':>8} {'eff-dim':>10} {'taylor':>10} {'sqrt':>10} "
-              f"{'gen':>10} {'total':>10} {'oracle':>12} {'margin':>10}")
-        for gamma in (1.0, 10.0, 100.0, 1000.0):
-            cfg = gl.GibbsConfig(gamma=gamma, ridge=0.0, m=m_size, loss_bound=land.loss_bound)
-            rep = gl.local_excess_bound(minimum, cfg, r)
-            oracle = conditional_excess(land, minimum, gamma, r)
-            t = rep.terms
-            print(
-                f"{gamma:8.0f} {t['effective_dimension']:10.4f} {t['taylor']:10.4f} "
-                f"{t['sqrt']:10.4f} {t['generalization']:10.4f} {rep.total:10.4f} "
-                f"{oracle:12.3e} {rep.total - oracle:10.4f}"
-            )
-        print("the bound dominates the oracle at every gamma; the oracle itself")
-        print("scales like (effective dimension)/gamma, the bound's first term.")
+def main() -> int:
+    passed = True
+    for name in ("local_excess_quadratic.json", "local_excess_double_well.json"):
+        result = run_experiment(load_config(CONFIGS / name))
+        passed &= result.all_passed
+        print(f"\n== {name} -> {result.run_dir} ==")
+        print(f"{'gamma':>8} {'i':>2} {'r':>6} {'eff-dim':>10} {'taylor':>10} {'sqrt':>10} "
+              f"{'gen':>10} {'total':>10} {'oracle':>12} {'margin':>10} passed")
+        for row in sorted(result.rows, key=lambda row: (row["gamma"], row["minimum_index"])):
+            terms = " ".join(f"{row['term_' + t]:10.4f}" for t in TERMS)
+            print(f"{row['gamma']:8.0f} {row['minimum_index']:2d} {row['radius']:6.3f} {terms} "
+                  f"{row['bound_total']:10.4f} {row['oracle_value']:12.3e} "
+                  f"{row['margin']:10.4f} {row['passed']}")
+    print("\nthe oracle scales like (effective dimension)/gamma, the bound's first term.")
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -289,8 +289,8 @@ def complement_mass_bound(
     """Bound on the Gibbs mass outside every minimum's ellipsoid.
 
     raw = 1 − (1 − d·e^(−r²γ·α_{d/2}))·Σᵢ e^(−γεᵢ(r)/3), with d the
-    dimension of the minima and α_{d/2} = 1 for d = 1 and
-    Γ(1 + d/2)^(−2/d) otherwise. The raw value may leave
+    dimension of the minima and α_{d/2} = ``ball_mass_rate(d/2)``: 1 for
+    d ≤ 2 and Γ(1 + d/2)^(−2/d) above. The raw value may leave
     [0, 1] (notably with several minima); the clamped copy is the one to
     compare against probabilities. r may not exceed the disjointness
     radius r0 = ``disjoint_radius(minima)``.
@@ -303,7 +303,7 @@ def complement_mass_bound(
     if r > r0 * (1.0 + 1e-12):
         raise RadiusError(f"radius r={r} exceeds the disjointness radius r0={r0}")
     gamma, d = config.gamma, minima[0].dimension
-    alpha = ball_mass_rate(0.5 * d) if d > 1 else 1.0
+    alpha = ball_mass_rate(0.5 * d)
     eps_sum = sum(
         math.exp(-gamma * taylor_approximation_error(m, r, config.ridge) / 3.0)
         for m in minima

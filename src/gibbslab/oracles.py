@@ -405,9 +405,9 @@ class _Axis:
         panels = np.stack([dens, *(dens * g(x) for g in integrands)]) / total
         panels = panels.reshape(len(panels), -1, _PANEL_ORDER).sum(axis=-1)
         self.means = panels[1:].sum(axis=-1)
-        # cumulative[:, j]: panels before j; tail[j]: mass of panels j on
+        # cumulative[:, j]: panels before j; tail[:, j]: panels j on
         self.cumulative = np.pad(np.cumsum(panels, axis=-1), [(0, 0), (1, 0)])
-        self.tail = np.pad(np.cumsum(panels[0, ::-1])[::-1], (0, 1))
+        self.tail = np.pad(np.cumsum(panels[:, ::-1], axis=-1)[:, ::-1], [(0, 0), (0, 1)])
         self.runs = _dyadic_sums(panels[0])
 
     def _potential(self, x: np.ndarray) -> np.ndarray:
@@ -457,6 +457,9 @@ class _Axis:
         One rule per cut integrates its partial panel on the gap side, so
         a gap, whose mass in the tails is the complement, is a sum of
         positive terms; a chord is its panels less those gap-side parts.
+        Its panels are a difference of prefix or of suffix sums, whichever
+        leaves out less mass, so a light well beside a heavy one keeps its
+        digits.
         """
         x = np.clip(cuts, self.lo, self.hi)
         last = len(self.edges) - 2
@@ -466,14 +469,21 @@ class _Axis:
         end = np.where(low[:, None], x, self.edges[j + 1])
         parts = self._rule(start, end)
         to_low, from_high = parts[:, 0::2], parts[:, 1::2]
-        chords = self.cumulative[:, j[1::2] + 1] - self.cumulative[:, j[0::2]] - to_low - from_high
+        # chord i's whole panels run from j[2i] to j[2i + 1]
+        a, b = j[0::2], j[1::2] + 1
+        whole = np.where(
+            self.cumulative[0, a] <= self.tail[0, b],
+            self.cumulative[:, b] - self.cumulative[:, a],
+            self.tail[:, a] - self.tail[:, b],
+        )
+        chords = whole - to_low - from_high
         # gap i runs from high cut i − 1 (or lo) to low cut i (or hi); the
         # outer two are one-sided sums, the middle ones tile their panels
         first, stop = j[1:-1:2] + 1, j[2::2]
         gaps = np.concatenate([
             (self.cumulative[0, j[0]] + to_low[0, 0])[None],
             from_high[0, :-1] + self._middle_mass(first, np.maximum(first, stop)) + to_low[0, 1:],
-            (from_high[0, -1] + self.tail[j[-1] + 1])[None],
+            (from_high[0, -1] + self.tail[0, j[-1] + 1])[None],
         ])
         # a middle gap inside one panel gets its own rule instead
         same = first > stop

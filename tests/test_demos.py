@@ -1,10 +1,12 @@
 """Smoke runs of the demo scripts: each must exit 0.
 
-The demos call the public quadrature, bound and harness API, so a change
-to that API that they miss fails here. Each runs in a fresh interpreter
-in a temporary working directory (some write a ``runs/`` folder) and takes
-a few seconds; ``samplers_vs_density.py``, whose Metropolis and SGLD chains
-are the longest, about 10 s on a 2-vCPU machine.
+Four demos run harness configs from ``demos/configs`` and exit 1 when a
+row of their run fails its pass rule, so a pass here certifies the tables
+they print; ``samplers_vs_density.py`` calls the sampler API, so a change
+to it that the demo misses fails here. Each runs in a fresh interpreter
+in a temporary working directory (the harness demos write a ``runs/``
+folder) and takes a few seconds; ``samplers_vs_density.py``, whose
+Metropolis and SGLD chains are the longest, about 10 s on a 2-vCPU machine.
 """
 
 import os

@@ -458,6 +458,36 @@ class TestProductMeasure:
         assert 1e-12 < comp < 2e-12
         assert meas.complement_mass[r] == pytest.approx(comp, rel=1e-8)
 
+    def test_light_well_beside_a_heavy_one(self):
+        # with the ridge the stiff well (curvature 4) holds 3e-8 of the mass:
+        # its chord as a difference of prefix sums from the box's left end,
+        # which pass the wide well, would keep only about 8 of its digits
+        land = spline_double_well_landscape()
+        gamma, ridge = 5000.0, 0.05
+        minima = enumerate_minima(land, ridge)
+        r = 0.5 * disjoint_radius(minima)
+        risk = lambda x: land.risk(x[..., None])
+        # the harness's node count for this point: 20 per well width across the box
+        meas = product_measure(
+            [lambda x: risk(x) + ridge * x * x], gamma, land.domain_box, 17182,
+            regions=[m.ellipsoid(r) for m in minima], integrands={"risk": [risk]},
+        )
+        stiff = minima[1]
+        h, c = 4.0, float(stiff.location[0])
+        reg = lambda x: float(risk(np.array([x]))[0]) + ridge * x * x
+        f_min = reg(float(minima[0].location[0]))
+        factor = lambda x: math.exp(-gamma * (reg(x) - f_min))
+        opts = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+        z = quad(factor, -3.0, 3.0, points=[m.location[0] for m in minima], **opts)[0]
+        half = r / math.sqrt(h + 2.0 * ridge)
+        mass = quad(factor, c - half, c + half, points=[c], **opts)[0] / z
+        assert 3e-8 < mass < 3.2e-8
+        assert meas.masses[1] == pytest.approx(mass, rel=1e-10, abs=0.0)
+        # the well is the quadratic ½h(w − 1)² across its ellipsoid, whose
+        # whitened radius of 70 leaves the Gaussian's excess ½h/(γ(h + 2λ))
+        excess = meas.region_conditional["risk"][1] - float(land.risk(stiff.location))
+        assert excess == pytest.approx(0.5 * h / (gamma * (h + 2.0 * ridge)), rel=1e-10, abs=0.0)
+
     def test_agrees_with_tensor_rule_where_it_converges(self):
         land = quadratic_landscape(2, matrix=np.diag([1.0, 2.0]))
         gamma = 100.0
