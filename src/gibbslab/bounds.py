@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ArgumentError, DegenerateCurvatureError, RadiusError
-from .landscapes import MinimumDescriptor, disjoint_radius
+from .landscapes import MinimumDescriptor, disjoint_radius, nonzero_eigenvalues
 from .specfun import ball_mass_rate, regularized_gamma_P
 
 __all__ = [
@@ -135,13 +135,9 @@ def effective_dimension(H: np.ndarray, ridge: float) -> float:
     if ridge < 0.0:
         raise ArgumentError(f"ridge weight must be nonnegative, got {ridge}")
     eigs = np.linalg.eigvalsh(H)
-    largest = float(eigs[-1])
-    if eigs[0] < -1e-10 * max(1.0, largest):
+    if eigs[0] < -1e-10 * max(1.0, float(eigs[-1])):
         raise ArgumentError("H must be positive semi-definite")
-    if largest <= 0.0:
-        return 0.0
-    threshold = 1e-10 * largest
-    nonzero = eigs[eigs > threshold]
+    nonzero = nonzero_eigenvalues(eigs)
     if ridge == 0.0:
         return float(nonzero.size)
     return float(np.sum(nonzero / (nonzero + 2.0 * ridge)))

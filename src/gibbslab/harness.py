@@ -55,16 +55,6 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-THEOREMS = (
-    "generalization",
-    "local_excess",
-    "global_excess",
-    "pseudo_excess",
-    "minima_distribution",
-    "ellipsoid_mass",
-    "complement_mass",
-)
-
 CSV_COLUMNS = [
     "theorem",
     "key",
@@ -278,7 +268,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if generalization and trials is not None and trials < 50:
         problems.append("oracle.mc_trials: the generalization oracle needs >= 50 trials")
 
-    # tuned radii must respect r0 (needs the enumerated minima)
+    # radii are fractions of r0 or must respect it (needs the enumerated minima)
     landscape, minima = None, {}
     if not problems:
         try:
@@ -296,8 +286,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if landscape is not None and radius_values:
         try:
             minima = {ridge: enumerate_minima(landscape, ridge) for ridge in ridges}
-            if radius_mode == "tuning_p":
-                r0 = min(disjoint_radius(found) for found in minima.values())
+            r0 = min(disjoint_radius(found) for found in minima.values())
+            if not r0 > 0.0:
+                problems.append(f"landscape: a minimum on the domain box's edge leaves r0={r0}")
+            elif radius_mode == "tuning_p":
                 for p in radius_values:
                     for g in gammas:
                         if bnd.tune_radius(g, p) > r0 * (1 + 1e-12):
@@ -371,12 +363,6 @@ def _base_row(cfg: ExperimentConfig, theorem: str, gamma, ridge, m, r, p, idx=No
     }
 
 
-def _radius_points(cfg: ExperimentConfig, gamma: float, r0: float):
-    if cfg.radius_mode == "relative":
-        return [(rel * r0, None) for rel in cfg.radius_values]
-    return [(bnd.tune_radius(gamma, p), p) for p in cfg.radius_values]
-
-
 class _Point(NamedTuple):
     """One (γ, λ, m, r): the bound inputs, this radius's share of the
     (γ, λ) Gibbs measure, per minimum i where indexed, and the minima
@@ -390,8 +376,8 @@ class _Point(NamedTuple):
     complement: float  # outside every ellipsoid
     global_excess: float | None  # E[R] − Σ weightᵢ·R(w*ᵢ)
     excess: np.ndarray | None  # E[R | ellipsoid i] − R(w*ᵢ)
-    gconf: bnd.GibbsConfig | None = None
-    distribution: bnd.MinimaDistribution | None = None
+    gconf: bnd.GibbsConfig
+    distribution: bnd.MinimaDistribution | None
 
 
 def _from_report(report: bnd.BoundReport) -> tuple:
@@ -471,6 +457,8 @@ _TABLE = {
     ),
 }
 
+THEOREMS = ("generalization", *_TABLE)
+
 
 def _finish(row: dict, total, secondary, terms, oracle, allowance, passes) -> dict:
     row["bound_total"] = total
@@ -488,18 +476,14 @@ def _coordinate_potential(risk_k, ridge: float):
     return lambda x: risk_k(x) + ridge * (x * x)
 
 
-def _radius_shares(cfg, landscape, minima, gamma, ridge, r0, theorems) -> tuple[list, dict]:
-    """Per swept radius: (r, p, point without gconf or distribution), all
-    read from one Gibbs measure whose regions are every minimum's ellipsoid
-    at every r; and how that measure was computed: its method (the
-    ``product`` oracle for a landscape that declares coordinate risks in
-    d ≥ 2, the ``tensor`` grid otherwise), the nodes per axis of both
-    passes and its wall seconds."""
-    radii = _radius_points(cfg, gamma, r0)
+def _gibbs_measure(cfg: ExperimentConfig, gamma, ridge, regions, needs_risk) -> tuple:
+    """The (γ, λ) Gibbs measure read off for ``regions``, and how it was
+    computed: its method (the ``product`` oracle for a landscape that
+    declares coordinate risks in d ≥ 2, the ``tensor`` grid otherwise), the
+    nodes per axis of both passes and its wall seconds."""
+    landscape, minima = cfg.landscape, cfg.minima[ridge]
     product = landscape.coordinate_risks is not None and landscape.dimension >= 2
     nodes = _auto_nodes(landscape, minima, gamma, cfg.oracle["nodes_per_dim"], not product)
-    needs_risk = {"local_excess", "global_excess", "pseudo_excess"} & set(theorems)
-    regions = [mn.ellipsoid(r) for r, _ in radii for mn in minima]
     start = time.perf_counter()
     if product:
         measure = product_measure(
@@ -518,36 +502,13 @@ def _radius_shares(cfg, landscape, minima, gamma, ridge, r0, theorems) -> tuple[
             regions=regions,
             integrands={"risk": landscape.risk} if needs_risk else None,
         )
-    quadrature = {
+    return measure, {
         "gamma": gamma,
         "ridge": ridge,
         "method": "product" if product else "tensor",
         "nodes_per_axis": [list(n) for n in measure.nodes_per_axis],
         "seconds": time.perf_counter() - start,
     }
-    risk_at_minima = np.array([float(landscape.risk(mn.location)) for mn in minima])
-    shares = []
-    for k, (r, p) in enumerate(radii):
-        share = slice(k * len(minima), (k + 1) * len(minima))
-        masses = measure.masses[share]
-        weights = masses / masses.sum()
-        excess = global_excess = None
-        if needs_risk:
-            excess = measure.region_conditional["risk"][share] - risk_at_minima
-            anchor = float(np.sum(weights * risk_at_minima))
-            global_excess = measure.conditional["risk"] - anchor
-        point = _Point(
-            minima=minima,
-            r=r,
-            log_z=measure.log_z,
-            masses=masses,
-            weights=weights,
-            complement=measure.complement_mass[float(r)],
-            global_excess=global_excess,
-            excess=excess,
-        )
-        shares.append((r, p, point))
-    return shares, quadrature
 
 
 def _evaluate_point(
@@ -556,37 +517,56 @@ def _evaluate_point(
     """Rows of every m and radius at one (γ, λ), how its quadrature
     measure was computed (None without one) and the wall seconds spent in
     the generalization-gap oracle; m enters only the bounds.
-    ``data_model`` is the run's one, or None without generalization rows."""
+    ``data_model`` is the run's one, or None without generalization rows.
+    Every radius reads its share of one Gibbs measure, whose regions are
+    every minimum's ellipsoid at every radius."""
     landscape, minima = cfg.landscape, cfg.minima[ridge]
-    r0 = disjoint_radius(minima)
     theorems = [t for t in cfg.theorems if t in _TABLE]
-    shares, quadrature = (
-        _radius_shares(cfg, landscape, minima, gamma, ridge, r0, theorems)
-        if theorems
-        else ([], None)
-    )
     gconfs = [
         bnd.GibbsConfig(gamma=gamma, ridge=ridge, m=m, loss_bound=landscape.loss_bound)
         for m in cfg.ms
     ]
-    if {"minima_distribution", "pseudo_excess"} & set(theorems):
-        # the distribution reads γ, λ and r only: one per radius, for every m
-        shares = [
-            (r, p, point._replace(distribution=bnd.minima_distribution(minima, gconfs[0], r)))
-            for r, p, point in shares
-        ]
     rows: list[dict] = []
+    quadrature = None
+    if theorems:
+        r0 = disjoint_radius(minima)
+        if cfg.radius_mode == "relative":
+            radii = [(rel * r0, None) for rel in cfg.radius_values]
+        else:
+            radii = [(bnd.tune_radius(gamma, p), p) for p in cfg.radius_values]
+        needs_risk = {"local_excess", "global_excess", "pseudo_excess"} & set(theorems)
+        needs_distribution = {"minima_distribution", "pseudo_excess"} & set(theorems)
+        regions = [mn.ellipsoid(r) for r, _ in radii for mn in minima]
+        measure, quadrature = _gibbs_measure(cfg, gamma, ridge, regions, needs_risk)
+        risk_at_minima = np.array([float(landscape.risk(mn.location)) for mn in minima])
+        for k, (r, p) in enumerate(radii):
+            share = slice(k * len(minima), (k + 1) * len(minima))
+            masses = measure.masses[share]
+            weights = masses / masses.sum()
+            excess = global_excess = None
+            if needs_risk:
+                excess = measure.region_conditional["risk"][share] - risk_at_minima
+                anchor = float(np.sum(weights * risk_at_minima))
+                global_excess = measure.conditional["risk"] - anchor
+            # the distribution reads γ, λ and r only: one per radius, for every m
+            distribution = (
+                bnd.minima_distribution(minima, gconfs[0], r) if needs_distribution else None
+            )
+            for m, gconf in zip(cfg.ms, gconfs):
+                pt = _Point(
+                    minima, r, measure.log_z, masses, weights,
+                    measure.complement_mass[float(r)], global_excess, excess,
+                    gconf, distribution,
+                )
+                for theorem in theorems:
+                    per_minimum, bound, oracle, passes = _TABLE[theorem]
+                    for mn in minima if per_minimum else [None]:
+                        idx = None if mn is None else mn.index
+                        row = _base_row(cfg, theorem, gamma, ridge, m, r, p, idx)
+                        rows.append(_finish(row, *bound(pt, mn), oracle(pt, mn), 0.0, passes))
     generalization_s = 0.0
-    for m, gconf in zip(cfg.ms, gconfs):
-        for r, p, point in shares:
-            pt = point._replace(gconf=gconf)
-            for theorem in theorems:
-                per_minimum, bound, oracle, passes = _TABLE[theorem]
-                for mn in minima if per_minimum else [None]:
-                    idx = None if mn is None else mn.index
-                    row = _base_row(cfg, theorem, gamma, ridge, m, r, p, idx)
-                    rows.append(_finish(row, *bound(pt, mn), oracle(pt, mn), 0.0, passes))
-        if data_model is not None:
+    if data_model is not None:
+        for gconf in gconfs:
             gen_rows, seconds = _generalization_rows(cfg, data_model, gconf)
             rows += gen_rows
             generalization_s += seconds
@@ -609,7 +589,7 @@ def _generalization_rows(
         steps=cfg.sampler["steps"],
     )
     seconds = time.perf_counter() - start
-    allowance = 1.5 * estimate.halfwidth_95  # 3 sigma
+    allowance = 3.0 * estimate.std_error
     rows = []
     for variant in bnd.GEN_BOUND_VARIANTS:
         row = _base_row(cfg, "generalization", gconf.gamma, gconf.ridge, gconf.m, None, None)

@@ -294,15 +294,13 @@ def _newton_polish(landscape: Landscape, seed: np.ndarray, lam: float) -> np.nda
     )
 
 
-def _nonzero_min_eigenvalue(eigs: np.ndarray) -> float:
-    """Smallest of the ascending eigenvalues ``eigs`` above the zero
-    threshold, 0 when there is none."""
+def nonzero_eigenvalues(eigs: np.ndarray) -> np.ndarray:
+    """The ascending eigenvalues ``eigs`` above the zero threshold
+    (1e-10 times the largest); none when the largest is not positive."""
     largest = float(eigs[-1])
     if largest <= 0.0:
-        return 0.0
-    threshold = ZERO_EIG_REL_THRESHOLD * largest
-    above = eigs[eigs > threshold]
-    return float(above[0]) if above.size else 0.0
+        return eigs[:0]
+    return eigs[eigs > ZERO_EIG_REL_THRESHOLD * largest]
 
 
 def enumerate_minima(landscape: Landscape, lam: float) -> list[MinimumDescriptor]:
@@ -314,7 +312,8 @@ def enumerate_minima(landscape: Landscape, lam: float) -> list[MinimumDescriptor
     isolated-minima assumption (indefinite regularized Hessian, risk
     Hessian with negative curvature, or Newton divergence), and for a
     d ≥ 2 landscape that declares neither ``quadratic`` nor
-    ``lipschitz_closed_form``.
+    ``lipschitz_closed_form``; DomainError when a polished point lies
+    outside the domain box.
     """
     if lam < 0.0:
         raise ArgumentError(f"ridge weight must be nonnegative, got {lam}")
@@ -333,8 +332,7 @@ def enumerate_minima(landscape: Landscape, lam: float) -> list[MinimumDescriptor
 
     records = []
     for order, w in enumerate(polished):
-        hess = np.asarray(landscape.hessian(w), dtype=float)
-        hess = 0.5 * (hess + hess.T)
+        hess = risk_jet(landscape, w).hessian  # DomainError outside the box
         reg_hess = hess + 2.0 * lam * np.eye(landscape.dimension)
         reg_eigs = np.linalg.eigvalsh(reg_hess)
         if reg_eigs[0] <= 0.0:
@@ -360,7 +358,7 @@ def enumerate_minima(landscape: Landscape, lam: float) -> list[MinimumDescriptor
                 reg_risk_value=value,
                 hessian=hess,
                 reg_hessian=reg_hess,
-                lambda_min=_nonzero_min_eigenvalue(eigs),
+                lambda_min=float(min(nonzero_eigenvalues(eigs), default=0.0)),
                 is_global=bool(value - best <= GLOBAL_VALUE_TOL),
                 lipschitz=_lipschitz_profile(landscape, minima, index),
                 lipschitz_is_estimate=not declared,
@@ -461,9 +459,13 @@ def _box(bounds, dimension: int) -> np.ndarray:
 
 
 def quadratic_landscape(
-    dimension: int = 1, matrix=None, bounds=(-5.0, 5.0)
+    dimension: int | None = None, matrix=None, bounds=(-5.0, 5.0)
 ) -> Landscape:
     """Risk ½wᵀAw with constant Hessian A (symmetric PSD), minimum at 0.
+
+    ``dimension`` None is the size of ``matrix``, or 1 without one (A is
+    then the identity); a ``dimension`` that differs from the size of
+    ``matrix`` raises ArgumentError.
 
     The loss bound M is the largest risk over the box corners. A diagonal
     A (the default identity included) gives a sum of terms ½hₖwₖ², each
@@ -472,13 +474,16 @@ def quadratic_landscape(
     A scans all 2^d corners.
     """
     if matrix is None:  # _box rejects a dimension below 1 before np.eye sees it
-        matrix = np.eye(len(_box(bounds, dimension)))
+        matrix = np.eye(len(_box(bounds, 1 if dimension is None else dimension)))
     a = np.asarray(matrix, dtype=float)
     if a.ndim == 0:
         a = a.reshape(1, 1)
+    if dimension is not None and dimension != a.shape[0]:
+        raise ArgumentError(f"dimension {dimension} differs from the matrix's size {a.shape[0]}")
     dimension = a.shape[0]
     a = 0.5 * (a + a.T)
-    if np.linalg.eigvalsh(a)[0] < -1e-12 * max(1.0, abs(np.linalg.eigvalsh(a)[-1])):
+    eigs = np.linalg.eigvalsh(a)
+    if eigs[0] < -1e-12 * max(1.0, abs(eigs[-1])):
         raise ArgumentError("quadratic matrix must be positive semi-definite")
     box = _box(bounds, dimension)
     diagonal = np.array_equal(a, np.diag(np.diagonal(a)))

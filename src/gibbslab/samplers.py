@@ -8,6 +8,7 @@ from (master_seed, chain_id) via a documented 64-bit seed mix.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -100,8 +101,8 @@ def target_from_landscape(landscape: Landscape, ridge: float) -> GibbsTarget:
 
     At λ = 0 the target's ``value`` and ``grad`` are the landscape's own
     ``risk`` and ``gradient``: the chains call them once per step, and
-    R + 0·‖w‖² adds only a ridge pass to each call. For λ > 0 they are
-    ``risk(w) + λ·(w * w).sum(axis=-1)`` and ``gradient(w) + 2λ·w``.
+    R + 0·‖w‖² adds only a ridge pass to each call. For λ > 0 they are the
+    landscape's ``reg_risk`` and ``reg_gradient`` with λ bound.
     """
     quadratic = None
     if landscape.quadratic:
@@ -112,23 +113,17 @@ def target_from_landscape(landscape: Landscape, ridge: float) -> GibbsTarget:
         if np.linalg.eigvalsh(hess0)[0] > 0.0:
             quadratic = (w0 - np.linalg.solve(hess0, grad0), hess0)
     # bound once: the chains call these per step, on float arrays
-    risk, gradient, reg_hessian = landscape.risk, landscape.gradient, landscape.reg_hessian
-    lam, lam2 = ridge, 2.0 * ridge
-    if lam == 0.0:
-        value, grad = risk, gradient
+    if ridge == 0.0:
+        value, grad = landscape.risk, landscape.gradient
     else:
-        def value(w):
-            return risk(w) + lam * (w * w).sum(axis=-1)
-
-        def grad(w):
-            return gradient(w) + lam2 * w
-
+        value = functools.partial(landscape.reg_risk, lam=ridge)
+        grad = functools.partial(landscape.reg_gradient, lam=ridge)
     return GibbsTarget(
         dim=landscape.dimension,
         domain_box=np.array(landscape.domain_box),
         value=value,
         grad=grad,
-        hessian=lambda w: reg_hessian(w, lam),
+        hessian=functools.partial(landscape.reg_hessian, lam=ridge),
         quadratic=quadratic,
     )
 

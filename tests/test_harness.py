@@ -93,6 +93,14 @@ MALFORMED = [
         lambda raw: {**raw, "landscape": {"name": "quadratic", "params": {"matrix": []}}},
     ),
     ("theorems", "repeated", lambda raw: {**raw, "theorems": ["local_excess", "local_excess"]}),
+    (
+        "landscape.params",
+        "quadratic-dimension-disagrees-with-matrix",
+        lambda raw: {
+            **raw,
+            "landscape": {"name": "quadratic", "params": {"dimension": 5, "matrix": [[2.0]]}},
+        },
+    ),
 ]
 
 
@@ -528,6 +536,53 @@ class TestCli:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
         assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize(
+        "name, bounds",
+        [("double_well", [0.5, 2.0]), ("quadratic", [0.0, 5.0]), ("quadratic", [1.0, 5.0])],
+        ids=["one_well_outside", "minimum_on_the_edge", "minimum_outside"],
+    )
+    def test_minimum_outside_the_box_exit_2(self, name, bounds, tmp_path, capsys):
+        raw = minimal_config(
+            landscape={"name": name, "params": {"dimension": 1, "bounds": bounds}},
+            theorems=[t for t in THEOREMS if t != "generalization"],
+        )
+        raw["gibbs"]["gamma"] = [20.0]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["validate", str(path)]) == 2
+        assert "landscape:" in capsys.readouterr().err
+
+    def test_failing_rows_exit_1_and_are_listed(self, tmp_path, capsys, monkeypatch):
+        per_minimum, bound, oracle, _ = harness._TABLE["local_excess"]
+        monkeypatch.setitem(
+            harness._TABLE, "local_excess", (per_minimum, bound, oracle, lambda row: False)
+        )
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_config(radius={"relative": [0.3, 0.6]})))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+        out = capsys.readouterr().out
+        assert "(2 rows, 2 failures)" in out
+        fails = [line.split() for line in out.splitlines() if "FAIL" in line]
+        assert [f[:2] for f in fails] == [["FAIL", "local_excess"]] * 2
+        assert all(f[2].startswith("gamma=10;ridge=0;m=100;r=") for f in fails)
+
+    def test_non_diagonal_quadratic_in_three_dimensions_exit_3(self, tmp_path, capsys):
+        # the tensor grid's cap of 80 nodes per axis in d = 3 leaves its
+        # masked region masses under-resolved
+        raw = minimal_config(
+            landscape={
+                "name": "quadratic",
+                "params": {"matrix": [[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]]},
+            },
+            theorems=["ellipsoid_mass"],
+        )
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and "Traceback" not in err
+        assert "nodes_per_dim=(320, 320, 320)" in err
 
     def test_list_landscapes(self, capsys):
         assert cli.main(["list-landscapes"]) == 0

@@ -204,6 +204,12 @@ class TestEnumerateMinima:
         with pytest.raises(LandscapeDefinitionError):
             enumerate_minima(double_well_landscape(), 3.0)
 
+    def test_minimum_outside_the_box_rejected(self):
+        with pytest.raises(DomainError):
+            enumerate_minima(double_well_landscape(1, bounds=(0.5, 2.0)), 0.0)
+        with pytest.raises(DomainError):
+            enumerate_minima(quadratic_landscape(1, bounds=(1.0, 5.0)), 0.0)
+
 
 def scipy_halton_ellipsoid_points(minimum, r, count):
     """The ellipsoid point set built on scipy's unscrambled Halton engine."""
@@ -490,6 +496,29 @@ class TestQuadraticRisk:
         corners = np.array(list(itertools.product(*box)))
         worst = max(0.5 * c @ np.diag(h) @ c for c in corners)
         assert quadratic_landscape(4, matrix=np.diag(h), bounds=box).loss_bound == worst
+
+    @pytest.mark.parametrize(
+        "kwargs, matrix",
+        [
+            ({}, [[1.0]]),
+            ({"dimension": 1}, [[1.0]]),
+            ({"dimension": 3}, np.eye(3)),
+            ({"matrix": 2.0}, [[2.0]]),
+            ({"matrix": np.diag([0.2, 1.0, 7.0])}, np.diag([0.2, 1.0, 7.0])),
+            ({"dimension": 2, "matrix": [[1.0, 0.3], [0.3, 2.0]]}, [[1.0, 0.3], [0.3, 2.0]]),
+        ],
+    )
+    def test_dimension_defaults_to_the_matrix_size(self, kwargs, matrix):
+        land = quadratic_landscape(**kwargs)
+        d = len(matrix)
+        assert land.dimension == d and land.domain_box.shape == (d, 2)
+        np.testing.assert_array_equal(land.params["matrix"], matrix)
+
+    def test_dimension_that_disagrees_with_the_matrix_raises(self):
+        with pytest.raises(ArgumentError, match="dimension 5"):
+            quadratic_landscape(dimension=5, matrix=[[2.0]])
+        with pytest.raises(ArgumentError, match="dimension 1"):
+            quadratic_landscape(1, matrix=np.eye(2))
 
     def test_diagonal_loss_bound_in_high_dimension(self):
         start = time.perf_counter()

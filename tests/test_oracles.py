@@ -458,6 +458,29 @@ class TestProductMeasure:
         assert 1e-12 < comp < 2e-12
         assert meas.complement_mass[r] == pytest.approx(comp, rel=1e-8)
 
+    def test_middle_gap_inside_one_panel(self):
+        # 1040 nodes make 65 panels on [-2, 2], so the barrier gap
+        # [-0.001, 0.001] between the two chords lies inside one panel of
+        # the coarse pass and gets its own rule; it holds the complement
+        land = double_well_landscape(1)
+        gamma = 20.0
+        minima = enumerate_minima(land, 0.0)
+        r = 0.999 * disjoint_radius(minima)
+        rho = r / math.sqrt(8.0)  # both curvatures are 8 at ±1
+        edges = oracles._panel_edges(-2.0, 2.0, 1040)
+        assert not np.any((edges >= -1.0 + rho) & (edges <= 1.0 - rho))
+        meas = product_measure(
+            land.coordinate_risks, gamma, land.domain_box, 1040,
+            regions=[m.ellipsoid(r) for m in minima],
+        )
+        factor = lambda x: math.exp(-gamma * (x * x - 1.0) ** 2)
+        opts = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+        z = quad(factor, -2.0, 2.0, points=[-1.0, 0.0, 1.0], **opts)[0]
+        gaps = [(-2.0, -1.0 - rho), (-1.0 + rho, 1.0 - rho), (1.0 + rho, 2.0)]
+        comp = sum(quad(factor, a, b, **opts)[0] for a, b in gaps) / z
+        assert 1e-11 < comp < 1.1e-11
+        assert meas.complement_mass[r] == pytest.approx(comp, rel=1e-10, abs=0.0)
+
     def test_light_well_beside_a_heavy_one(self):
         # with the ridge the stiff well (curvature 4) holds 3e-8 of the mass:
         # its chord as a difference of prefix sums from the box's left end,
