@@ -205,7 +205,10 @@ class DataModel:
     whose first axis indexes the sample. ``quadratic`` promises that the
     empirical risk (1/m)Σℓ(w, zᵢ) is exactly quadratic in w for every
     sample, so its Hessian does not depend on w; it becomes the
-    ``quadratic`` flag of every ``empirical_landscape`` of the model.
+    ``quadratic`` flag of every ``empirical_landscape`` of the model. The
+    m = 1 case makes every single loss ℓ(·, z) quadratic too, and so the
+    risk, their expectation: ``oracles.empirical_generalization_gap``
+    relies on this to sum the per-example gaps from the chain's moments.
     """
 
     name: str

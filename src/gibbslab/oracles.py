@@ -350,7 +350,10 @@ def quadrature_measure(
 
 def _check_doubling(coarse: QuadratureMeasure, fine: QuadratureMeasure, nodes) -> None:
     """ResolutionError, suggesting 4x ``nodes``, unless every returned value
-    of the doubled rule lies within 1e-6 relative of the coarse one."""
+    of the doubled rule lies within 1e-6 relative of the coarse one. The
+    message names one integer, the largest suggested count, as the config
+    key ``oracle.nodes_per_dim`` takes it; ``suggested_nodes`` keeps the
+    per-axis tuple."""
     old, new = _values(coarse), _values(fine)
     scale = np.maximum(np.maximum(np.abs(old), np.abs(new)), 1e-300)
     rel = np.abs(old - new) / scale
@@ -362,7 +365,7 @@ def _check_doubling(coarse: QuadratureMeasure, fine: QuadratureMeasure, nodes) -
         suggested = tuple(4 * n for n in nodes)
         raise ResolutionError(
             f"quadrature grid under-resolved (max relative drift {drift:.3e} "
-            f"on doubling); retry with nodes_per_dim={suggested}",
+            f"on doubling); retry with nodes_per_dim={max(suggested)}",
             suggested_nodes=suggested,
         )
 
@@ -752,25 +755,34 @@ def empirical_generalization_gap(
     """Cross-trial estimate of E_S E_w[R(w) − R̂_S(w)].
 
     Each trial draws a fresh size-m sample, runs one chain of ``steps``
-    steps on its regularized empirical risk, and averages R(w) − ℓ(w, zᵢ)
-    over the chain and the examples. The chain draws exact Gaussians when
-    the data model declares a quadratic empirical risk and runs Metropolis
-    (with the default step size and a fifth of the steps as burn-in)
-    otherwise. The gaps R(w) − ℓ(w, zᵢ) are summed over blocks of chain
-    samples of about 32k (sample, example) pairs, each written into one
-    buffer this function allocates once and reuses for every block and
-    trial, so memory does not grow with ``steps``. The arrays that
-    ``data_model.loss`` returns are only read (one may be a read-only
-    view). Requires trials ≥ 50 and m ≥ 1.
+    steps on its regularized empirical risk, and averages the per-example
+    gaps gᵢ(w) = R(w) − ℓ(w, zᵢ) over the chain and the examples. The
+    chain draws exact Gaussians when the data model declares a quadratic
+    empirical risk and runs Metropolis (with the default step size and a
+    fifth of the steps as burn-in) otherwise. The two chains are summed
+    differently:
+
+    * Quadratic: every gᵢ is a quadratic in w (see ``DataModel.quadratic``),
+      so with c the target's minimizer and D the n chain samples minus c,
+      Σₛ Σᵢ gᵢ(wₛ) = n·Σᵢgᵢ(c) + Σᵢ∇gᵢ(c)·ΣD + ½⟨Σᵢ∇²gᵢ(c), DᵀD⟩ exactly.
+      The three coefficients come from one ``loss``, ``loss_gradient``
+      and ``loss_hessian`` call at c, differenced per example against the
+      landscape's risk, gradient and Hessian there, so an
+      example-independent loss gives exactly zero.
+    * Otherwise the gaps are summed over blocks of chain samples of about
+      32k (sample, example) pairs, each written into one buffer this
+      function allocates once and reuses for every block and trial, so
+      memory does not grow with ``steps``.
+
+    The arrays that ``data_model.loss`` and its derivatives return are only
+    read (one may be a read-only view). Requires trials ≥ 50 and m ≥ 1.
     """
     if trials < 50:
         raise ArgumentError(f"need at least 50 trials, got {trials}")
     if m < 1:
         raise ArgumentError(f"need a nonempty sample, got m={m}")
-    land = data_model.landscape
     gaps = np.empty(trials)
-    rows = max(1, _GAP_BLOCK // m)
-    block = np.empty((rows, m))
+    block = None
     for t in range(trials):
         rng = np.random.default_rng(chain_seed(master_seed, 2 * t))
         sample = data_model.sample_examples(rng, m)
@@ -783,18 +795,45 @@ def empirical_generalization_gap(
         batch = sample_chain(
             kind, target, gamma, step_size, steps, burn_in, master_seed, chain_id=2 * t + 1
         )
-        # differencing per example keeps the gap of an example-independent
-        # loss exactly zero; a mean of m equal losses can round off R(w)
-        risks = np.asarray(land.risk(batch.samples), dtype=float)
-        total = 0.0
-        for i in range(0, len(batch), rows):
-            w = batch.samples[i : i + rows]
-            gap = np.subtract(
-                risks[i : i + rows, None], data_model.loss(w, sample), out=block[: len(w)]
-            )
-            total += float(np.sum(gap))
+        if target.quadratic is not None:
+            total = _quadratic_gap_sum(data_model, sample, target.quadratic[0], batch.samples)
+        else:
+            if block is None:
+                block = np.empty((max(1, _GAP_BLOCK // m), m))
+            total = _blocked_gap_sum(data_model, sample, batch.samples, block)
         gaps[t] = total / (len(batch) * m)
     return _mean_estimate(gaps)
+
+
+def _quadratic_gap_sum(data_model: DataModel, sample, center, samples) -> float:
+    """Σₛ Σᵢ [R(wₛ) − ℓ(wₛ, zᵢ)] for quadratic gaps, from the samples' first
+    two moments about ``center``."""
+    land = data_model.landscape
+    # differencing per example keeps every coefficient of an
+    # example-independent loss exactly zero
+    value = np.sum(float(land.risk(center)) - data_model.loss(center, sample))
+    grad = np.sum(land.gradient(center) - data_model.loss_gradient(center, sample), axis=0)
+    hess = np.sum(land.hessian(center) - data_model.loss_hessian(center, sample), axis=0)
+    dev = samples - center
+    return float(
+        len(samples) * value + grad @ dev.sum(axis=0) + 0.5 * np.sum(hess * (dev.T @ dev))
+    )
+
+
+def _blocked_gap_sum(data_model: DataModel, sample, samples, block) -> float:
+    """Σₛ Σᵢ [R(wₛ) − ℓ(wₛ, zᵢ)] summed over row blocks written into ``block``."""
+    # differencing per example keeps the gap of an example-independent
+    # loss exactly zero; a mean of m equal losses can round off R(w)
+    risks = np.asarray(data_model.landscape.risk(samples), dtype=float)
+    rows = len(block)
+    total = 0.0
+    for i in range(0, len(samples), rows):
+        w = samples[i : i + rows]
+        gap = np.subtract(
+            risks[i : i + rows, None], data_model.loss(w, sample), out=block[: len(w)]
+        )
+        total += float(np.sum(gap))
+    return total
 
 
 def irm_objective(

@@ -3,13 +3,14 @@
 These deliberately avoid the code paths they are used to check: the ball
 quadrature integrates in angle-mapped coordinates (smooth, so plain
 Gauss-Legendre converges spectrally) and the truncated-Gaussian sampler
-draws radii through scipy's inverse incomplete gamma.
+draws radii by inverting the chi-square law: in closed form for d <= 2,
+through scipy's inverse incomplete gamma above.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv, roots_legendre
+from scipy.special import erf, erfinv, gammainc, gammaincinv, roots_legendre
 
 from gibbslab.landscapes import MinimumDescriptor
 
@@ -81,7 +82,8 @@ def sample_truncated_gaussian_ellipsoid(
 
     Exact (no rejection): for x = L·u with L·Lᵀ = cov, the condition is
     ‖u‖ ≤ r, so u has uniform direction and chi-square radial law
-    truncated to [0, r²], sampled by inverting the incomplete gamma.
+    truncated to [0, r²], sampled by inverting its CDF: 2·erfinv(p)² in
+    d = 1, −2·log1p(−p) in d = 2 and the inverse incomplete gamma above.
     """
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     d = cov.shape[0]
@@ -89,8 +91,12 @@ def sample_truncated_gaussian_ellipsoid(
     direction = rng.standard_normal((n, d))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     u = rng.random(n)
-    cap = gammainc(0.5 * d, 0.5 * r * r)
-    radii_sq = 2.0 * gammaincinv(0.5 * d, u * cap)
+    if d == 1:
+        radii_sq = 2.0 * erfinv(u * erf(r / np.sqrt(2.0))) ** 2
+    elif d == 2:
+        radii_sq = -2.0 * np.log1p(u * np.expm1(-0.5 * r * r))
+    else:
+        radii_sq = 2.0 * gammaincinv(0.5 * d, u * gammainc(0.5 * d, 0.5 * r * r))
     u_pts = direction * np.sqrt(radii_sq)[:, None]
     return u_pts @ chol.T
 

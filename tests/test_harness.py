@@ -582,7 +582,7 @@ class TestCli:
         assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical error:") and "Traceback" not in err
-        assert "nodes_per_dim=(320, 320, 320)" in err
+        assert "nodes_per_dim=320" in err
 
     def test_list_landscapes(self, capsys):
         assert cli.main(["list-landscapes"]) == 0

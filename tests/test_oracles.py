@@ -9,7 +9,9 @@ from scipy.special import gammainc, gammaincc
 from gibbslab.bounds import GibbsConfig, local_excess_bound
 from gibbslab.errors import ArgumentError, ContractError, ResolutionError
 from gibbslab.landscapes import (
+    DataModel,
     EllipsoidSpec,
+    Landscape,
     constant_loss_data_model,
     double_well_landscape,
     empirical_landscape,
@@ -610,6 +612,51 @@ class TestEmpiricalExcessRisk:
             empirical_excess_risk(land, minimum, kept, 0.9)  # wrong radius
 
 
+def _least_squares_2d_data_model():
+    """ℓ(w, (x, y)) = (y − w·x)² with x ~ N(0, Σ), Σ correlated, and
+    y = w*·x + ν, ν ~ N(0, σ²): R(w) = (w − w*)ᵀΣ(w − w*) + σ²."""
+    cov = np.array([[1.0, 0.6], [0.6, 2.0]])
+    w_star = np.array([0.4, -0.3])
+    noise = 0.5
+    chol = np.linalg.cholesky(cov)
+
+    def risk(w):
+        dev = np.asarray(w, dtype=float) - w_star
+        return np.einsum("...i,ij,...j->...", dev, cov, dev) + noise**2
+
+    def residuals(w, sample):
+        return sample[:, 2] - np.asarray(w, dtype=float) @ sample[:, :2].T
+
+    def loss_hessian(w, sample):
+        hess = 2.0 * sample[:, :2, None] * sample[:, None, :2]
+        return np.broadcast_to(hess, np.shape(w)[:-1] + hess.shape)
+
+    def sample_examples(rng, n):
+        x = rng.standard_normal((n, 2)) @ chol.T
+        return np.column_stack([x, x @ w_star + noise * rng.standard_normal(n)])
+
+    landscape = Landscape(
+        name="least_squares2",
+        dimension=2,
+        domain_box=np.array([[-3.0, 3.0], [-3.0, 3.0]]),
+        loss_bound=100.0,
+        risk=risk,
+        gradient=lambda w: 2.0 * (np.asarray(w, dtype=float) - w_star) @ cov,
+        hessian=lambda w: np.broadcast_to(2.0 * cov, np.shape(w)[:-1] + (2, 2)),
+        initial_points=(w_star,),
+        quadratic=True,
+    )
+    return DataModel(
+        name="least_squares2",
+        landscape=landscape,
+        loss=lambda w, sample: residuals(w, sample) ** 2,
+        loss_gradient=lambda w, sample: -2.0 * residuals(w, sample)[..., None] * sample[:, :2],
+        loss_hessian=loss_hessian,
+        sample_examples=sample_examples,
+        quadratic=True,
+    )
+
+
 class TestEmpiricalGeneralizationGap:
     def test_example_independent_loss_gives_exact_zero(self):
         dm = constant_loss_data_model(quadratic_landscape(1))
@@ -679,6 +726,55 @@ class TestEmpiricalGeneralizationGap:
         try:
             empirical_generalization_gap(dm, 10.0, 0.1, 1000, trials=50, master_seed=4,
                                          steps=20_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_quadratic_moment_form_equals_whole_array_mean_in_two_dimensions(self):
+        dm = _least_squares_2d_data_model()
+        gamma, ridge, m, steps, trials = 10.0, 0.1, 200, 300, 50
+        est = empirical_generalization_gap(
+            dm, gamma, ridge, m, trials=trials, master_seed=4, steps=steps
+        )
+        gaps = []
+        for t in range(trials):
+            sample = dm.sample_examples(np.random.default_rng(chain_seed(4, 2 * t)), m)
+            tgt = target_from_landscape(empirical_landscape(dm, sample), ridge)
+            batch = sample_chain(
+                "exact_gaussian", tgt, gamma, 1.0, steps, 0, 4, chain_id=2 * t + 1
+            )
+            whole = dm.landscape.risk(batch.samples)[:, None] - dm.loss(batch.samples, sample)
+            gaps.append(np.mean(whole))
+        assert est.value == pytest.approx(np.mean(gaps), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "land",
+        [
+            quadratic_landscape(2, matrix=[[1.0, 0.3], [0.3, 2.0]]),
+            # its target's minimizer is off 0, so m·R(c) and a sum of m
+            # equal losses can round apart there
+            rls_data_model().landscape,
+        ],
+        ids=["quadratic2", "rls"],
+    )
+    def test_example_independent_quadratic_loss_gives_exact_zero(self, land):
+        est = empirical_generalization_gap(
+            constant_loss_data_model(land), 5.0, 0.1, 20, trials=50, master_seed=4
+        )
+        assert est.value == 0.0
+        assert est.halfwidth_95 == 0.0
+
+    def test_metropolis_memory_does_not_grow_with_steps(self):
+        import tracemalloc
+
+        # a non-quadratic model sums its gaps in blocks; the whole
+        # (steps × m) float array would take 40 MB
+        dm = constant_loss_data_model(double_well_landscape(1))
+        tracemalloc.start()
+        try:
+            empirical_generalization_gap(dm, 5.0, 0.1, 100_000, trials=50, master_seed=4,
+                                         steps=50)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
