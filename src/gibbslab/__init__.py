@@ -8,6 +8,7 @@ formula against independent quadrature and Monte-Carlo oracles.
 """
 
 from .bounds import (
+    GEN_BOUND_VARIANTS,
     BoundReport,
     ComplementMassBound,
     EllipsoidMassBounds,

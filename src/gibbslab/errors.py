@@ -1,5 +1,20 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "GibbslabError",
+    "ArgumentError",
+    "DomainError",
+    "LandscapeDefinitionError",
+    "DegenerateCurvatureError",
+    "RadiusError",
+    "SamplerKindError",
+    "DivergenceError",
+    "ConditioningError",
+    "ContractError",
+    "ResolutionError",
+    "ConfigError",
+]
+
 
 class GibbslabError(Exception):
     """Base class for all package errors."""

@@ -371,13 +371,13 @@ def _check_doubling(coarse: QuadratureMeasure, fine: QuadratureMeasure, nodes) -
 
 
 def _dyadic_sums(values: np.ndarray) -> list[np.ndarray]:
-    """The sums of every run of 2^k consecutive entries of a 1-d array, for
-    each k with 2^k <= its length: entry i of the k-th array sums
-    values[i : i + 2^k]."""
+    """The sums of every run of 2^k consecutive entries along the last axis,
+    for each k with 2^k <= its length: entry i of the k-th array sums
+    values[..., i : i + 2^k]."""
     table = [values]
-    while 2 ** len(table) <= len(values):
+    while 2 ** len(table) <= values.shape[-1]:
         half = 2 ** (len(table) - 1)
-        table.append(table[-1][:-half] + table[-1][half:])
+        table.append(table[-1][..., :-half] + table[-1][..., half:])
     return table
 
 
@@ -411,7 +411,7 @@ class _Axis:
         # cumulative[:, j]: panels before j; tail[:, j]: panels j on
         self.cumulative = np.pad(np.cumsum(panels, axis=-1), [(0, 0), (1, 0)])
         self.tail = np.pad(np.cumsum(panels[:, ::-1], axis=-1)[:, ::-1], [(0, 0), (0, 1)])
-        self.runs = _dyadic_sums(panels[0])
+        self.runs = _dyadic_sums(panels)
 
     def _potential(self, x: np.ndarray) -> np.ndarray:
         f = np.asarray(self.potential(x), dtype=float)
@@ -437,16 +437,17 @@ class _Axis:
         p = self.density(x)
         return np.stack([p @ base_w, *((p * g(x)) @ base_w for g in self.integrands)]) * half
 
-    def _middle_mass(self, first: np.ndarray, stop: np.ndarray) -> np.ndarray:
-        """Mass of the whole panels first .. stop − 1, as the sum of the
-        dyadic runs that tile the range: a sum of positive terms, accurate
-        relative to the range however small it is against the mass on
-        either side, which no difference of prefix sums is."""
-        total = np.zeros(np.shape(first))
+    def _tiled(self, first: np.ndarray, stop: np.ndarray, rows) -> np.ndarray:
+        """Rows ``rows`` (as in density()) of the whole panels first ..
+        stop − 1, as the sum of the dyadic runs that tile the range: the
+        mass is then a sum of positive terms, accurate relative to the
+        range however small it is against the mass on either side, which
+        no difference of prefix sums is."""
+        total = 0.0
         start, left = first.copy(), stop - first
         for k in range(len(self.runs) - 1, -1, -1):
             take = (left >> k) & 1 == 1
-            total += np.where(take, self.runs[k][np.where(take, start, 0)], 0.0)
+            total = total + np.where(take, self.runs[k][rows, np.where(take, start, 0)], 0.0)
             start += take << k
         return total
 
@@ -460,9 +461,10 @@ class _Axis:
         One rule per cut integrates its partial panel on the gap side, so
         a gap, whose mass in the tails is the complement, is a sum of
         positive terms; a chord is its panels less those gap-side parts.
-        Its panels are a difference of prefix or of suffix sums, whichever
-        leaves out less mass, so a light well beside a heavy one keeps its
-        digits.
+        The first and the last chord's panels are a difference of prefix or
+        of suffix sums, whichever leaves out less mass, so a light well
+        beside a heavy one keeps its digits; an inner chord, which may lie
+        between two heavy wells, tiles its panels with dyadic runs.
         """
         x = np.clip(cuts, self.lo, self.hi)
         last = len(self.edges) - 2
@@ -479,13 +481,15 @@ class _Axis:
             self.cumulative[:, b] - self.cumulative[:, a],
             self.tail[:, a] - self.tail[:, b],
         )
+        if len(a) > 2:
+            whole[:, 1:-1] = self._tiled(a[1:-1], b[1:-1], slice(None))
         chords = whole - to_low - from_high
         # gap i runs from high cut i − 1 (or lo) to low cut i (or hi); the
         # outer two are one-sided sums, the middle ones tile their panels
         first, stop = j[1:-1:2] + 1, j[2::2]
         gaps = np.concatenate([
             (self.cumulative[0, j[0]] + to_low[0, 0])[None],
-            from_high[0, :-1] + self._middle_mass(first, np.maximum(first, stop)) + to_low[0, 1:],
+            from_high[0, :-1] + self._tiled(first, np.maximum(first, stop), 0) + to_low[0, 1:],
             (from_high[0, -1] + self.tail[0, j[-1] + 1])[None],
         ])
         # a middle gap inside one panel gets its own rule instead
@@ -754,85 +758,68 @@ def empirical_generalization_gap(
 ) -> Estimate:
     """Cross-trial estimate of E_S E_w[R(w) − R̂_S(w)].
 
-    Each trial draws a fresh size-m sample, runs one chain of ``steps``
-    steps on its regularized empirical risk, and averages the per-example
-    gaps gᵢ(w) = R(w) − ℓ(w, zᵢ) over the chain and the examples. The
-    chain draws exact Gaussians when the data model declares a quadratic
-    empirical risk and runs Metropolis (with the default step size and a
-    fifth of the steps as burn-in) otherwise. The two chains are summed
-    differently:
+    Each trial draws a fresh size-m sample and averages the per-example
+    gaps gᵢ(w) = R(w) − ℓ(w, zᵢ) over the examples and over w from the
+    Gibbs density of its regularized empirical risk:
 
-    * Quadratic: every gᵢ is a quadratic in w (see ``DataModel.quadratic``),
-      so with c the target's minimizer and D the n chain samples minus c,
-      Σₛ Σᵢ gᵢ(wₛ) = n·Σᵢgᵢ(c) + Σᵢ∇gᵢ(c)·ΣD + ½⟨Σᵢ∇²gᵢ(c), DᵀD⟩ exactly.
-      The three coefficients come from one ``loss``, ``loss_gradient``
-      and ``loss_hessian`` call at c, differenced per example against the
-      landscape's risk, gradient and Hessian there, so an
-      example-independent loss gives exactly zero.
-    * Otherwise the gaps are summed over blocks of chain samples of about
-      32k (sample, example) pairs, each written into one buffer this
-      function allocates once and reuses for every block and trial, so
-      memory does not grow with ``steps``.
+    * Quadratic (the data model declares so, see ``DataModel.quadratic``):
+      the target is N(c, (γH)⁻¹) with c its minimizer and H its Hessian, and
+      every gᵢ is a quadratic in w, so Σᵢ E gᵢ(w) = Σᵢgᵢ(c) +
+      ½⟨Σᵢ∇²gᵢ(c), (γH)⁻¹⟩ exactly. This is the mean of the untruncated
+      Gaussian, which ignores the domain box. The two terms come from one
+      ``loss`` and one ``loss_hessian`` call at c, differenced per example
+      against the landscape's risk and Hessian there, so an
+      example-independent loss gives exactly zero. No chain runs and
+      ``steps`` is not read.
+    * Otherwise one Metropolis chain of ``steps`` steps (the default step
+      size, a fifth of the steps as burn-in) runs per trial, and the gaps
+      are summed over blocks of chain samples of about 32k (sample,
+      example) pairs, so memory does not grow with ``steps``.
 
-    The arrays that ``data_model.loss`` and its derivatives return are only
-    read (one may be a read-only view). Requires trials ≥ 50 and m ≥ 1.
+    The arrays that ``data_model.loss`` and ``loss_hessian`` return are
+    only read (one may be a read-only view). Requires trials ≥ 50 and
+    m ≥ 1.
     """
     if trials < 50:
         raise ArgumentError(f"need at least 50 trials, got {trials}")
     if m < 1:
         raise ArgumentError(f"need a nonempty sample, got m={m}")
     gaps = np.empty(trials)
-    block = None
     for t in range(trials):
         rng = np.random.default_rng(chain_seed(master_seed, 2 * t))
         sample = data_model.sample_examples(rng, m)
         target = target_from_landscape(empirical_landscape(data_model, sample), ridge)
         if target.quadratic is not None:
-            # exact draws ignore the step size; any positive value does
-            kind, step_size, burn_in = "exact_gaussian", 1.0, 0
-        else:
-            kind, step_size, burn_in = "metropolis", default_step_size(target, gamma), steps // 5
+            gaps[t] = _quadratic_gap_sum(data_model, sample, gamma, *target.quadratic) / m
+            continue
         batch = sample_chain(
-            kind, target, gamma, step_size, steps, burn_in, master_seed, chain_id=2 * t + 1
+            "metropolis", target, gamma, default_step_size(target, gamma), steps, steps // 5,
+            master_seed, chain_id=2 * t + 1,
         )
-        if target.quadratic is not None:
-            total = _quadratic_gap_sum(data_model, sample, target.quadratic[0], batch.samples)
-        else:
-            if block is None:
-                block = np.empty((max(1, _GAP_BLOCK // m), m))
-            total = _blocked_gap_sum(data_model, sample, batch.samples, block)
-        gaps[t] = total / (len(batch) * m)
+        gaps[t] = _blocked_gap_sum(data_model, sample, batch.samples) / (len(batch) * m)
     return _mean_estimate(gaps)
 
 
-def _quadratic_gap_sum(data_model: DataModel, sample, center, samples) -> float:
-    """Σₛ Σᵢ [R(wₛ) − ℓ(wₛ, zᵢ)] for quadratic gaps, from the samples' first
-    two moments about ``center``."""
+def _quadratic_gap_sum(data_model: DataModel, sample, gamma, center, hess) -> float:
+    """Σᵢ E[R(w) − ℓ(w, zᵢ)] for quadratic gaps and w ~ N(center, (γ·hess)⁻¹)."""
     land = data_model.landscape
-    # differencing per example keeps every coefficient of an
-    # example-independent loss exactly zero
+    # differencing per example keeps both terms of an example-independent
+    # loss exactly zero
     value = np.sum(float(land.risk(center)) - data_model.loss(center, sample))
-    grad = np.sum(land.gradient(center) - data_model.loss_gradient(center, sample), axis=0)
-    hess = np.sum(land.hessian(center) - data_model.loss_hessian(center, sample), axis=0)
-    dev = samples - center
-    return float(
-        len(samples) * value + grad @ dev.sum(axis=0) + 0.5 * np.sum(hess * (dev.T @ dev))
-    )
+    curv = np.sum(land.hessian(center) - data_model.loss_hessian(center, sample), axis=0)
+    return float(value + 0.5 * np.sum(curv * np.linalg.inv(gamma * hess)))
 
 
-def _blocked_gap_sum(data_model: DataModel, sample, samples, block) -> float:
-    """Σₛ Σᵢ [R(wₛ) − ℓ(wₛ, zᵢ)] summed over row blocks written into ``block``."""
+def _blocked_gap_sum(data_model: DataModel, sample, samples) -> float:
+    """Σₛ Σᵢ [R(wₛ) − ℓ(wₛ, zᵢ)] over blocks of about _GAP_BLOCK pairs."""
     # differencing per example keeps the gap of an example-independent
     # loss exactly zero; a mean of m equal losses can round off R(w)
     risks = np.asarray(data_model.landscape.risk(samples), dtype=float)
-    rows = len(block)
+    rows = max(1, _GAP_BLOCK // len(sample))
     total = 0.0
     for i in range(0, len(samples), rows):
         w = samples[i : i + rows]
-        gap = np.subtract(
-            risks[i : i + rows, None], data_model.loss(w, sample), out=block[: len(w)]
-        )
-        total += float(np.sum(gap))
+        total += float(np.sum(risks[i : i + rows, None] - data_model.loss(w, sample)))
     return total
 
 

@@ -513,6 +513,30 @@ class TestProductMeasure:
         excess = meas.region_conditional["risk"][1] - float(land.risk(stiff.location))
         assert excess == pytest.approx(0.5 * h / (gamma * (h + 2.0 * ridge)), rel=1e-10, abs=0.0)
 
+    def test_light_well_between_two_heavy_ones(self):
+        # the middle chord holds 2.6e-10 of the mass between two wells of
+        # about 0.5 each, so a difference of prefix or of suffix sums loses
+        # it whichever side it starts from
+        phi = lambda x: x**2 * (x**2 - 4.0) ** 2 / 16.0 + 0.6 * np.exp(-2.0 * x**2)
+        gamma, r = 40.0, 0.9
+        regions = [
+            EllipsoidSpec(center=np.array([c]), metric=np.array([[h]]), radius=r)
+            for c, h in ((-2.0, 8.0), (0.0, 2.0), (2.0, 8.0))
+        ]
+        meas = product_measure(
+            [phi], gamma, [[-3.0, 3.0]], 4000, regions=regions,
+            integrands={"x2": [lambda x: x * x]},
+        )
+        factor = lambda x: math.exp(-gamma * phi(x))
+        opts = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+        z = quad(factor, -3.0, 3.0, points=[-2.0, 0.0, 2.0], **opts)[0]
+        half = r / math.sqrt(2.0)
+        mass = quad(factor, -half, half, points=[0.0], **opts)[0]
+        second = quad(lambda x: x * x * factor(x), -half, half, points=[0.0], **opts)[0]
+        assert 2.5e-10 < mass / z < 2.7e-10
+        assert meas.masses[1] == pytest.approx(mass / z, rel=1e-12, abs=0.0)
+        assert meas.region_conditional["x2"][1] == pytest.approx(second / mass, rel=1e-12, abs=0.0)
+
     def test_agrees_with_tensor_rule_where_it_converges(self):
         land = quadratic_landscape(2, matrix=np.diag([1.0, 2.0]))
         gamma = 100.0
@@ -657,6 +681,89 @@ def _least_squares_2d_data_model():
     )
 
 
+def _quartic_data_model(a=0.5):
+    """ℓ(w, z) = (w² − z)² with z ~ U[1 − a, 1 + a] on [−2, 2]: a loss that
+    is not quadratic in w, whose risk is (w² − 1)² + a²/3."""
+
+    def risk(w):
+        x = np.asarray(w, dtype=float)[..., 0]
+        return (x * x - 1.0) ** 2 + a * a / 3.0
+
+    def gradient(w):
+        x = np.asarray(w, dtype=float)
+        return 4.0 * x * (x * x - 1.0)
+
+    def hessian(w):
+        x = np.asarray(w, dtype=float)[..., None]
+        return 12.0 * x * x - 4.0
+
+    def loss(w, sample):
+        x = np.asarray(w, dtype=float)[..., :1]
+        return (x * x - sample[:, 0]) ** 2
+
+    def loss_gradient(w, sample):
+        x = np.asarray(w, dtype=float)[..., :1]
+        return (4.0 * x * (x * x - sample[:, 0]))[..., None]
+
+    def loss_hessian(w, sample):
+        x = np.asarray(w, dtype=float)[..., :1]
+        return (12.0 * x * x - 4.0 * sample[:, 0])[..., None, None]
+
+    landscape = Landscape(
+        name="quartic_loss",
+        dimension=1,
+        domain_box=np.array([[-2.0, 2.0]]),
+        loss_bound=(3.0 + a) ** 2,
+        risk=risk,
+        gradient=gradient,
+        hessian=hessian,
+        initial_points=(np.array([-1.0]), np.array([1.0])),
+    )
+    return DataModel(
+        name="quartic_loss",
+        landscape=landscape,
+        loss=loss,
+        loss_gradient=loss_gradient,
+        loss_hessian=loss_hessian,
+        sample_examples=lambda rng, n: rng.uniform(1.0 - a, 1.0 + a, size=(n, 1)),
+    )
+
+
+def _trial_gaps(monkeypatch, *args, **kwargs):
+    """The estimate of ``empirical_generalization_gap`` and its per-trial values."""
+    seen = []
+    mean_estimate = oracles._mean_estimate
+
+    def recording(values):
+        seen.append(values.copy())
+        return mean_estimate(values)
+
+    monkeypatch.setattr(oracles, "_mean_estimate", recording)
+    est = empirical_generalization_gap(*args, **kwargs)
+    monkeypatch.setattr(oracles, "_mean_estimate", mean_estimate)
+    return est, seen[0]
+
+
+def _gauss_hermite_gaps(dm, gamma, ridge, m, trials, seed):
+    """Per trial, E_w[R(w) − R̂_S(w)] for w ~ N(c, (γH)⁻¹), the untruncated
+    Gaussian target, by the 3-point-per-axis Gauss-Hermite rule in whitened
+    coordinates: exact for a quadratic integrand."""
+    u, weights = np.polynomial.hermite_e.hermegauss(3)
+    weights /= weights.sum()
+    d = dm.landscape.dimension
+    nodes = np.stack(np.meshgrid(*[u] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    node_weights = np.prod(np.meshgrid(*[weights] * d, indexing="ij"), axis=0).ravel()
+    gaps = []
+    for t in range(trials):
+        sample = dm.sample_examples(np.random.default_rng(chain_seed(seed, 2 * t)), m)
+        center, hess = target_from_landscape(empirical_landscape(dm, sample), ridge).quadratic
+        chol = np.linalg.cholesky(gamma * hess)
+        w = center + np.linalg.solve(chol.T, nodes.T).T
+        gap = dm.landscape.risk(w) - np.mean(dm.loss(w, sample), axis=-1)
+        gaps.append(node_weights @ gap)
+    return np.array(gaps)
+
+
 class TestEmpiricalGeneralizationGap:
     def test_example_independent_loss_gives_exact_zero(self):
         dm = constant_loss_data_model(quadratic_landscape(1))
@@ -690,24 +797,53 @@ class TestEmpiricalGeneralizationGap:
         with pytest.raises(ArgumentError):
             empirical_generalization_gap(dm, 1.0, 0.1, 10, trials=10, master_seed=0)
 
-    def test_blocked_sum_equals_whole_array_mean(self):
-        # 300 samples in blocks of 32 rows at m = 1000, the last one partial
-        dm = rls_data_model()
-        gamma, ridge, m, steps, trials = 10.0, 0.1, 1000, 300, 50
-        est = empirical_generalization_gap(
-            dm, gamma, ridge, m, trials=trials, master_seed=4, steps=steps
+    @pytest.mark.parametrize(
+        "make_model, gamma",
+        [
+            (rls_data_model, 1e-3),
+            (rls_data_model, 1.0),
+            (rls_data_model, 10.0),
+            (_least_squares_2d_data_model, 10.0),
+        ],
+        ids=["rls-1e-3", "rls-1", "rls-10", "least_squares2-10"],
+    )
+    def test_quadratic_gap_is_the_gaussian_expectation(self, monkeypatch, make_model, gamma):
+        dm = make_model()
+        ridge, m, trials = 0.1, 200, 50
+
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a declared-quadratic data model ran a chain")
+
+        monkeypatch.setattr(oracles, "sample_chain", no_chain)
+        est, gaps = _trial_gaps(monkeypatch, dm, gamma, ridge, m, trials=trials, master_seed=4,
+                                steps=10)
+        reference = _gauss_hermite_gaps(dm, gamma, ridge, m, trials, 4)
+        np.testing.assert_allclose(gaps, reference, rtol=1e-12, atol=0.0)
+        # steps is not read on the closed-form path
+        assert est == empirical_generalization_gap(
+            dm, gamma, ridge, m, trials=trials, master_seed=4, steps=20_000
         )
-        gaps = []
+
+    def test_metropolis_blocked_sum_equals_whole_array_mean(self, monkeypatch):
+        # 240 post-burn-in samples in blocks of 32 rows at m = 1000, the
+        # last one partial
+        dm = _quartic_data_model()
+        gamma, ridge, m, steps, trials = 10.0, 0.1, 1000, 300, 50
+        est, gaps = _trial_gaps(monkeypatch, dm, gamma, ridge, m, trials=trials, master_seed=4,
+                                steps=steps)
+        reference = []
         for t in range(trials):
             sample = dm.sample_examples(np.random.default_rng(chain_seed(4, 2 * t)), m)
             tgt = target_from_landscape(empirical_landscape(dm, sample), ridge)
             batch = sample_chain(
-                "exact_gaussian", tgt, gamma, default_step_size(tgt, gamma), steps, 0, 4,
+                "metropolis", tgt, gamma, default_step_size(tgt, gamma), steps, steps // 5, 4,
                 chain_id=2 * t + 1,
             )
             whole = dm.landscape.risk(batch.samples)[:, None] - dm.loss(batch.samples, sample)
-            gaps.append(np.mean(whole))
-        assert est.value == pytest.approx(np.mean(gaps), rel=1e-12, abs=0.0)
+            reference.append(np.mean(whole))
+        assert np.any(np.array(reference) != 0.0)
+        np.testing.assert_allclose(gaps, reference, rtol=1e-12, atol=0.0)
+        assert est.value == pytest.approx(np.mean(reference), rel=1e-12, abs=0.0)
 
     def test_example_independent_loss_stays_zero_across_blocks(self):
         # m = 3000 gives blocks of 10 Metropolis samples of the spline risk
@@ -730,23 +866,6 @@ class TestEmpiricalGeneralizationGap:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
-
-    def test_quadratic_moment_form_equals_whole_array_mean_in_two_dimensions(self):
-        dm = _least_squares_2d_data_model()
-        gamma, ridge, m, steps, trials = 10.0, 0.1, 200, 300, 50
-        est = empirical_generalization_gap(
-            dm, gamma, ridge, m, trials=trials, master_seed=4, steps=steps
-        )
-        gaps = []
-        for t in range(trials):
-            sample = dm.sample_examples(np.random.default_rng(chain_seed(4, 2 * t)), m)
-            tgt = target_from_landscape(empirical_landscape(dm, sample), ridge)
-            batch = sample_chain(
-                "exact_gaussian", tgt, gamma, 1.0, steps, 0, 4, chain_id=2 * t + 1
-            )
-            whole = dm.landscape.risk(batch.samples)[:, None] - dm.loss(batch.samples, sample)
-            gaps.append(np.mean(whole))
-        assert est.value == pytest.approx(np.mean(gaps), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
         "land",
