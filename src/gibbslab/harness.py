@@ -388,6 +388,12 @@ def _within_allowance(row: dict) -> bool:
     return row["margin"] >= -row["stat_allowance"]
 
 
+def _gap_passes(row: dict) -> bool:
+    # the true gap, I_SKL(W; S)/γ, is never negative: an estimate more than
+    # the allowance (3 standard errors) below 0 is an oracle fault
+    return _within_allowance(row) and row["oracle_value"] >= -row["stat_allowance"]
+
+
 def _pseudo_excess(pt: _Point, _) -> float:
     return sum(w * pt.excess[i] for i, w in enumerate(pt.distribution.pi_infinity) if w != 0.0)
 
@@ -596,7 +602,7 @@ def _generalization_rows(
         row["variant"] = variant
         row["key"] += f";variant={variant}"
         bound = bnd.generalization_bound(replace(gconf, gen_bound_variant=variant))
-        rows.append(_finish(row, bound, None, {}, estimate.value, allowance, _within_allowance))
+        rows.append(_finish(row, bound, None, {}, estimate.value, allowance, _gap_passes))
     return rows, seconds
 
 

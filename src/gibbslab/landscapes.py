@@ -149,9 +149,12 @@ class Landscape:
     declares L(r) on the curvature ellipsoid of radius r around a minimizer
     otherwise; a d ≥ 2 landscape must declare one of the two.
     ``coordinate_risks``, when set, declares the risk separable: d maps of
-    an array of coordinate-k values with R(w) = Σₖ coordinate_risks[k](wₖ),
-    summed left to right, so that its Gibbs density on the box (the ridge
-    term is separable too) is a product of 1-d densities.
+    coordinate-k values with R(w) = Σₖ coordinate_risks[k](wₖ), summed left
+    to right, so that its Gibbs density on the box (the ridge term is
+    separable too) is a product of 1-d densities. ``coordinate_slopes`` is
+    set with it: the d maps with ∂R/∂wₖ = coordinate_slopes[k](wₖ). Both
+    take an array of coordinate values or one Python float, and give the
+    bits of ``risk`` and ``gradient``.
     """
 
     name: str
@@ -166,6 +169,7 @@ class Landscape:
     params: dict[str, Any] = field(default_factory=dict)
     quadratic: bool = False
     coordinate_risks: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
+    coordinate_slopes: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
 
     def contains(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
@@ -269,6 +273,7 @@ def empirical_landscape(data_model: DataModel, sample) -> Landscape:
         lipschitz_closed_form=None,
         quadratic=data_model.quadratic,
         coordinate_risks=None,
+        coordinate_slopes=None,
     )
 
 
@@ -523,18 +528,30 @@ def quadratic_landscape(
         coordinate_risks=(
             tuple(_half_square(float(h)) for h in np.diagonal(a)) if diagonal else None
         ),
+        coordinate_slopes=(
+            tuple(_times(float(h)) for h in np.diagonal(a)) if diagonal else None
+        ),
     )
 
 
+# ½·(x·h)·x and x·h: the operation orders of ``quadratic_landscape``'s risk
+# and gradient on a diagonal matrix, whose products with the zero entries
+# add nothing
 def _half_square(h: float) -> Callable[[np.ndarray], np.ndarray]:
-    # ½·(x·h)·x: the operation order of ``quadratic_landscape``'s risk on a
-    # diagonal matrix, whose products with the zero entries add nothing
     return lambda x: 0.5 * ((x * h) * x)
+
+
+def _times(h: float) -> Callable[[np.ndarray], np.ndarray]:
+    return lambda x: x * h
 
 
 def _well_1d(x: np.ndarray) -> np.ndarray:
     t = x * x - 1.0
     return t * t
+
+
+def _well_slope(x: np.ndarray) -> np.ndarray:
+    return 4.0 * x * (x * x - 1.0)
 
 
 def double_well_landscape(dimension: int = 1, bounds=(-2.0, 2.0)) -> Landscape:
@@ -554,12 +571,13 @@ def double_well_landscape(dimension: int = 1, bounds=(-2.0, 2.0)) -> Landscape:
 
     def risk(w):
         w = np.asarray(w, dtype=float)
-        t = w * w - 1.0
-        return _rowdot(t, t)
+        out = _well_1d(w[..., 0])
+        for k in range(1, dimension):
+            out += _well_1d(w[..., k])
+        return out
 
     def gradient(w):
-        w = np.asarray(w, dtype=float)
-        return 4.0 * w * (w * w - 1.0)
+        return _well_slope(np.asarray(w, dtype=float))
 
     def hessian(w):
         w = np.asarray(w, dtype=float)
@@ -589,6 +607,7 @@ def double_well_landscape(dimension: int = 1, bounds=(-2.0, 2.0)) -> Landscape:
         lipschitz_closed_form=lipschitz_closed_form,
         params={"bounds": [list(b) for b in box]},
         coordinate_risks=(_well_1d,) * dimension,
+        coordinate_slopes=(_well_slope,) * dimension,
     )
 
 
@@ -676,35 +695,42 @@ def spline_double_well_landscape(
     )
 
     def piecewise(left, right, bridge):
-        # x <= j1 is the left well, x >= j2 the right one. A single point
-        # (a sampler step) evaluates only its own piece, in float
-        # arithmetic with the bits of the batch path; a batch evaluates
-        # all three pieces and merges them (most Metropolis windows hold
-        # points on two or three pieces, so skipping absent ones does not pay).
+        # x <= j1 is the left well, x >= j2 the right one. One Python float
+        # (a chain step) evaluates only its own piece; an array evaluates
+        # all three pieces and merges them, with the same bits per point
+        def piece(x):
+            if isinstance(x, float):
+                return left(x) if x <= j1 else right(x) if x >= j2 else bridge(x)
+            return np.where(x <= j1, left(x), np.where(x >= j2, right(x), bridge(x)))
+
+        return piece
+
+    def on_column(piece):
+        # a single point's 0-d coordinate takes the float branch
         def evaluate(w):
             x = np.asarray(w, dtype=float)[..., 0]
-            if x.ndim == 0:
-                x = float(x)
-                return np.asarray(left(x) if x <= j1 else right(x) if x >= j2 else bridge(x))
-            return np.where(x <= j1, left(x), np.where(x >= j2, right(x), bridge(x)))
+            return np.asarray(piece(float(x))) if x.ndim == 0 else piece(x)
 
         return evaluate
 
-    risk = piecewise(
+    risk_1d = piecewise(
         lambda x: 0.5 * h1 * _square(x - c1),
         lambda x: 0.5 * h2 * _square(x - c2),
         lambda x: _horner(poly, (x - j1) / span),
     )
-    slope = piecewise(
+    slope_1d = piecewise(
         lambda x: h1 * (x - c1),
         lambda x: h2 * (x - c2),
         lambda x: _horner(dpoly, (x - j1) / span) / span,
     )
-    curvature = piecewise(
-        lambda x: h1,
-        lambda x: h2,
-        lambda x: _horner(ddpoly, (x - j1) / span) / (span * span),
+    curvature = on_column(
+        piecewise(
+            lambda x: h1,
+            lambda x: h2,
+            lambda x: _horner(ddpoly, (x - j1) / span) / (span * span),
+        )
     )
+    slope = on_column(slope_1d)
 
     def gradient(w):
         return slope(w)[..., None]
@@ -717,7 +743,7 @@ def spline_double_well_landscape(
         dimension=1,
         domain_box=box,
         loss_bound=loss_bound,
-        risk=risk,
+        risk=on_column(risk_1d),
         gradient=gradient,
         hessian=hessian,
         initial_points=(np.array([c1]), np.array([c2])),
@@ -728,6 +754,8 @@ def spline_double_well_landscape(
             "junction_offset": delta,
             "bounds": [list(b) for b in box],
         },
+        coordinate_risks=(risk_1d,),
+        coordinate_slopes=(slope_1d,),
     )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from operator import add, le
 from typing import Callable
 
 import numpy as np
@@ -66,6 +67,11 @@ class GibbsTarget:
     ``quadratic`` carries (minimizer, Hessian of f) when the landscape is
     declared exactly quadratic and the Hessian of f is positive definite,
     which enables the exact_gaussian kind.
+
+    ``point_value`` and ``point_grad``, the chains' per-step calls, take one
+    point as a list of d Python floats and return f as a float and ∇f as a
+    list, with the bits of ``value`` and ``grad``. When they are None the
+    chains call ``value`` and ``grad`` on a (d,) array instead.
     """
 
     dim: int
@@ -74,6 +80,8 @@ class GibbsTarget:
     grad: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
     quadratic: tuple[np.ndarray, np.ndarray] | None = None
+    point_value: Callable[[list[float]], float] | None = None
+    point_grad: Callable[[list[float]], list[float]] | None = None
 
 
 @dataclass(frozen=True)
@@ -99,10 +107,10 @@ def target_from_landscape(landscape: Landscape, ridge: float) -> GibbsTarget:
     """Target f = R + λ‖w‖² of a landscape, population or empirical (see
     ``landscapes.empirical_landscape``).
 
-    At λ = 0 the target's ``value`` and ``grad`` are the landscape's own
-    ``risk`` and ``gradient``: the chains call them once per step, and
-    R + 0·‖w‖² adds only a ridge pass to each call. For λ > 0 they are the
-    landscape's ``reg_risk`` and ``reg_gradient`` with λ bound.
+    ``value`` and ``grad`` are the landscape's ``reg_risk`` and
+    ``reg_gradient`` with λ bound, and at λ = 0 its own ``risk`` and
+    ``gradient``. A landscape that declares coordinate pieces gets point
+    functions on Python floats built from them (``_point_functions``).
     """
     quadratic = None
     if landscape.quadratic:
@@ -112,12 +120,16 @@ def target_from_landscape(landscape: Landscape, ridge: float) -> GibbsTarget:
         hess0 = landscape.reg_hessian(w0, ridge)
         if np.linalg.eigvalsh(hess0)[0] > 0.0:
             quadratic = (w0 - np.linalg.solve(hess0, grad0), hess0)
-    # bound once: the chains call these per step, on float arrays
     if ridge == 0.0:
         value, grad = landscape.risk, landscape.gradient
     else:
         value = functools.partial(landscape.reg_risk, lam=ridge)
         grad = functools.partial(landscape.reg_gradient, lam=ridge)
+    point_value = point_grad = None
+    if landscape.coordinate_risks is not None:
+        point_value, point_grad = _point_functions(
+            landscape.coordinate_risks, landscape.coordinate_slopes, ridge
+        )
     return GibbsTarget(
         dim=landscape.dimension,
         domain_box=np.array(landscape.domain_box),
@@ -125,7 +137,38 @@ def target_from_landscape(landscape: Landscape, ridge: float) -> GibbsTarget:
         grad=grad,
         hessian=functools.partial(landscape.reg_hessian, lam=ridge),
         quadratic=quadratic,
+        point_value=point_value,
+        point_grad=point_grad,
     )
+
+
+def _point_functions(risks, slopes, ridge: float) -> tuple[Callable, Callable]:
+    """f(w) = Σₖ risks[k](wₖ) + λΣₖwₖ² and ∂f/∂wₖ = slopes[k](wₖ) + 2λwₖ on a
+    list of d floats, summed left to right as ``reg_risk`` and
+    ``reg_gradient`` do; at λ = 0 the ridge term is skipped."""
+    d = len(risks)
+    two_ridge = 2.0 * ridge
+    if d == 1 and ridge == 0.0:  # most chains; a third of a step's cost
+        (risk,), (slope,) = risks, slopes
+        return (lambda w: risk(w[0])), (lambda w: [slope(w[0])])
+
+    def value(w):
+        total = risks[0](w[0])
+        for k in range(1, d):
+            total += risks[k](w[k])
+        if ridge == 0.0:
+            return total
+        norm2 = w[0] * w[0]
+        for k in range(1, d):
+            norm2 += w[k] * w[k]
+        return total + ridge * norm2
+
+    def grad(w):
+        if ridge == 0.0:
+            return [slope(x) for slope, x in zip(slopes, w)]
+        return [slope(x) + two_ridge * x for slope, x in zip(slopes, w)]
+
+    return value, grad
 
 
 def default_step_size(target: GibbsTarget, gamma: float) -> float:
@@ -140,14 +183,21 @@ def default_step_size(target: GibbsTarget, gamma: float) -> float:
 
 
 # Chains draw their randomness in blocks of _BLOCK steps, which fixes the
-# Metropolis stream (see sample_chain). A Metropolis proposal is a uniform
-# draw over the domain box with probability _RESTART_PROB. Metropolis
-# starts with _WINDOW speculative proposals per potential call and then
-# sizes the window from the running acceptance, between _WINDOW // 4 and
-# 4 · _WINDOW; the window changes no chain.
+# stream (see sample_chain). A Metropolis proposal is a uniform draw over
+# the domain box with probability _RESTART_PROB.
 _BLOCK = 4096
-_WINDOW = 16
 _RESTART_PROB = 0.1
+
+
+def _chain_functions(target: GibbsTarget) -> tuple[Callable, Callable]:
+    """The target's point value and gradient on a list of d floats; one
+    call of ``value`` or ``grad`` on a (d,) array without point functions."""
+    value, grad = target.point_value, target.point_grad
+    if value is None:
+        value = lambda w: float(target.value(np.array(w)))
+    if grad is None:
+        grad = lambda w: target.grad(np.array(w)).tolist()
+    return value, grad
 
 
 def _sgld_path(target, gamma, step_size, steps, rng):
@@ -156,18 +206,25 @@ def _sgld_path(target, gamma, step_size, steps, rng):
     width = box[:, 1] - box[:, 0]
     halo_lo, halo_hi = box[:, 0] - 10.0 * width, box[:, 1] + 10.0 * width
     noise_scale = math.sqrt(2.0 * step_size / gamma)
-    grad = target.grad
+    _, grad = _chain_functions(target)
+    advance = lambda x, g, z: x - step_size * g + z
     path = np.empty((steps, d))
-    w = box.mean(axis=1)
+    w = box.mean(axis=1).tolist()
     for start in range(0, steps, _BLOCK):
         n = min(_BLOCK, steps - start)
-        noise = noise_scale * rng.standard_normal((n, d))
-        # a diverging iterate may overflow, or turn NaN, before the block check sees it
+        noise = (noise_scale * rng.standard_normal((n, d))).tolist()
+        # the block's iterates as one flat list of floats: numpy converts
+        # it about 3x faster than a list of d-lists, and the garbage
+        # collector does not track floats
+        rows = []
+        # a diverging iterate may overflow, or turn NaN, before the block
+        # check sees it (a target without point functions warns in numpy)
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(n):
-                w = w - step_size * grad(w) + noise[i]
-                path[start + i] = w
+            for xi in noise:
+                w = list(map(advance, w, grad(w), xi))
+                rows.extend(w)
         blk = path[start : start + n]
+        blk[:] = np.reshape(rows, (n, d))
         # written so that a NaN iterate fails the test too
         inside = ((blk >= halo_lo) & (blk <= halo_hi)).all(axis=1)
         if not inside.all():
@@ -182,42 +239,28 @@ def _sgld_path(target, gamma, step_size, steps, rng):
 def _metropolis_path(target, gamma, step_size, steps, rng):
     d = target.dim
     lo, hi = target.domain_box[:, 0], target.domain_box[:, 1]
-    value = target.value
+    lo_list, hi_list = lo.tolist(), hi.tolist()
+    value, _ = _chain_functions(target)
     path = np.empty((steps, d))
-    w = target.domain_box.mean(axis=1)
-    fw = float(value(w))
+    w = target.domain_box.mean(axis=1).tolist()
+    fw = value(w)
     accepted = 0
-    window, narrowest, widest = _WINDOW, max(1, _WINDOW // 4), 4 * _WINDOW
     for start in range(0, steps, _BLOCK):
         n = min(_BLOCK, steps - start)
-        restart = rng.random(n) < _RESTART_PROB
-        uniform = rng.uniform(lo, hi, size=(n, d))
-        jump = step_size * rng.standard_normal((n, d))
-        log_u = np.log(rng.random(n))
-        s = 0
-        while s < n:
-            # proposals s..e-1 as if every step before them were rejected
-            e = min(s + window, n)
-            cand = np.where(restart[s:e, None], uniform[s:e], w + jump[s:e])
-            inside = ((cand >= lo) & (cand <= hi)).all(axis=1).nonzero()[0]
-            hit = None
-            if inside.size:
-                f_cand = value(cand[inside])
-                ok = log_u[s + inside] < -gamma * (f_cand - fw)
-                if ok.any():
-                    hit = int(ok.argmax())
-            if hit is None:
-                path[start + s : start + e] = w
-                s = e
-            else:
-                a = int(inside[hit])
-                path[start + s : start + s + a] = w
-                w, fw = cand[a], float(f_cand[hit])
-                path[start + s + a] = w
-                accepted += 1
-                s += a + 1
-            # room for about four acceptances at the running rate
-            window = min(widest, max(narrowest, (4 * (start + s)) // (accepted + 1)))
+        restart = (rng.random(n) < _RESTART_PROB).tolist()
+        uniform = rng.uniform(lo, hi, size=(n, d)).tolist()
+        jump = (step_size * rng.standard_normal((n, d))).tolist()
+        log_u = np.log(rng.random(n)).tolist()
+        rows = []  # flat, as in _sgld_path
+        for flagged, box_row, step, lu in zip(restart, uniform, jump, log_u):
+            cand = box_row if flagged else list(map(add, w, step))
+            if all(map(le, lo_list, cand)) and all(map(le, cand, hi_list)):
+                f_cand = value(cand)
+                if lu < -gamma * (f_cand - fw):
+                    w, fw = cand, f_cand
+                    accepted += 1
+            rows.extend(w)
+        path[start : start + n] = np.reshape(rows, (n, d))
     return path, accepted / steps
 
 
@@ -238,8 +281,7 @@ def sample_chain(
     metropolis:     symmetric mixture proposal (local Gaussian of scale η,
                     probability 0.1 of a uniform draw over the domain
                     box), acceptance min(1, e^(−γΔf)); exact for the
-                    box-truncated target. Proposals outside the box are
-                    rejected without evaluating f.
+                    box-truncated target.
     exact_gaussian: i.i.d. draws from N(w_min, (γH)⁻¹); requires a
                     quadratic target.
 
@@ -254,19 +296,15 @@ def sample_chain(
     metropolis:     ``random(n) < 0.1`` (restart flags),
                     ``uniform(lo, hi, (n, d))`` (box proposals),
                     η·``standard_normal((n, d))`` (jumps) and
-                    ``log(random(n))`` (log acceptance uniforms). Step i
-                    proposes its box row if flagged, else w + its jump row,
-                    and accepts an in-box proposal w′ iff its log uniform is
-                    below −γ(f(w′) − f(w)).
+                    ``log(random(n))`` (log acceptance uniforms).
     exact_gaussian: one ``standard_normal((steps − burn_in, d))``.
 
-    Metropolis evaluates f on a window of proposals per call, each built
-    as if the steps before it in the window were rejected, and keeps the
-    first accepted one. The window starts at 16 proposals and is then
-    sized from the running acceptance (room for about four acceptances,
-    4 to 64 proposals); the chain equals the one-proposal-at-a-time chain
-    over the same stream whatever the width. SGLD checks each block once
-    it is written and raises DivergenceError, naming the step, when an
+    Metropolis step i proposes w′ = its box row if flagged, else w + its
+    jump row. A w′ outside the box is rejected without evaluating f; one
+    inside is accepted iff its log uniform is below −γ(f(w′) − f(w)), and
+    the step records w′ if accepted, else w. Chains step on Python floats
+    through the target's point functions. SGLD checks each block once it
+    is written and raises DivergenceError, naming the step, when an
     iterate in it is NaN or lies more than 10 box widths outside the box.
 
     The returned batch holds the ``steps − burn_in`` post-burn-in samples.

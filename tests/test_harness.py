@@ -14,6 +14,7 @@ from gibbslab.harness import (
     run_experiment,
     validate_config,
 )
+from gibbslab.oracles import Estimate
 
 
 def minimal_config(**overrides):
@@ -350,6 +351,21 @@ class TestRunExperiment:
         meta = json.loads((result.run_dir / "run_meta.json").read_text())
         assert meta["quadrature"] == [] and meta["quadrature_s"] == 0.0
         assert 0.0 < meta["generalization_s"] <= meta["wall_time_seconds"]
+
+    @pytest.mark.parametrize("z, passed", [(-2.99, True), (-3.01, False)])
+    def test_generalization_row_fails_below_zero(self, tmp_path, monkeypatch, z, passed):
+        # the true gap is >= 0: an estimate more than 3 standard errors
+        # below 0 fails its rows, whatever their bounds
+        se = 1e-3
+        stub = Estimate(value=z * se, halfwidth_95=2.0 * se, n=50)
+        monkeypatch.setattr(harness, "empirical_generalization_gap", lambda *a, **k: stub)
+        raw = minimal_config(
+            landscape={"name": "rls", "params": {}}, theorems=["generalization"]
+        )
+        raw["oracle"] = {"mc_trials": 50}
+        rows = run_experiment(validate_config(raw), out_dir=tmp_path).rows
+        assert rows and all(row["margin"] > 0.0 for row in rows)
+        assert [row["passed"] for row in rows] == [passed] * len(rows)
 
     @pytest.mark.parametrize(
         "landscape, gamma, relative",

@@ -592,40 +592,69 @@ class TestCoordinateKernels:
 
 
 class TestCoordinateRisks:
-    """A declared separable risk: Σₖ coordinate_risks[k](w[..., k]) is the
-    risk on random batches."""
+    """Declared coordinate pieces: Σₖ coordinate_risks[k](wₖ) is the risk
+    and coordinate_slopes[k](wₖ) the k-th gradient entry, bit for bit, on
+    batches and on single points of Python floats."""
 
     @staticmethod
-    def _assert_declared(land, seed):
+    def _assert_declared(land, seed, points=()):
         rng = np.random.default_rng(seed)
         d = land.dimension
-        for lead in [(50,), (4, 5)]:
-            w = rng.uniform(land.domain_box[:, 0], land.domain_box[:, 1], size=lead + (d,))
-            total = land.coordinate_risks[0](w[..., 0])
+        risks, slopes = land.coordinate_risks, land.coordinate_slopes
+        assert len(risks) == len(slopes) == d
+        lo, hi = land.domain_box[:, 0], land.domain_box[:, 1]
+        batches = [rng.uniform(lo, hi, size=lead + (d,)) for lead in [(50,), (4, 5)]]
+        if points:
+            batches.append(np.array(points, dtype=float))
+        for w in batches:
+            risk, gradient = land.risk(w), land.gradient(w)
+            total = risks[0](w[..., 0])
             for k in range(1, d):
-                total = total + land.coordinate_risks[k](w[..., k])
-            np.testing.assert_allclose(total, land.risk(w), rtol=1e-15, atol=0.0)
+                total = total + risks[k](w[..., k])
+            np.testing.assert_array_equal(total, risk)
+            by_piece = np.stack([slopes[k](w[..., k]) for k in range(d)], axis=-1)
+            np.testing.assert_array_equal(by_piece, gradient)
+            # each row again as d Python floats, against its batch row
+            rows = zip(
+                w.reshape(-1, d).tolist(),
+                risk.reshape(-1).tolist(),
+                gradient.reshape(-1, d).tolist(),
+            )
+            for point, r, g in rows:
+                value = risks[0](point[0])
+                for k in range(1, d):
+                    value += risks[k](point[k])
+                assert type(value) is float and value == r
+                assert [slope(x) for slope, x in zip(slopes, point)] == g
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_double_well(self, d):
-        land = double_well_landscape(d)
-        assert len(land.coordinate_risks) == d
-        self._assert_declared(land, 31 + d)
+        self._assert_declared(double_well_landscape(d), 31 + d)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_diagonal_quadratic(self, d):
         spectrum = np.random.default_rng(40 + d).uniform(0.2, 5.0, size=d)
-        land = quadratic_landscape(d, matrix=np.diag(spectrum))
-        assert len(land.coordinate_risks) == d
-        self._assert_declared(land, 41 + d)
+        self._assert_declared(quadratic_landscape(d, matrix=np.diag(spectrum)), 41 + d)
+
+    def test_spline(self):
+        # the junctions c₁ + δ and c₂ − δ, their neighbours and the box ends
+        land = spline_double_well_landscape()
+        (c1, c2), delta = land.params["centers"], land.params["junction_offset"]
+        (lo, hi), = land.domain_box
+        junctions = [c1 + delta, c2 - delta]
+        near = [np.nextafter(j, s) for j in junctions for s in (-np.inf, np.inf)]
+        points = [[x] for x in [lo, hi, *junctions, *near, c1, c2, 0.0]]
+        self._assert_declared(land, 51, points)
 
     def test_non_diagonal_quadratic_declares_none(self):
-        assert quadratic_landscape(2, matrix=[[1.0, 0.3], [0.3, 2.0]]).coordinate_risks is None
+        land = quadratic_landscape(2, matrix=[[1.0, 0.3], [0.3, 2.0]])
+        assert land.coordinate_risks is None and land.coordinate_slopes is None
 
     def test_empirical_landscape_declares_none(self):
         land = double_well_landscape(2)
         model = constant_loss_data_model(land)
-        assert empirical_landscape(model, np.zeros((3, 1))).coordinate_risks is None
+        empirical = empirical_landscape(model, np.zeros((3, 1)))
+        assert empirical.coordinate_risks is None and empirical.coordinate_slopes is None
 
 
 class TestDataModels:

@@ -87,9 +87,14 @@ class TestSgld:
             sample_chain("sgld", tgt, 10.0, 3.0, 200, 0, 1)
 
     def test_nan_iterate_diverges(self):
-        tgt = dataclasses.replace(quadratic_target(), grad=lambda w: np.full_like(w, np.nan))
-        with pytest.raises(DivergenceError, match=r"step 1 .*step_size=0\.01"):
-            sample_chain("sgld", tgt, 10.0, 0.01, 200, 0, 1)
+        # a NaN gradient from the batch call and from the point function
+        batch = dataclasses.replace(
+            quadratic_target(), grad=lambda w: np.full_like(w, np.nan), point_grad=None
+        )
+        point = dataclasses.replace(quadratic_target(), point_grad=lambda w: [math.nan] * len(w))
+        for tgt in (batch, point):
+            with pytest.raises(DivergenceError, match=r"step 1 .*step_size=0\.01"):
+                sample_chain("sgld", tgt, 10.0, 0.01, 200, 0, 1)
 
     def test_default_step_size_rule(self):
         tgt = quadratic_target()
@@ -163,35 +168,77 @@ def metropolis_one_at_a_time(target, gamma, eta, steps, burn_in, seed, restart):
     return np.array(path)[burn_in:], accepted / steps
 
 
+# targets with and without point functions: the non-diagonal quadratic and
+# the wrapped target declare no coordinate pieces, so their chains make one
+# batch call per step; the spline's λ > 0 target adds the ridge to its pieces
+NO_PIECES = {
+    "d2_quadratic_no_pieces": lambda: target_from_landscape(
+        quadratic_landscape(matrix=[[3.0, 1.0], [1.0, 0.5]]), 0.0
+    ),
+    "d2_wrapped": lambda: wrapped_target(double_well_landscape(2), 0.1),
+}
+
+
 class TestStream:
-    @pytest.mark.parametrize("window", [16, 5])
     @pytest.mark.parametrize("restart", [0.0, 0.1])
     @pytest.mark.parametrize(
-        "landscape, gamma, eta",
+        "make_target, gamma, eta",
         [
             # the box [-1, 1] rejects part of the local proposals
-            (quadratic_landscape(1, bounds=(-1.0, 1.0)), 1.0, 0.5),
-            (double_well_landscape(dimension=2), 5.0, 0.3),
-            # acceptance about 0.655 keeps the window near 6 proposals
-            (quadratic_landscape(1), 10.0, 0.3),
+            (lambda: quadratic_target(bounds=(-1.0, 1.0)), 1.0, 0.5),
+            (lambda: target_from_landscape(double_well_landscape(dimension=2), 0.0), 5.0, 0.3),
+            (quadratic_target, 10.0, 0.3),
+            (lambda: target_from_landscape(spline_double_well_landscape(), 0.05), 50.0, 0.3),
+            (NO_PIECES["d2_quadratic_no_pieces"], 5.0, 0.3),
+            (NO_PIECES["d2_wrapped"], 5.0, 0.3),
         ],
-        ids=["d1_tight_box", "d2_double_well", "d1_high_acceptance"],
+        ids=["d1_tight_box", "d2_double_well", "d1_high_acceptance", "spline_ridge", *NO_PIECES],
     )
     def test_metropolis_equals_one_proposal_at_a_time(
-        self, monkeypatch, landscape, gamma, eta, restart, window
+        self, monkeypatch, make_target, gamma, eta, restart
     ):
-        monkeypatch.setattr(samplers, "_WINDOW", window)
         monkeypatch.setattr(samplers, "_RESTART_PROB", restart)
-        tgt = target_from_landscape(landscape, 0.0)
+        tgt = make_target()
         steps, burn_in = 9000, 500
         batch = sample_chain("metropolis", tgt, gamma, eta, steps, burn_in, 11)
         expected, rate = metropolis_one_at_a_time(tgt, gamma, eta, steps, burn_in, 11, restart)
         assert np.array_equal(batch.samples, expected)
         assert batch.acceptance_rate == rate
 
-    @pytest.mark.parametrize("dimension", [1, 2])
-    def test_sgld_equals_one_draw_per_step(self, dimension):
-        tgt = target_from_landscape(double_well_landscape(dimension=dimension), 0.0)
+    @pytest.mark.parametrize("ridge", [0.0, 0.1])
+    @pytest.mark.parametrize(
+        "landscape",
+        [
+            double_well_landscape(1),
+            double_well_landscape(3),
+            quadratic_landscape(matrix=np.diag([0.2, 1.0, 7.0])),
+            spline_double_well_landscape(),
+        ],
+        ids=["double_well1", "double_well3", "quadratic_d3_diag", "spline"],
+    )
+    def test_point_functions_have_the_batch_bits(self, landscape, ridge):
+        tgt = target_from_landscape(landscape, ridge)
+        rng = np.random.default_rng(19)
+        lo, hi = landscape.domain_box[:, 0], landscape.domain_box[:, 1]
+        for w in rng.uniform(lo, hi, (200, landscape.dimension)):
+            point = w.tolist()
+            value = tgt.point_value(point)
+            assert type(value) is float and value == float(tgt.value(w))
+            assert tgt.point_grad(point) == tgt.grad(w).tolist()
+
+    @pytest.mark.parametrize(
+        "make_target",
+        [
+            lambda: target_from_landscape(double_well_landscape(dimension=1), 0.0),
+            lambda: target_from_landscape(double_well_landscape(dimension=2), 0.0),
+            lambda: target_from_landscape(double_well_landscape(dimension=2), 0.1),
+            lambda: target_from_landscape(spline_double_well_landscape(), 0.0),
+            NO_PIECES["d2_quadratic_no_pieces"],
+        ],
+        ids=["1", "2", "d2_ridge", "spline", "d2_quadratic_no_pieces"],
+    )
+    def test_sgld_equals_one_draw_per_step(self, make_target):
+        tgt = make_target()
         gamma, eta, steps, burn_in = 20.0, 0.01, 9000, 500
         batch = sample_chain("sgld", tgt, gamma, eta, steps, burn_in, 11)
         rng = np.random.default_rng(chain_seed(11, 0))
@@ -200,7 +247,7 @@ class TestStream:
         path = []
         for _ in range(steps):
             w = w - eta * np.asarray(tgt.grad(w), dtype=float)
-            w = w + scale * rng.standard_normal(dimension)
+            w = w + scale * rng.standard_normal(tgt.dim)
             path.append(w)
         assert np.array_equal(batch.samples, np.array(path)[burn_in:])
 
