@@ -4,6 +4,12 @@ Three kinds: ``sgld`` (Langevin updates, approximate), ``metropolis``
 (exact for the box-truncated target) and ``exact_gaussian`` (i.i.d. draws,
 valid only for quadratic potentials). All chains are bitwise reproducible
 from (master_seed, chain_id) via a documented 64-bit seed mix.
+
+The chains step on Python floats. On a target whose landscape declares
+coordinate pieces, SGLD runs one scalar recursion per coordinate and
+Metropolis steps on one float in d = 1 and on a list of d floats in d ≥ 2;
+on a target without pieces, both step on a list of d floats and make one
+numpy call per step.
 """
 
 from __future__ import annotations
@@ -68,10 +74,16 @@ class GibbsTarget:
     declared exactly quadratic and the Hessian of f is positive definite,
     which enables the exact_gaussian kind.
 
-    ``point_value`` and ``point_grad``, the chains' per-step calls, take one
-    point as a list of d Python floats and return f as a float and ∇f as a
-    list, with the bits of ``value`` and ``grad``. When they are None the
-    chains call ``value`` and ``grad`` on a (d,) array instead.
+    A landscape that declares coordinate pieces gives its target the
+    chains' per-step calls on Python floats, with the bits of ``value`` and
+    ``grad``: ``coordinate_slopes``, the d maps with ∂f/∂wₖ =
+    coordinate_slopes[k](wₖ) on one float, and ``point_value``, f at one
+    point given as a float in d = 1 and as a list of d floats in d ≥ 2.
+    SGLD on such a target runs one scalar recursion per coordinate through
+    the slopes, and Metropolis steps on one float in d = 1 and on a list of
+    d floats in d ≥ 2 through ``point_value``. When they are None the chains
+    step on a list of d floats and call ``value`` and ``grad`` on a (d,)
+    array.
     """
 
     dim: int
@@ -80,8 +92,8 @@ class GibbsTarget:
     grad: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
     quadratic: tuple[np.ndarray, np.ndarray] | None = None
-    point_value: Callable[[list[float]], float] | None = None
-    point_grad: Callable[[list[float]], list[float]] | None = None
+    point_value: Callable[[float | list[float]], float] | None = None
+    coordinate_slopes: tuple[Callable[[float], float], ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -109,8 +121,9 @@ def target_from_landscape(landscape: Landscape, ridge: float) -> GibbsTarget:
 
     ``value`` and ``grad`` are the landscape's ``reg_risk`` and
     ``reg_gradient`` with λ bound, and at λ = 0 its own ``risk`` and
-    ``gradient``. A landscape that declares coordinate pieces gets point
-    functions on Python floats built from them (``_point_functions``).
+    ``gradient``. A landscape that declares coordinate pieces gets a point
+    value and coordinate slopes on Python floats built from them
+    (``_point_functions``).
     """
     quadratic = None
     if landscape.quadratic:
@@ -125,9 +138,9 @@ def target_from_landscape(landscape: Landscape, ridge: float) -> GibbsTarget:
     else:
         value = functools.partial(landscape.reg_risk, lam=ridge)
         grad = functools.partial(landscape.reg_gradient, lam=ridge)
-    point_value = point_grad = None
+    point_value = coordinate_slopes = None
     if landscape.coordinate_risks is not None:
-        point_value, point_grad = _point_functions(
+        point_value, coordinate_slopes = _point_functions(
             landscape.coordinate_risks, landscape.coordinate_slopes, ridge
         )
     return GibbsTarget(
@@ -138,19 +151,24 @@ def target_from_landscape(landscape: Landscape, ridge: float) -> GibbsTarget:
         hessian=functools.partial(landscape.reg_hessian, lam=ridge),
         quadratic=quadratic,
         point_value=point_value,
-        point_grad=point_grad,
+        coordinate_slopes=coordinate_slopes,
     )
 
 
-def _point_functions(risks, slopes, ridge: float) -> tuple[Callable, Callable]:
-    """f(w) = Σₖ risks[k](wₖ) + λΣₖwₖ² and ∂f/∂wₖ = slopes[k](wₖ) + 2λwₖ on a
-    list of d floats, summed left to right as ``reg_risk`` and
-    ``reg_gradient`` do; at λ = 0 the ridge term is skipped."""
+def _point_functions(risks, slopes, ridge: float) -> tuple[Callable, tuple]:
+    """f(w) = Σₖ risks[k](wₖ) + λΣₖwₖ², on a float in d = 1 and on a list of
+    d floats in d ≥ 2, and the maps ∂f/∂wₖ = slopes[k](wₖ) + 2λwₖ on a
+    float, in the operation order of ``reg_risk`` and ``reg_gradient``;
+    at λ = 0 the ridge term is skipped."""
     d = len(risks)
-    two_ridge = 2.0 * ridge
-    if d == 1 and ridge == 0.0:  # most chains; a third of a step's cost
-        (risk,), (slope,) = risks, slopes
-        return (lambda w: risk(w[0])), (lambda w: [slope(w[0])])
+    if ridge != 0.0:
+        two_ridge = 2.0 * ridge
+        slopes = tuple(lambda x, slope=slope: slope(x) + two_ridge * x for slope in slopes)
+    if d == 1:
+        (risk,) = risks
+        if ridge == 0.0:
+            return risk, slopes
+        return (lambda x: risk(x) + ridge * (x * x)), slopes
 
     def value(w):
         total = risks[0](w[0])
@@ -163,12 +181,7 @@ def _point_functions(risks, slopes, ridge: float) -> tuple[Callable, Callable]:
             norm2 += w[k] * w[k]
         return total + ridge * norm2
 
-    def grad(w):
-        if ridge == 0.0:
-            return [slope(x) for slope, x in zip(slopes, w)]
-        return [slope(x) + two_ridge * x for slope, x in zip(slopes, w)]
-
-    return value, grad
+    return value, slopes
 
 
 def default_step_size(target: GibbsTarget, gamma: float) -> float:
@@ -189,42 +202,43 @@ _BLOCK = 4096
 _RESTART_PROB = 0.1
 
 
-def _chain_functions(target: GibbsTarget) -> tuple[Callable, Callable]:
-    """The target's point value and gradient on a list of d floats; one
-    call of ``value`` or ``grad`` on a (d,) array without point functions."""
-    value, grad = target.point_value, target.point_grad
-    if value is None:
-        value = lambda w: float(target.value(np.array(w)))
-    if grad is None:
-        grad = lambda w: target.grad(np.array(w)).tolist()
-    return value, grad
-
-
 def _sgld_path(target, gamma, step_size, steps, rng):
     d = target.dim
     box = target.domain_box
     width = box[:, 1] - box[:, 0]
     halo_lo, halo_hi = box[:, 0] - 10.0 * width, box[:, 1] + 10.0 * width
     noise_scale = math.sqrt(2.0 * step_size / gamma)
-    _, grad = _chain_functions(target)
+    slopes = target.coordinate_slopes
+    grad = lambda w: target.grad(np.array(w)).tolist()
     advance = lambda x, g, z: x - step_size * g + z
     path = np.empty((steps, d))
     w = box.mean(axis=1).tolist()
     for start in range(0, steps, _BLOCK):
         n = min(_BLOCK, steps - start)
-        noise = (noise_scale * rng.standard_normal((n, d))).tolist()
-        # the block's iterates as one flat list of floats: numpy converts
-        # it about 3x faster than a list of d-lists, and the garbage
-        # collector does not track floats
-        rows = []
-        # a diverging iterate may overflow, or turn NaN, before the block
-        # check sees it (a target without point functions warns in numpy)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for xi in noise:
-                w = list(map(advance, w, grad(w), xi))
-                rows.extend(w)
+        noise = noise_scale * rng.standard_normal((n, d))
         blk = path[start : start + n]
-        blk[:] = np.reshape(rows, (n, d))
+        if slopes is not None:
+            # ∂f/∂wₖ reads wₖ alone: d independent recursions on one float,
+            # each over its column of the block's noise
+            for k, slope in enumerate(slopes):
+                x, column = w[k], []
+                for z in noise[:, k].tolist():
+                    x = x - step_size * slope(x) + z
+                    column.append(x)
+                w[k] = x
+                blk[:, k] = column
+        else:
+            # the block's iterates as one flat list of floats: numpy converts
+            # it about 3x faster than a list of d-lists, and the garbage
+            # collector does not track floats
+            rows = []
+            # a diverging iterate may overflow, or turn NaN, before the
+            # block check sees it
+            with np.errstate(over="ignore", invalid="ignore"):
+                for xi in noise.tolist():
+                    w = list(map(advance, w, grad(w), xi))
+                    rows.extend(w)
+            blk[:] = np.reshape(rows, (n, d))
         # written so that a NaN iterate fails the test too
         inside = ((blk >= halo_lo) & (blk <= halo_hi)).all(axis=1)
         if not inside.all():
@@ -239,27 +253,45 @@ def _sgld_path(target, gamma, step_size, steps, rng):
 def _metropolis_path(target, gamma, step_size, steps, rng):
     d = target.dim
     lo, hi = target.domain_box[:, 0], target.domain_box[:, 1]
-    lo_list, hi_list = lo.tolist(), hi.tolist()
-    value, _ = _chain_functions(target)
+    on_float = d == 1 and target.point_value is not None
+    value = target.point_value
+    if value is None:
+        value = lambda w: float(target.value(np.array(w)))
     path = np.empty((steps, d))
     w = target.domain_box.mean(axis=1).tolist()
+    if on_float:
+        (w,), (lo_x,), (hi_x,) = w, lo.tolist(), hi.tolist()
+    else:
+        lo_list, hi_list = lo.tolist(), hi.tolist()
     fw = value(w)
     accepted = 0
     for start in range(0, steps, _BLOCK):
         n = min(_BLOCK, steps - start)
         restart = (rng.random(n) < _RESTART_PROB).tolist()
-        uniform = rng.uniform(lo, hi, size=(n, d)).tolist()
-        jump = (step_size * rng.standard_normal((n, d))).tolist()
+        uniform = rng.uniform(lo, hi, size=(n, d))
+        jump = step_size * rng.standard_normal((n, d))
         log_u = np.log(rng.random(n)).tolist()
         rows = []  # flat, as in _sgld_path
-        for flagged, box_row, step, lu in zip(restart, uniform, jump, log_u):
-            cand = box_row if flagged else list(map(add, w, step))
-            if all(map(le, lo_list, cand)) and all(map(le, cand, hi_list)):
-                f_cand = value(cand)
-                if lu < -gamma * (f_cand - fw):
-                    w, fw = cand, f_cand
-                    accepted += 1
-            rows.extend(w)
+        if on_float:
+            for flagged, u, step, lu in zip(
+                restart, uniform.ravel().tolist(), jump.ravel().tolist(), log_u
+            ):
+                cand = u if flagged else w + step
+                if lo_x <= cand <= hi_x:
+                    f_cand = value(cand)
+                    if lu < -gamma * (f_cand - fw):
+                        w, fw = cand, f_cand
+                        accepted += 1
+                rows.append(w)
+        else:
+            for flagged, box_row, step, lu in zip(restart, uniform.tolist(), jump.tolist(), log_u):
+                cand = box_row if flagged else list(map(add, w, step))
+                if all(map(le, lo_list, cand)) and all(map(le, cand, hi_list)):
+                    f_cand = value(cand)
+                    if lu < -gamma * (f_cand - fw):
+                        w, fw = cand, f_cand
+                        accepted += 1
+                rows.extend(w)
         path[start : start + n] = np.reshape(rows, (n, d))
     return path, accepted / steps
 
@@ -302,10 +334,17 @@ def sample_chain(
     Metropolis step i proposes w′ = its box row if flagged, else w + its
     jump row. A w′ outside the box is rejected without evaluating f; one
     inside is accepted iff its log uniform is below −γ(f(w′) − f(w)), and
-    the step records w′ if accepted, else w. Chains step on Python floats
-    through the target's point functions. SGLD checks each block once it
-    is written and raises DivergenceError, naming the step, when an
+    the step records w′ if accepted, else w. SGLD checks each block once
+    it is written and raises DivergenceError, naming the step, when an
     iterate in it is NaN or lies more than 10 box widths outside the box.
+
+    Chains step on Python floats. On a target with coordinate slopes, SGLD
+    runs the d coordinates' recursions one after the other over the
+    block's noise columns, which gives the same iterates, since ∂f/∂wₖ
+    reads wₖ alone. Metropolis steps on one float through ``point_value``
+    in d = 1 and on a list of d floats in d ≥ 2. Without point functions,
+    both step on a list of d floats with one call of ``grad`` or ``value``
+    on a (d,) array per step.
 
     The returned batch holds the ``steps − burn_in`` post-burn-in samples.
     """

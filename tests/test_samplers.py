@@ -87,14 +87,34 @@ class TestSgld:
             sample_chain("sgld", tgt, 10.0, 3.0, 200, 0, 1)
 
     def test_nan_iterate_diverges(self):
-        # a NaN gradient from the batch call and from the point function
+        # a NaN gradient from the batch call, and a NaN slope on one
+        # coordinate, in d = 1 and on the second axis of a d = 2 target
         batch = dataclasses.replace(
-            quadratic_target(), grad=lambda w: np.full_like(w, np.nan), point_grad=None
+            quadratic_target(), grad=lambda w: np.full_like(w, np.nan), coordinate_slopes=None
         )
-        point = dataclasses.replace(quadratic_target(), point_grad=lambda w: [math.nan] * len(w))
-        for tgt in (batch, point):
+        point = dataclasses.replace(quadratic_target(), coordinate_slopes=(lambda x: math.nan,))
+        diagonal = target_from_landscape(quadratic_landscape(matrix=np.diag([1.0, 2.0])), 0.0)
+        second = dataclasses.replace(
+            diagonal, coordinate_slopes=(diagonal.coordinate_slopes[0], lambda x: math.nan)
+        )
+        for tgt in (batch, point, second):
             with pytest.raises(DivergenceError, match=r"step 1 .*step_size=0\.01"):
                 sample_chain("sgld", tgt, 10.0, 0.01, 200, 0, 1)
+
+    def test_divergence_on_one_axis_names_the_reference_step(self):
+        # A = diag(1, 4) at η = 0.6: |1 − η| = 0.4 on axis 0 but |1 − 4η| =
+        # 1.4 on axis 1, whose recursion alone leaves the 10-width halo
+        tgt = target_from_landscape(quadratic_landscape(matrix=np.diag([1.0, 4.0])), 0.0)
+        gamma, eta = 10.0, 0.6
+        with np.errstate(over="ignore", invalid="ignore"):
+            reference = sgld_one_draw_per_step(tgt, gamma, eta, 200, 7)
+        box = tgt.domain_box
+        width = box[:, 1] - box[:, 0]
+        inside = (reference >= box[:, 0] - 10.0 * width) & (reference <= box[:, 1] + 10.0 * width)
+        first = int(inside.all(axis=1).argmin())
+        assert not inside[first, 1] and inside[: first + 1, 0].all()
+        with pytest.raises(DivergenceError, match=rf"step {first + 1} .*step_size=0\.6"):
+            sample_chain("sgld", tgt, gamma, eta, 200, 0, 7)
 
     def test_default_step_size_rule(self):
         tgt = quadratic_target()
@@ -140,6 +160,20 @@ class TestSgld:
         assert tgt.quadratic is not None
         rho = float(np.abs(np.linalg.eigvalsh(tgt.quadratic[1])).max())
         assert default_step_size(tgt, 20.0) == 0.5 / (20.0 * rho)
+
+
+def sgld_one_draw_per_step(target, gamma, eta, steps, seed):
+    """The SGLD chain over sample_chain's documented stream, one batch
+    gradient call and one standard_normal(d) draw per step."""
+    rng = np.random.default_rng(chain_seed(seed, 0))
+    scale = math.sqrt(2.0 * eta / gamma)
+    w = target.domain_box.mean(axis=1)
+    path = []
+    for _ in range(steps):
+        w = w - eta * np.asarray(target.grad(w), dtype=float)
+        w = w + scale * rng.standard_normal(target.dim)
+        path.append(w)
+    return np.array(path)
 
 
 def metropolis_one_at_a_time(target, gamma, eta, steps, burn_in, seed, restart):
@@ -189,10 +223,12 @@ class TestStream:
             (lambda: target_from_landscape(double_well_landscape(dimension=2), 0.0), 5.0, 0.3),
             (quadratic_target, 10.0, 0.3),
             (lambda: target_from_landscape(spline_double_well_landscape(), 0.05), 50.0, 0.3),
+            (lambda: target_from_landscape(double_well_landscape(dimension=1), 0.1), 5.0, 0.3),
             (NO_PIECES["d2_quadratic_no_pieces"], 5.0, 0.3),
             (NO_PIECES["d2_wrapped"], 5.0, 0.3),
         ],
-        ids=["d1_tight_box", "d2_double_well", "d1_high_acceptance", "spline_ridge", *NO_PIECES],
+        ids=["d1_tight_box", "d2_double_well", "d1_high_acceptance", "spline_ridge",
+             "d1_double_well_ridge", *NO_PIECES],
     )
     def test_metropolis_equals_one_proposal_at_a_time(
         self, monkeypatch, make_target, gamma, eta, restart
@@ -222,9 +258,11 @@ class TestStream:
         lo, hi = landscape.domain_box[:, 0], landscape.domain_box[:, 1]
         for w in rng.uniform(lo, hi, (200, landscape.dimension)):
             point = w.tolist()
-            value = tgt.point_value(point)
+            value = tgt.point_value(point[0] if landscape.dimension == 1 else point)
             assert type(value) is float and value == float(tgt.value(w))
-            assert tgt.point_grad(point) == tgt.grad(w).tolist()
+            slopes = [slope(x) for slope, x in zip(tgt.coordinate_slopes, point, strict=True)]
+            assert all(type(g) is float for g in slopes)
+            assert slopes == tgt.grad(w).tolist()
 
     @pytest.mark.parametrize(
         "make_target",
@@ -233,23 +271,20 @@ class TestStream:
             lambda: target_from_landscape(double_well_landscape(dimension=2), 0.0),
             lambda: target_from_landscape(double_well_landscape(dimension=2), 0.1),
             lambda: target_from_landscape(spline_double_well_landscape(), 0.0),
+            lambda: target_from_landscape(double_well_landscape(dimension=1), 0.1),
+            lambda: target_from_landscape(double_well_landscape(dimension=3), 0.1),
+            lambda: target_from_landscape(quadratic_landscape(matrix=np.diag([0.2, 1.0, 7.0])), 0.0),
             NO_PIECES["d2_quadratic_no_pieces"],
         ],
-        ids=["1", "2", "d2_ridge", "spline", "d2_quadratic_no_pieces"],
+        ids=["1", "2", "d2_ridge", "spline", "d1_ridge", "d3_ridge", "quadratic_d3_diag",
+             "d2_quadratic_no_pieces"],
     )
     def test_sgld_equals_one_draw_per_step(self, make_target):
         tgt = make_target()
         gamma, eta, steps, burn_in = 20.0, 0.01, 9000, 500
         batch = sample_chain("sgld", tgt, gamma, eta, steps, burn_in, 11)
-        rng = np.random.default_rng(chain_seed(11, 0))
-        scale = math.sqrt(2.0 * eta / gamma)
-        w = tgt.domain_box.mean(axis=1)
-        path = []
-        for _ in range(steps):
-            w = w - eta * np.asarray(tgt.grad(w), dtype=float)
-            w = w + scale * rng.standard_normal(tgt.dim)
-            path.append(w)
-        assert np.array_equal(batch.samples, np.array(path)[burn_in:])
+        expected = sgld_one_draw_per_step(tgt, gamma, eta, steps, 11)
+        assert np.array_equal(batch.samples, expected[burn_in:])
 
     def test_divergence_after_first_block_names_step_size(self):
         # |1 − η| = 1.0005 on (1/2)w² from w = 3: the iterate leaves the
