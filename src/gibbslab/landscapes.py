@@ -201,12 +201,15 @@ class DataModel:
 
     ``loss(w, sample)``, ``loss_gradient(w, sample)`` and
     ``loss_hessian(w, sample)`` take a point batch w of shape (..., d) and
-    a whole sample of m examples, and return the per-example values,
-    gradients and Hessians with shapes (..., m), (..., m, d) and
-    (..., m, d, d). The expectation of the loss over examples equals the
+    a sample of m examples of shape (..., m, k), and return the
+    per-example values, gradients and Hessians with shapes (..., m),
+    (..., m, d) and (..., m, d, d). The sample's leading axes broadcast
+    against w's batch axes: one (m, k) sample serves every point, and
+    points of shape (T, d) with samples of shape (T, m, k) pair point t
+    with sample t. The expectation of the loss over examples equals the
     landscape risk at w; the loss is twice differentiable in w on the
-    domain box. ``sample_examples(rng, n)`` returns n examples as an array
-    whose first axis indexes the sample. ``quadratic`` promises that the
+    domain box. ``sample_examples(rng, n)`` returns n examples as an
+    (n, k) array. ``quadratic`` promises that the
     empirical risk (1/m)Σℓ(w, zᵢ) is exactly quadratic in w for every
     sample, so its Hessian does not depend on w; it becomes the
     ``quadratic`` flag of every ``empirical_landscape`` of the model. The
@@ -810,17 +813,18 @@ def rls_data_model(
     )
 
     def residuals(w, sample):
-        return sample[:, 1] - np.asarray(w, dtype=float)[..., :1] * sample[:, 0]
+        return sample[..., 1] - np.asarray(w, dtype=float)[..., :1] * sample[..., 0]
 
     def loss(w, sample):
         return residuals(w, sample) ** 2
 
     def loss_gradient(w, sample):
-        return (-2.0 * residuals(w, sample) * sample[:, 0])[..., None]
+        return (-2.0 * residuals(w, sample) * sample[..., 0])[..., None]
 
     def loss_hessian(w, sample):
-        hess = (2.0 * sample[:, 0] ** 2)[:, None, None]
-        return np.broadcast_to(hess, np.shape(w)[:-1] + hess.shape)
+        hess = (2.0 * sample[..., 0] ** 2)[..., None, None]
+        lead = np.broadcast_shapes(np.shape(w)[:-1] + (1,), hess.shape[:-2])
+        return np.broadcast_to(hess, lead + (1, 1))
 
     def sample_examples(rng: np.random.Generator, n: int) -> np.ndarray:
         x = rng.uniform(-1.0, 1.0, size=n)
@@ -846,10 +850,12 @@ def constant_loss_data_model(landscape: Landscape) -> DataModel:
     """
 
     def per_example(fn, w, sample, core_ndim):
-        # insert the example axis in front of the value's own (core) axes
+        # insert the example axis in front of the value's own (core) axes,
+        # behind w's batch axes broadcast against the sample's leading ones
         values = np.asarray(fn(np.asarray(w, dtype=float)), dtype=float)
         lead = values.ndim - core_ndim
-        shape = values.shape[:lead] + (len(sample),) + values.shape[lead:]
+        *batch, m, _ = np.shape(sample)
+        shape = np.broadcast_shapes(values.shape[:lead], tuple(batch)) + (m,) + values.shape[lead:]
         return np.broadcast_to(np.expand_dims(values, lead), shape)
 
     def sample_examples(rng: np.random.Generator, n: int) -> np.ndarray:

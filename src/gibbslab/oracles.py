@@ -56,7 +56,8 @@ __all__ = [
 _PANEL_ORDER = 16
 # nodes per block of a streamed tensor grid (whole rows of the leading axis)
 _QUAD_BLOCK = 32768
-# (chain samples × examples) elements per block of the generalization gap
+# (trials × examples) per sample block and (chain samples × examples) per
+# chain block of the generalization gap
 _GAP_BLOCK = 32768
 # np.exp(x) is exactly 0.0 for every x at or below this cut (it underflows
 # below −745.1332), so a node whose exponent −γ(f − f_min) is there carries
@@ -758,23 +759,32 @@ def empirical_generalization_gap(
 ) -> Estimate:
     """Cross-trial estimate of E_S E_w[R(w) − R̂_S(w)].
 
-    Each trial draws a fresh size-m sample and averages the per-example
-    gaps gᵢ(w) = R(w) − ℓ(w, zᵢ) over the examples and over w from the
-    Gibbs density of its regularized empirical risk:
+    Trial t draws a fresh size-m sample from its own stream
+    ``default_rng(chain_seed(master_seed, 2t))`` and averages the
+    per-example gaps gᵢ(w) = R(w) − ℓ(w, zᵢ) over the examples and over w
+    from the Gibbs density of its regularized empirical risk. The trials'
+    samples are stacked into blocks of about 32k (trial, example) pairs,
+    or of one trial when m is larger, so memory does not grow with
+    ``trials`` × m.
 
     * Quadratic (the data model declares so, see ``DataModel.quadratic``):
       the target is N(c, (γH)⁻¹) with c its minimizer and H its Hessian, and
       every gᵢ is a quadratic in w, so Σᵢ E gᵢ(w) = Σᵢgᵢ(c) +
       ½⟨Σᵢ∇²gᵢ(c), (γH)⁻¹⟩ exactly. This is the mean of the untruncated
-      Gaussian, which ignores the domain box. The two terms come from one
-      ``loss`` and one ``loss_hessian`` call at c, differenced per example
-      against the landscape's risk and Hessian there, so an
-      example-independent loss gives exactly zero. No chain runs and
-      ``steps`` is not read.
-    * Otherwise one Metropolis chain of ``steps`` steps (the default step
-      size, a fifth of the steps as burn-in) runs per trial, and the gaps
-      are summed over blocks of chain samples of about 32k (sample,
-      example) pairs, so memory does not grow with ``steps``.
+      Gaussian, which ignores the domain box. Each block takes every
+      trial's H and c (one Newton step from w = 0) from one
+      ``loss_gradient`` and one ``loss_hessian`` call, and both terms from
+      one ``loss`` and one ``loss_hessian`` call at the trials' c,
+      differenced per example against the landscape's risk and Hessian
+      there, so an example-independent loss gives exactly zero. No chain
+      runs for a trial whose H is positive definite, and ``steps`` is not
+      read for it.
+    * Otherwise (a model not declared quadratic, or a trial whose H is not
+      positive definite) one Metropolis chain of ``steps`` steps (the
+      default step size, a fifth of the steps as burn-in, chain id 2t + 1)
+      runs for the trial, and the gaps are summed over blocks of chain
+      samples of about 32k (sample, example) pairs, so memory does not
+      grow with ``steps``.
 
     The arrays that ``data_model.loss`` and ``loss_hessian`` return are
     only read (one may be a read-only view). Requires trials ≥ 50 and
@@ -785,29 +795,53 @@ def empirical_generalization_gap(
     if m < 1:
         raise ArgumentError(f"need a nonempty sample, got m={m}")
     gaps = np.empty(trials)
-    for t in range(trials):
-        rng = np.random.default_rng(chain_seed(master_seed, 2 * t))
-        sample = data_model.sample_examples(rng, m)
-        target = target_from_landscape(empirical_landscape(data_model, sample), ridge)
-        if target.quadratic is not None:
-            gaps[t] = _quadratic_gap_sum(data_model, sample, gamma, *target.quadratic) / m
-            continue
-        batch = sample_chain(
-            "metropolis", target, gamma, default_step_size(target, gamma), steps, steps // 5,
-            master_seed, chain_id=2 * t + 1,
-        )
-        gaps[t] = _blocked_gap_sum(data_model, sample, batch.samples) / (len(batch) * m)
+    rows = max(1, _GAP_BLOCK // m)
+    for first in range(0, trials, rows):
+        samples = np.stack([
+            data_model.sample_examples(np.random.default_rng(chain_seed(master_seed, 2 * t)), m)
+            for t in range(first, min(first + rows, trials))
+        ])
+        chained = range(len(samples))
+        if data_model.quadratic:
+            chained = _quadratic_gaps(data_model, samples, gamma, ridge, gaps[first:])
+        for i in chained:
+            target = target_from_landscape(empirical_landscape(data_model, samples[i]), ridge)
+            batch = sample_chain(
+                "metropolis", target, gamma, default_step_size(target, gamma), steps,
+                steps // 5, master_seed, chain_id=2 * (first + i) + 1,
+            )
+            gaps[first + i] = _blocked_gap_sum(data_model, samples[i], batch.samples) / (
+                len(batch) * m
+            )
     return _mean_estimate(gaps)
 
 
-def _quadratic_gap_sum(data_model: DataModel, sample, gamma, center, hess) -> float:
-    """Σᵢ E[R(w) − ℓ(w, zᵢ)] for quadratic gaps and w ~ N(center, (γ·hess)⁻¹)."""
+def _quadratic_gaps(data_model: DataModel, samples, gamma, ridge, out) -> np.ndarray:
+    """(1/m)Σᵢ E[R(w) − ℓ(w, zᵢ)] for w ~ N(c_t, (γH_t)⁻¹), the Gaussian
+    target of each trial t of a (T, m, k) sample block, into out[t].
+
+    Returns the trials whose H_t is not positive definite; their out[t]
+    is left unwritten.
+    """
     land = data_model.landscape
+    n, m = samples.shape[:2]
+    w0 = np.zeros(land.dimension)
+    grad = np.mean(data_model.loss_gradient(w0, samples), axis=-2)
+    hess = np.mean(data_model.loss_hessian(w0, samples), axis=-3) + 2.0 * ridge * np.eye(len(w0))
+    definite = np.linalg.eigvalsh(hess)[:, 0] > 0.0
+    if not definite.all():
+        samples, grad, hess = samples[definite], grad[definite], hess[definite]
+    # one Newton step from w = 0 lands on the minimizer of a quadratic f
+    center = -np.linalg.solve(hess, grad[..., None])[..., 0]
     # differencing per example keeps both terms of an example-independent
     # loss exactly zero
-    value = np.sum(float(land.risk(center)) - data_model.loss(center, sample))
-    curv = np.sum(land.hessian(center) - data_model.loss_hessian(center, sample), axis=0)
-    return float(value + 0.5 * np.sum(curv * np.linalg.inv(gamma * hess)))
+    value = np.sum(land.risk(center)[:, None] - data_model.loss(center, samples), axis=-1)
+    curv = np.sum(
+        land.hessian(center)[:, None] - data_model.loss_hessian(center, samples), axis=-3
+    )
+    curv_term = 0.5 * np.sum(curv * np.linalg.inv(gamma * hess), axis=(-2, -1))
+    out[:n][definite] = (value + curv_term) / m
+    return np.flatnonzero(~definite)
 
 
 def _blocked_gap_sum(data_model: DataModel, sample, samples) -> float:

@@ -680,6 +680,23 @@ class TestDataModels:
             assert np.array_equal(dm.loss(w, sample), resid * resid)
             assert np.array_equal(dm.loss_gradient(w, sample), (-2.0 * resid * x)[..., None])
 
+    @pytest.mark.parametrize(
+        "dm",
+        [
+            rls_data_model(),
+            constant_loss_data_model(double_well_landscape(2)),
+        ],
+        ids=["rls", "constant_loss"],
+    )
+    def test_sample_axes_broadcast_against_point_axes(self, dm):
+        rng = np.random.default_rng(11)
+        samples = np.stack([dm.sample_examples(rng, 7) for _ in range(3)])
+        w = rng.uniform(-1.0, 1.0, (3, dm.landscape.dimension))
+        for fn in (dm.loss, dm.loss_gradient, dm.loss_hessian):
+            # point t with sample t, and one point with every sample
+            assert np.array_equal(fn(w, samples), np.stack([fn(w[t], samples[t]) for t in range(3)]))
+            assert np.array_equal(fn(w[0], samples), np.stack([fn(w[0], s) for s in samples]))
+
     def test_rls_clipping_never_binds(self):
         dm = rls_data_model()
         rng = np.random.default_rng(3)

@@ -649,11 +649,12 @@ def _least_squares_2d_data_model():
         return np.einsum("...i,ij,...j->...", dev, cov, dev) + noise**2
 
     def residuals(w, sample):
-        return sample[:, 2] - np.asarray(w, dtype=float) @ sample[:, :2].T
+        return sample[..., 2] - (sample[..., :2] @ np.asarray(w, dtype=float)[..., None])[..., 0]
 
     def loss_hessian(w, sample):
-        hess = 2.0 * sample[:, :2, None] * sample[:, None, :2]
-        return np.broadcast_to(hess, np.shape(w)[:-1] + hess.shape)
+        hess = 2.0 * sample[..., :2, None] * sample[..., None, :2]
+        lead = np.broadcast_shapes(np.shape(w)[:-1] + (1,), hess.shape[:-2])
+        return np.broadcast_to(hess, lead + (2, 2))
 
     def sample_examples(rng, n):
         x = rng.standard_normal((n, 2)) @ chol.T
@@ -674,7 +675,7 @@ def _least_squares_2d_data_model():
         name="least_squares2",
         landscape=landscape,
         loss=lambda w, sample: residuals(w, sample) ** 2,
-        loss_gradient=lambda w, sample: -2.0 * residuals(w, sample)[..., None] * sample[:, :2],
+        loss_gradient=lambda w, sample: -2.0 * residuals(w, sample)[..., None] * sample[..., :2],
         loss_hessian=loss_hessian,
         sample_examples=sample_examples,
         quadratic=True,
@@ -699,15 +700,15 @@ def _quartic_data_model(a=0.5):
 
     def loss(w, sample):
         x = np.asarray(w, dtype=float)[..., :1]
-        return (x * x - sample[:, 0]) ** 2
+        return (x * x - sample[..., 0]) ** 2
 
     def loss_gradient(w, sample):
         x = np.asarray(w, dtype=float)[..., :1]
-        return (4.0 * x * (x * x - sample[:, 0]))[..., None]
+        return (4.0 * x * (x * x - sample[..., 0]))[..., None]
 
     def loss_hessian(w, sample):
         x = np.asarray(w, dtype=float)[..., :1]
-        return (12.0 * x * x - 4.0 * sample[:, 0])[..., None, None]
+        return (12.0 * x * x - 4.0 * sample[..., 0])[..., None, None]
 
     landscape = Landscape(
         name="quartic_loss",
@@ -898,6 +899,173 @@ class TestEmpiricalGeneralizationGap:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+    @pytest.mark.parametrize(
+        "make_model, m",
+        [
+            # blocks of 32 trials at m = 1000: 50 trials leave a partial last block
+            (rls_data_model, 1000),
+            (_least_squares_2d_data_model, 1000),
+            # above the block size every block holds one trial
+            (rls_data_model, oracles._GAP_BLOCK + 1),
+        ],
+        ids=["rls-partial-block", "least_squares2-partial-block", "rls-one-trial-blocks"],
+    )
+    def test_quadratic_gap_at_block_edges(self, monkeypatch, make_model, m):
+        dm = make_model()
+        gamma, ridge, trials = 10.0, 0.1, 50
+
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a declared-quadratic data model ran a chain")
+
+        monkeypatch.setattr(oracles, "sample_chain", no_chain)
+        _, gaps = _trial_gaps(monkeypatch, dm, gamma, ridge, m, trials=trials, master_seed=4)
+        reference = _gauss_hermite_gaps(dm, gamma, ridge, m, trials, 4)
+        np.testing.assert_allclose(gaps, reference, rtol=1e-12, atol=0.0)
+
+    def test_quadratic_memory_does_not_grow_with_trials_times_m(self):
+        import tracemalloc
+
+        # the whole (trials × m × 2) sample array would take 80 MB
+        dm = rls_data_model()
+        tracemalloc.start()
+        try:
+            empirical_generalization_gap(dm, 10.0, 0.1, 100_000, trials=50, master_seed=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_trial_without_a_positive_definite_hessian_keeps_its_chain(self, monkeypatch):
+        # at λ = 0 the Hessian diag(2, 0) is singular, so every trial has
+        # no Gaussian target and runs a chain
+        dm = constant_loss_data_model(quadratic_landscape(2, matrix=np.diag([1.0, 0.0])))
+        sample = dm.sample_examples(np.random.default_rng(0), 20)
+        assert target_from_landscape(empirical_landscape(dm, sample), 0.0).quadratic is None
+        chain_ids = []
+
+        def counting_chain(*args, **kwargs):
+            chain_ids.append(kwargs["chain_id"])
+            return sample_chain(*args, **kwargs)
+
+        monkeypatch.setattr(oracles, "sample_chain", counting_chain)
+        est = empirical_generalization_gap(dm, 5.0, 0.0, 20, trials=50, master_seed=4, steps=100)
+        assert chain_ids == [2 * t + 1 for t in range(50)]
+        assert est.value == 0.0
+        assert est.halfwidth_95 == 0.0
+
+    def test_block_mixing_definite_and_singular_trials(self, monkeypatch):
+        # ℓ(w, z) = z·w² with z a fair coin and m = 1: at λ = 0 a trial's
+        # Hessian is 2z, so the z = 0 trials run chains and the z = 1 ones
+        # take the closed form E[½w² − w²] = −1/(4γ) for w ~ N(0, 1/(2γ))
+        landscape = quadratic_landscape(1, matrix=[[1.0]])
+        dm = DataModel(
+            name="coin",
+            landscape=landscape,
+            loss=lambda w, z: np.asarray(w)[..., :1] ** 2 * z[..., 0],
+            loss_gradient=lambda w, z: (2.0 * np.asarray(w)[..., :1] * z[..., 0])[..., None],
+            # adding 0·w broadcasts the Hessian over w's batch axes
+            loss_hessian=lambda w, z: (2.0 * z[..., 0] + 0.0 * np.asarray(w)[..., :1])[
+                ..., None, None
+            ],
+            sample_examples=lambda rng, n: rng.integers(0, 2, size=(n, 1)).astype(float),
+            quadratic=True,
+        )
+        gamma, trials = 5.0, 60
+        coins = np.array([
+            dm.sample_examples(np.random.default_rng(chain_seed(4, 2 * t)), 1)[0, 0]
+            for t in range(trials)
+        ])
+        assert 0 < coins.sum() < trials
+        chain_ids = []
+
+        def counting_chain(*args, **kwargs):
+            chain_ids.append(kwargs["chain_id"])
+            return sample_chain(*args, **kwargs)
+
+        monkeypatch.setattr(oracles, "sample_chain", counting_chain)
+        _, gaps = _trial_gaps(monkeypatch, dm, gamma, 0.0, 1, trials=trials, master_seed=4,
+                              steps=100)
+        assert chain_ids == [2 * t + 1 for t in np.flatnonzero(coins == 0.0)]
+        np.testing.assert_allclose(gaps[coins == 1.0], -0.25 / gamma, rtol=1e-12, atol=0.0)
+        # a z = 0 trial's gap is R(w) = ½w² along its chain
+        assert np.all(gaps[coins == 0.0] > 0.0)
+
+    def test_rls_gaps_match_the_sample_statistics_closed_form(self, monkeypatch):
+        # ℓ = (y − wx)², so R̂_S(w) = Syy − 2w·Sxy + w²·Sxx in the sample
+        # means; f = R̂_S + λw² has minimizer c = Sxy/(Sxx + λ) and curvature
+        # 2(Sxx + λ); and R(w) = ((w − a)² + b²)/3 for y = ax + ν, x ~ U[−1, 1],
+        # ν ~ U[−b, b], whose clipping to [−1, 1] never binds
+        a, b, gamma, ridge, m, trials, seed = 0.5, 0.5, 10.0, 0.1, 100, 20_000, 12345
+        est, gaps = _trial_gaps(monkeypatch, rls_data_model(a, b), gamma, ridge, m,
+                                trials=trials, master_seed=seed)
+        reference = np.empty(trials)
+        for t in range(trials):
+            rng = np.random.default_rng(chain_seed(seed, 2 * t))
+            x = rng.uniform(-1.0, 1.0, m)
+            y = a * x + rng.uniform(-b, b, m)
+            sxx, sxy, syy = np.mean(x * x), np.mean(x * y), np.mean(y * y)
+            c = sxy / (sxx + ridge)
+            value = ((c - a) ** 2 + b * b) / 3.0 - (syy - 2.0 * c * sxy + c * c * sxx)
+            reference[t] = value + 0.5 * (2.0 / 3.0 - 2.0 * sxx) / (2.0 * gamma * (sxx + ridge))
+        np.testing.assert_allclose(gaps, reference, rtol=1e-10, atol=0.0)
+        assert est.value == pytest.approx(np.mean(reference), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "make_model, gamma, m",
+        [
+            (rls_data_model, 1.0, 100),
+            (rls_data_model, 1.0, 1000),
+            (rls_data_model, 10.0, 100),
+            (rls_data_model, 10.0, 1000),
+            (_least_squares_2d_data_model, 10.0, 200),
+        ],
+        ids=["rls-1-100", "rls-1-1000", "rls-10-100", "rls-10-1000", "least_squares2-10-200"],
+    )
+    def test_direct_gap_agrees_with_the_gibbs_identity(self, make_model, gamma, m):
+        # gen = I_SKL(W; S)/γ for any Gibbs learner (Aminian et al. 2021),
+        # here with each trial's Gaussian target rebuilt from its draws:
+        # both models' loss is (y − w·x)² with the sample's last column y
+        dm = make_model()
+        ridge, trials, seed = 0.1, 1000, 20260809
+        est = empirical_generalization_gap(dm, gamma, ridge, m, trials=trials, master_seed=seed)
+        d = dm.landscape.dimension
+        centers, precisions = np.empty((trials, d)), np.empty((trials, d, d))
+        for t in range(trials):
+            sample = dm.sample_examples(np.random.default_rng(chain_seed(seed, 2 * t)), m)
+            x, y = sample[:, :-1], sample[:, -1]
+            gram = x.T @ x / m + ridge * np.eye(d)
+            centers[t] = np.linalg.solve(gram, x.T @ y / m)
+            precisions[t] = 2.0 * gamma * gram
+        value, se = _gibbs_identity(centers, precisions, gamma)
+        assert abs(est.value - value) <= 4.0 * math.hypot(est.std_error, se)
+
+
+def _gibbs_identity(centers, precisions, gamma):
+    """I_SKL(W; S)/γ over T trials with Gaussian posteriors N(c_t, Λ_t⁻¹),
+    and its jackknife standard error.
+
+    I_SKL is the mean over trials t of E_{w ~ q_t} log q_t(w) less the mean
+    over pairs s ≠ t of E_{w ~ q_s} log q_t(w): a U-statistic. Each
+    expectation is −½[tr(Λ_t Λ_s⁻¹) + (c_s − c_t)ᵀΛ_t(c_s − c_t)] up to
+    q_t's normaliser, which the self and the cross mean share.
+    """
+    trials = len(centers)
+    covs = np.linalg.inv(precisions)
+    diff = centers[:, None, :] - centers[None, :, :]
+    cross = -0.5 * (
+        np.einsum("tij,sji->st", precisions, covs)
+        + np.sum(diff * np.einsum("tij,stj->sti", precisions, diff), axis=-1)
+    )
+    self_pairs = np.diag(cross)
+    self_sum, cross_sum = self_pairs.sum(), cross.sum() - self_pairs.sum()
+    value = self_sum / trials - cross_sum / (trials * (trials - 1))
+    # leave-one-out: trial k takes its self pair, its row and its column
+    loo = (self_sum - self_pairs) / (trials - 1) - (
+        cross_sum - cross.sum(axis=0) - cross.sum(axis=1) + 2.0 * self_pairs
+    ) / ((trials - 1) * (trials - 2))
+    se = math.sqrt((trials - 1) / trials * np.sum((loo - loo.mean()) ** 2))
+    return value / gamma, se / gamma
 
 
 class TestIrmObjective:
