@@ -216,7 +216,9 @@ class DataModel:
     m = 1 case makes every single loss ℓ(·, z) quadratic too, and so the
     risk, their expectation: ``oracles.empirical_generalization_gap``
     relies on this to take the per-example gaps' expectation under the
-    Gaussian target in closed form, without a chain.
+    Gaussian target in closed form; it runs no chain and refuses a model
+    without this flag, or a sample whose regularized empirical Hessian is
+    singular (ArgumentError, exit 3 through the CLI).
     """
 
     name: str

@@ -31,13 +31,7 @@ from .landscapes import (
     _rowdot,
     empirical_landscape,
 )
-from .samplers import (
-    ChainBatch,
-    chain_seed,
-    default_step_size,
-    sample_chain,
-    target_from_landscape,
-)
+from .samplers import ChainBatch, chain_seed
 
 __all__ = [
     "QuadratureGrid",
@@ -56,8 +50,7 @@ __all__ = [
 _PANEL_ORDER = 16
 # nodes per block of a streamed tensor grid (whole rows of the leading axis)
 _QUAD_BLOCK = 32768
-# (trials × examples) per sample block and (chain samples × examples) per
-# chain block of the generalization gap
+# (trials × examples) per sample block of the generalization gap
 _GAP_BLOCK = 32768
 # np.exp(x) is exactly 0.0 for every x at or below this cut (it underflows
 # below −745.1332), so a node whose exponent −γ(f − f_min) is there carries
@@ -757,43 +750,46 @@ def empirical_generalization_gap(
     master_seed: int,
     steps: int = 2000,
 ) -> Estimate:
-    """Cross-trial estimate of E_S E_w[R(w) − R̂_S(w)].
+    """Cross-trial estimate of E_S E_w[R(w) − R̂_S(w)] for a data model
+    declared quadratic (see ``DataModel.quadratic``); no chain runs.
 
     Trial t draws a fresh size-m sample from its own stream
     ``default_rng(chain_seed(master_seed, 2t))`` and averages the
     per-example gaps gᵢ(w) = R(w) − ℓ(w, zᵢ) over the examples and over w
-    from the Gibbs density of its regularized empirical risk. The trials'
-    samples are stacked into blocks of about 32k (trial, example) pairs,
-    or of one trial when m is larger, so memory does not grow with
-    ``trials`` × m.
+    from the Gibbs density of its regularized empirical risk, N(c, (γH)⁻¹)
+    with c its minimizer and H its Hessian. Every gᵢ is a quadratic in w,
+    so Σᵢ E gᵢ(w) = Σᵢgᵢ(c) + ½⟨Σᵢ∇²gᵢ(c), (γH)⁻¹⟩ exactly. This is the
+    mean of the untruncated Gaussian, which ignores the domain box.
 
-    * Quadratic (the data model declares so, see ``DataModel.quadratic``):
-      the target is N(c, (γH)⁻¹) with c its minimizer and H its Hessian, and
-      every gᵢ is a quadratic in w, so Σᵢ E gᵢ(w) = Σᵢgᵢ(c) +
-      ½⟨Σᵢ∇²gᵢ(c), (γH)⁻¹⟩ exactly. This is the mean of the untruncated
-      Gaussian, which ignores the domain box. Each block takes every
-      trial's H and c (one Newton step from w = 0) from one
-      ``loss_gradient`` and one ``loss_hessian`` call, and both terms from
-      one ``loss`` and one ``loss_hessian`` call at the trials' c,
-      differenced per example against the landscape's risk and Hessian
-      there, so an example-independent loss gives exactly zero. No chain
-      runs for a trial whose H is positive definite, and ``steps`` is not
-      read for it.
-    * Otherwise (a model not declared quadratic, or a trial whose H is not
-      positive definite) one Metropolis chain of ``steps`` steps (the
-      default step size, a fifth of the steps as burn-in, chain id 2t + 1)
-      runs for the trial, and the gaps are summed over blocks of chain
-      samples of about 32k (sample, example) pairs, so memory does not
-      grow with ``steps``.
+    The trials' samples are stacked into blocks of about 32k (trial,
+    example) pairs, or of one trial when m is larger, so memory does not
+    grow with ``trials`` × m. Each block takes every trial's H and c (one
+    Newton step from w = 0) from one ``loss_gradient`` and one
+    ``loss_hessian`` call, and both terms from one ``loss`` and one
+    ``loss_hessian`` call at the trials' c, differenced per example
+    against the landscape's risk and Hessian there, so an
+    example-independent loss gives exactly zero. The arrays that
+    ``data_model.loss`` and ``loss_hessian`` return are only read (one may
+    be a read-only view).
 
-    The arrays that ``data_model.loss`` and ``loss_hessian`` return are
-    only read (one may be a read-only view). Requires trials ≥ 50 and
-    m ≥ 1.
+    Raises ArgumentError for γ ≤ 0, λ < 0, trials < 50, m < 1, a model not
+    declared quadratic, or a trial whose H is not positive definite (the
+    message names the first). ``steps`` is accepted and not read.
     """
+    # steps is kept only because bench/make_reference.py passes it
+    if not gamma > 0.0:
+        raise ArgumentError(f"gamma must be positive, got {gamma}")
+    if not ridge >= 0.0:
+        raise ArgumentError(f"ridge weight must be nonnegative, got {ridge}")
     if trials < 50:
         raise ArgumentError(f"need at least 50 trials, got {trials}")
     if m < 1:
         raise ArgumentError(f"need a nonempty sample, got m={m}")
+    if not data_model.quadratic:
+        raise ArgumentError(f"data model {data_model.name!r} is not declared quadratic")
+    land = data_model.landscape
+    w0 = np.zeros(land.dimension)
+    ridge_hess = 2.0 * ridge * np.eye(land.dimension)
     gaps = np.empty(trials)
     rows = max(1, _GAP_BLOCK // m)
     for first in range(0, trials, rows):
@@ -801,60 +797,27 @@ def empirical_generalization_gap(
             data_model.sample_examples(np.random.default_rng(chain_seed(master_seed, 2 * t)), m)
             for t in range(first, min(first + rows, trials))
         ])
-        chained = range(len(samples))
-        if data_model.quadratic:
-            chained = _quadratic_gaps(data_model, samples, gamma, ridge, gaps[first:])
-        for i in chained:
-            target = target_from_landscape(empirical_landscape(data_model, samples[i]), ridge)
-            batch = sample_chain(
-                "metropolis", target, gamma, default_step_size(target, gamma), steps,
-                steps // 5, master_seed, chain_id=2 * (first + i) + 1,
+        grad = np.mean(data_model.loss_gradient(w0, samples), axis=-2)
+        hess = np.mean(data_model.loss_hessian(w0, samples), axis=-3) + ridge_hess
+        smallest = np.linalg.eigvalsh(hess)[:, 0]
+        if not np.all(smallest > 0.0):
+            t = np.flatnonzero(~(smallest > 0.0))[0]
+            raise ArgumentError(
+                f"trial {first + t}: the regularized empirical Hessian has smallest "
+                f"eigenvalue {smallest[t]:.3g}, so the Gibbs density is not Gaussian; "
+                "use a positive ridge"
             )
-            gaps[first + i] = _blocked_gap_sum(data_model, samples[i], batch.samples) / (
-                len(batch) * m
-            )
+        # one Newton step from w = 0 lands on the minimizer of a quadratic f
+        center = -np.linalg.solve(hess, grad[..., None])[..., 0]
+        # differencing per example keeps both terms of an example-independent
+        # loss exactly zero
+        value = np.sum(land.risk(center)[:, None] - data_model.loss(center, samples), axis=-1)
+        curv = np.sum(
+            land.hessian(center)[:, None] - data_model.loss_hessian(center, samples), axis=-3
+        )
+        curv_term = 0.5 * np.sum(curv * np.linalg.inv(gamma * hess), axis=(-2, -1))
+        gaps[first : first + len(samples)] = (value + curv_term) / m
     return _mean_estimate(gaps)
-
-
-def _quadratic_gaps(data_model: DataModel, samples, gamma, ridge, out) -> np.ndarray:
-    """(1/m)Σᵢ E[R(w) − ℓ(w, zᵢ)] for w ~ N(c_t, (γH_t)⁻¹), the Gaussian
-    target of each trial t of a (T, m, k) sample block, into out[t].
-
-    Returns the trials whose H_t is not positive definite; their out[t]
-    is left unwritten.
-    """
-    land = data_model.landscape
-    n, m = samples.shape[:2]
-    w0 = np.zeros(land.dimension)
-    grad = np.mean(data_model.loss_gradient(w0, samples), axis=-2)
-    hess = np.mean(data_model.loss_hessian(w0, samples), axis=-3) + 2.0 * ridge * np.eye(len(w0))
-    definite = np.linalg.eigvalsh(hess)[:, 0] > 0.0
-    if not definite.all():
-        samples, grad, hess = samples[definite], grad[definite], hess[definite]
-    # one Newton step from w = 0 lands on the minimizer of a quadratic f
-    center = -np.linalg.solve(hess, grad[..., None])[..., 0]
-    # differencing per example keeps both terms of an example-independent
-    # loss exactly zero
-    value = np.sum(land.risk(center)[:, None] - data_model.loss(center, samples), axis=-1)
-    curv = np.sum(
-        land.hessian(center)[:, None] - data_model.loss_hessian(center, samples), axis=-3
-    )
-    curv_term = 0.5 * np.sum(curv * np.linalg.inv(gamma * hess), axis=(-2, -1))
-    out[:n][definite] = (value + curv_term) / m
-    return np.flatnonzero(~definite)
-
-
-def _blocked_gap_sum(data_model: DataModel, sample, samples) -> float:
-    """Σₛ Σᵢ [R(wₛ) − ℓ(wₛ, zᵢ)] over blocks of about _GAP_BLOCK pairs."""
-    # differencing per example keeps the gap of an example-independent
-    # loss exactly zero; a mean of m equal losses can round off R(w)
-    risks = np.asarray(data_model.landscape.risk(samples), dtype=float)
-    rows = max(1, _GAP_BLOCK // len(sample))
-    total = 0.0
-    for i in range(0, len(samples), rows):
-        w = samples[i : i + rows]
-        total += float(np.sum(risks[i : i + rows, None] - data_model.loss(w, sample)))
-    return total
 
 
 def irm_objective(

@@ -1,9 +1,10 @@
 """Samplers for the empirical Gibbs density e^(−γ·f(w)) / Z.
 
 Three kinds: ``sgld`` (Langevin updates, approximate), ``metropolis``
-(exact for the box-truncated target) and ``exact_gaussian`` (i.i.d. draws,
-valid only for quadratic potentials). All chains are bitwise reproducible
-from (master_seed, chain_id) via a documented 64-bit seed mix.
+(exact for the box-truncated target) and ``exact_gaussian`` (i.i.d. draws
+from the untruncated Gaussian, valid only for quadratic potentials). All
+chains are bitwise reproducible from (master_seed, chain_id) via a
+documented 64-bit seed mix.
 
 The chains step on Python floats. On a target whose landscape declares
 coordinate pieces, SGLD runs one scalar recursion per coordinate and
@@ -314,8 +315,9 @@ def sample_chain(
                     probability 0.1 of a uniform draw over the domain
                     box), acceptance min(1, e^(−γΔf)); exact for the
                     box-truncated target.
-    exact_gaussian: i.i.d. draws from N(w_min, (γH)⁻¹); requires a
-                    quadratic target.
+    exact_gaussian: i.i.d. draws from the untruncated N(w_min, (γH)⁻¹),
+                    which may leave the domain box; requires a quadratic
+                    target.
 
     Every chain starts at the box center (SGLD, Metropolis) and draws from
     ``numpy.random.default_rng(chain_seed(master_seed, chain_id))`` only,

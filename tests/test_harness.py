@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import time
@@ -533,6 +534,23 @@ class TestCli:
 
         monkeypatch.setattr(cli, "run_experiment", boom)
         assert cli.main(["run", str(path)]) == 3
+
+    def test_gap_oracle_refusal_exit_3(self, tmp_path, capsys, monkeypatch):
+        # the gap oracle takes only a model declared quadratic
+        make_data_model = harness.make_data_model
+        monkeypatch.setattr(
+            harness,
+            "make_data_model",
+            lambda *a, **k: dataclasses.replace(make_data_model(*a, **k), quadratic=False),
+        )
+        raw = minimal_config(
+            landscape={"name": "rls", "params": {}}, theorems=["generalization"]
+        )
+        raw["oracle"] = {"mc_trials": 50}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert "'rls' is not declared quadratic" in capsys.readouterr().err
 
     def test_gamma_beyond_the_node_cap_exit_3(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

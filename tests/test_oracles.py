@@ -34,7 +34,6 @@ from gibbslab.oracles import (
 from gibbslab.samplers import (
     chain_seed,
     condition_on_region,
-    default_step_size,
     sample_chain,
     target_from_landscape,
 )
@@ -730,6 +729,23 @@ def _quartic_data_model(a=0.5):
     )
 
 
+def _coin_data_model():
+    """ℓ(w, z) = z·w² with z a fair coin on the quadratic R(w) = ½w²: its
+    empirical Hessian at m = 1 is 2z, singular for z = 0."""
+    return DataModel(
+        name="coin",
+        landscape=quadratic_landscape(1, matrix=[[1.0]]),
+        loss=lambda w, z: np.asarray(w)[..., :1] ** 2 * z[..., 0],
+        loss_gradient=lambda w, z: (2.0 * np.asarray(w)[..., :1] * z[..., 0])[..., None],
+        # adding 0·w broadcasts the Hessian over w's batch axes
+        loss_hessian=lambda w, z: (2.0 * z[..., 0] + 0.0 * np.asarray(w)[..., :1])[
+            ..., None, None
+        ],
+        sample_examples=lambda rng, n: rng.integers(0, 2, size=(n, 1)).astype(float),
+        quadratic=True,
+    )
+
+
 def _trial_gaps(monkeypatch, *args, **kwargs):
     """The estimate of ``empirical_generalization_gap`` and its per-trial values."""
     seen = []
@@ -811,48 +827,14 @@ class TestEmpiricalGeneralizationGap:
     def test_quadratic_gap_is_the_gaussian_expectation(self, monkeypatch, make_model, gamma):
         dm = make_model()
         ridge, m, trials = 0.1, 200, 50
-
-        def no_chain(*args, **kwargs):
-            raise AssertionError("a declared-quadratic data model ran a chain")
-
-        monkeypatch.setattr(oracles, "sample_chain", no_chain)
         est, gaps = _trial_gaps(monkeypatch, dm, gamma, ridge, m, trials=trials, master_seed=4,
                                 steps=10)
         reference = _gauss_hermite_gaps(dm, gamma, ridge, m, trials, 4)
         np.testing.assert_allclose(gaps, reference, rtol=1e-12, atol=0.0)
-        # steps is not read on the closed-form path
+        # steps is accepted and not read
         assert est == empirical_generalization_gap(
             dm, gamma, ridge, m, trials=trials, master_seed=4, steps=20_000
         )
-
-    def test_metropolis_blocked_sum_equals_whole_array_mean(self, monkeypatch):
-        # 240 post-burn-in samples in blocks of 32 rows at m = 1000, the
-        # last one partial
-        dm = _quartic_data_model()
-        gamma, ridge, m, steps, trials = 10.0, 0.1, 1000, 300, 50
-        est, gaps = _trial_gaps(monkeypatch, dm, gamma, ridge, m, trials=trials, master_seed=4,
-                                steps=steps)
-        reference = []
-        for t in range(trials):
-            sample = dm.sample_examples(np.random.default_rng(chain_seed(4, 2 * t)), m)
-            tgt = target_from_landscape(empirical_landscape(dm, sample), ridge)
-            batch = sample_chain(
-                "metropolis", tgt, gamma, default_step_size(tgt, gamma), steps, steps // 5, 4,
-                chain_id=2 * t + 1,
-            )
-            whole = dm.landscape.risk(batch.samples)[:, None] - dm.loss(batch.samples, sample)
-            reference.append(np.mean(whole))
-        assert np.any(np.array(reference) != 0.0)
-        np.testing.assert_allclose(gaps, reference, rtol=1e-12, atol=0.0)
-        assert est.value == pytest.approx(np.mean(reference), rel=1e-12, abs=0.0)
-
-    def test_example_independent_loss_stays_zero_across_blocks(self):
-        # m = 3000 gives blocks of 10 Metropolis samples of the spline risk
-        dm = constant_loss_data_model(spline_double_well_landscape())
-        est = empirical_generalization_gap(dm, 5.0, 0.1, 3000, trials=50, master_seed=4,
-                                           steps=100)
-        assert est.value == 0.0
-        assert est.halfwidth_95 == 0.0
 
     def test_memory_does_not_grow_with_steps(self):
         import tracemalloc
@@ -885,21 +867,6 @@ class TestEmpiricalGeneralizationGap:
         assert est.value == 0.0
         assert est.halfwidth_95 == 0.0
 
-    def test_metropolis_memory_does_not_grow_with_steps(self):
-        import tracemalloc
-
-        # a non-quadratic model sums its gaps in blocks; the whole
-        # (steps × m) float array would take 40 MB
-        dm = constant_loss_data_model(double_well_landscape(1))
-        tracemalloc.start()
-        try:
-            empirical_generalization_gap(dm, 5.0, 0.1, 100_000, trials=50, master_seed=4,
-                                         steps=50)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 16e6
-
     @pytest.mark.parametrize(
         "make_model, m",
         [
@@ -914,11 +881,6 @@ class TestEmpiricalGeneralizationGap:
     def test_quadratic_gap_at_block_edges(self, monkeypatch, make_model, m):
         dm = make_model()
         gamma, ridge, trials = 10.0, 0.1, 50
-
-        def no_chain(*args, **kwargs):
-            raise AssertionError("a declared-quadratic data model ran a chain")
-
-        monkeypatch.setattr(oracles, "sample_chain", no_chain)
         _, gaps = _trial_gaps(monkeypatch, dm, gamma, ridge, m, trials=trials, master_seed=4)
         reference = _gauss_hermite_gaps(dm, gamma, ridge, m, trials, 4)
         np.testing.assert_allclose(gaps, reference, rtol=1e-12, atol=0.0)
@@ -936,60 +898,63 @@ class TestEmpiricalGeneralizationGap:
             tracemalloc.stop()
         assert peak < 16e6
 
-    def test_trial_without_a_positive_definite_hessian_keeps_its_chain(self, monkeypatch):
-        # at λ = 0 the Hessian diag(2, 0) is singular, so every trial has
-        # no Gaussian target and runs a chain
+    def test_model_not_declared_quadratic_is_refused(self):
+        with pytest.raises(ArgumentError, match="'quartic_loss' is not declared quadratic"):
+            empirical_generalization_gap(
+                _quartic_data_model(), 10.0, 0.1, 100, trials=50, master_seed=4
+            )
+
+    def test_singular_hessian_is_refused(self):
+        # at λ = 0 the Hessian diag(2, 0) is singular in every trial
         dm = constant_loss_data_model(quadratic_landscape(2, matrix=np.diag([1.0, 0.0])))
-        sample = dm.sample_examples(np.random.default_rng(0), 20)
-        assert target_from_landscape(empirical_landscape(dm, sample), 0.0).quadratic is None
-        chain_ids = []
-
-        def counting_chain(*args, **kwargs):
-            chain_ids.append(kwargs["chain_id"])
-            return sample_chain(*args, **kwargs)
-
-        monkeypatch.setattr(oracles, "sample_chain", counting_chain)
-        est = empirical_generalization_gap(dm, 5.0, 0.0, 20, trials=50, master_seed=4, steps=100)
-        assert chain_ids == [2 * t + 1 for t in range(50)]
+        with pytest.raises(
+            ArgumentError, match=r"^trial 0: .* smallest eigenvalue 0, .* positive ridge$"
+        ):
+            empirical_generalization_gap(dm, 5.0, 0.0, 20, trials=50, master_seed=4)
+        est = empirical_generalization_gap(dm, 5.0, 0.1, 20, trials=50, master_seed=4)
         assert est.value == 0.0
-        assert est.halfwidth_95 == 0.0
 
-    def test_block_mixing_definite_and_singular_trials(self, monkeypatch):
-        # ℓ(w, z) = z·w² with z a fair coin and m = 1: at λ = 0 a trial's
-        # Hessian is 2z, so the z = 0 trials run chains and the z = 1 ones
-        # take the closed form E[½w² − w²] = −1/(4γ) for w ~ N(0, 1/(2γ))
-        landscape = quadratic_landscape(1, matrix=[[1.0]])
-        dm = DataModel(
-            name="coin",
-            landscape=landscape,
-            loss=lambda w, z: np.asarray(w)[..., :1] ** 2 * z[..., 0],
-            loss_gradient=lambda w, z: (2.0 * np.asarray(w)[..., :1] * z[..., 0])[..., None],
-            # adding 0·w broadcasts the Hessian over w's batch axes
-            loss_hessian=lambda w, z: (2.0 * z[..., 0] + 0.0 * np.asarray(w)[..., :1])[
-                ..., None, None
-            ],
-            sample_examples=lambda rng, n: rng.integers(0, 2, size=(n, 1)).astype(float),
-            quadratic=True,
-        )
-        gamma, trials = 5.0, 60
+    @pytest.mark.parametrize("block", [None, 1, 2], ids=["one-block", "1", "2"])
+    def test_first_singular_trial_is_named(self, monkeypatch, block):
+        # at λ = 0 and m = 1 a coin trial's Hessian is 2z: singular for z = 0
+        dm = _coin_data_model()
+        if block is not None:
+            monkeypatch.setattr(oracles, "_GAP_BLOCK", block)
+        coins = np.array([
+            dm.sample_examples(np.random.default_rng(chain_seed(4, 2 * t)), 1)[0, 0]
+            for t in range(60)
+        ])
+        first = np.flatnonzero(coins == 0.0)[0]
+        assert first > 2
+        with pytest.raises(ArgumentError, match=rf"^trial {first}: .* eigenvalue 0, "):
+            empirical_generalization_gap(dm, 5.0, 0.0, 1, trials=60, master_seed=4)
+
+    def test_coin_trials_take_the_closed_form(self, monkeypatch):
+        # at m = 1 a coin trial's Hessian is 2z + 2λ and its gap is
+        # E[½w² − zw²] = (½ − z)/(γ(2z + 2λ)) for w ~ N(0, (γH)⁻¹)
+        dm = _coin_data_model()
+        gamma, ridge, trials = 5.0, 0.25, 60
         coins = np.array([
             dm.sample_examples(np.random.default_rng(chain_seed(4, 2 * t)), 1)[0, 0]
             for t in range(trials)
         ])
-        assert 0 < coins.sum() < trials
-        chain_ids = []
+        _, gaps = _trial_gaps(monkeypatch, dm, gamma, ridge, 1, trials=trials, master_seed=4)
+        reference = (0.5 - coins) / (gamma * (2.0 * coins + 2.0 * ridge))
+        np.testing.assert_allclose(gaps, reference, rtol=1e-12, atol=0.0)
 
-        def counting_chain(*args, **kwargs):
-            chain_ids.append(kwargs["chain_id"])
-            return sample_chain(*args, **kwargs)
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, math.nan], ids=["negative", "zero", "nan"])
+    def test_gamma_must_be_positive(self, gamma):
+        with pytest.raises(ArgumentError, match="gamma must be positive"):
+            empirical_generalization_gap(
+                rls_data_model(), gamma, 0.1, 100, trials=50, master_seed=4
+            )
 
-        monkeypatch.setattr(oracles, "sample_chain", counting_chain)
-        _, gaps = _trial_gaps(monkeypatch, dm, gamma, 0.0, 1, trials=trials, master_seed=4,
-                              steps=100)
-        assert chain_ids == [2 * t + 1 for t in np.flatnonzero(coins == 0.0)]
-        np.testing.assert_allclose(gaps[coins == 1.0], -0.25 / gamma, rtol=1e-12, atol=0.0)
-        # a z = 0 trial's gap is R(w) = ½w² along its chain
-        assert np.all(gaps[coins == 0.0] > 0.0)
+    def test_negative_ridge_is_refused(self):
+        # at λ = −0.5 every rls trial's H = 2·mean(x²) − 1 is negative
+        with pytest.raises(ArgumentError, match="ridge weight must be nonnegative"):
+            empirical_generalization_gap(
+                rls_data_model(), 1.0, -0.5, 100, trials=50, master_seed=4
+            )
 
     def test_rls_gaps_match_the_sample_statistics_closed_form(self, monkeypatch):
         # ℓ = (y − wx)², so R̂_S(w) = Syy − 2w·Sxy + w²·Sxx in the sample
