@@ -134,7 +134,12 @@ def effective_dimension(H: np.ndarray, ridge: float) -> float:
         raise ArgumentError("H must be symmetric")
     if ridge < 0.0:
         raise ArgumentError(f"ridge weight must be nonnegative, got {ridge}")
-    eigs = np.linalg.eigvalsh(H)
+    return _soft_rank(np.linalg.eigvalsh(H), ridge)
+
+
+def _soft_rank(eigs: np.ndarray, ridge: float) -> float:
+    """``effective_dimension`` from the ascending eigenvalues of H, for a
+    ridge weight already checked (a ``GibbsConfig``'s is)."""
     if eigs[0] < -1e-10 * max(1.0, float(eigs[-1])):
         raise ArgumentError("H must be positive semi-definite")
     nonzero = nonzero_eigenvalues(eigs)
@@ -178,7 +183,7 @@ def local_excess_bound(
     hoeffding_stated variant gen = M²γ/(2m), reproducing the theorem's
     display exactly.
     """
-    trace = effective_dimension(minimum.hessian, config.ridge)
+    trace = _soft_rank(minimum.hessian_eigenvalues, config.ridge)
     terms = _excess_terms(trace, taylor_approximation_error(minimum, r, config.ridge), config)
     return BoundReport(terms=terms, total=sum(terms.values()))
 
@@ -340,7 +345,7 @@ def global_excess_bound(
     if w.shape != (len(minima),) or np.any(w < 0) or w.sum() <= 0:
         raise ArgumentError("weights must be a nonnegative vector over the minima")
     w = w / w.sum()
-    eff_dims = np.array([effective_dimension(m.hessian, config.ridge) for m in minima])
+    eff_dims = np.array([_soft_rank(m.hessian_eigenvalues, config.ridge) for m in minima])
     eps = np.array([taylor_approximation_error(m, r, config.ridge) for m in minima])
     terms = _excess_terms(float(w @ eff_dims), float(w @ eps), config)
     terms["complement"] = config.loss_bound * complement.clamped

@@ -336,7 +336,7 @@ def _auto_nodes(landscape, minima, gamma: float, requested: int, tensor: bool) -
     """Nodes per axis: 20 per narrowest well width 1/√(γ·λ_max) across the
     box, which a tensor grid caps at 400 in d = 2 and 80 in d = 3.
     ResolutionError when the count exceeds ``_MAX_NODES_PER_AXIS``."""
-    lam_max = max(float(np.linalg.eigvalsh(m.reg_hessian)[-1]) for m in minima)
+    lam_max = max(float(m.reg_hessian_eigenvalues[-1]) for m in minima)
     width = float(np.max(landscape.domain_box[:, 1] - landscape.domain_box[:, 0]))
     sigma = 1.0 / math.sqrt(gamma * lam_max)
     needed = int(math.ceil(20.0 * width / sigma))
@@ -485,6 +485,8 @@ def _finish(row: dict, total, secondary, terms, oracle, allowance, passes) -> di
 
 
 def _coordinate_potential(risk_k, ridge: float):
+    if ridge == 0.0:  # as Landscape.reg_risk: a coordinate risk is ≥ +0, so + 0.0 moves no bit
+        return risk_k
     return lambda x: risk_k(x) + ridge * (x * x)
 
 

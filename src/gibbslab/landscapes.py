@@ -107,7 +107,9 @@ class MinimumDescriptor:
     ``hessian`` is the Hessian of the plain risk at the minimizer, and
     ``reg_hessian`` the regularized one (hessian + 2λI). ``lambda_min`` is
     the smallest eigenvalue of ``hessian`` above the zero threshold
-    (1e-10 times its largest eigenvalue). ``lipschitz`` maps a radius r to
+    (1e-10 times its largest eigenvalue); ``hessian_eigenvalues`` and
+    ``reg_hessian_eigenvalues``, ascending, are computed once, on first
+    access. ``lipschitz`` maps a radius r to
     the local Hessian-Lipschitz constant L(r) on the curvature ellipsoid
     (``lipschitz_estimate``, once per radius: 0, a closed form, or in d = 1
     a grid scan); ``lipschitz_is_estimate`` flags the grid scan, which may
@@ -128,6 +130,14 @@ class MinimumDescriptor:
 
     def ellipsoid(self, r: float) -> EllipsoidSpec:
         return EllipsoidSpec(center=self.location, metric=self.reg_hessian, radius=float(r))
+
+    @functools.cached_property
+    def hessian_eigenvalues(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.hessian)
+
+    @functools.cached_property
+    def reg_hessian_eigenvalues(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.reg_hessian)
 
     @property
     def dimension(self) -> int:
@@ -453,7 +463,7 @@ def disjoint_radius(minima: list[MinimumDescriptor]) -> float:
                     f"minima {i} and {j} share a location; descriptors must be distinct"
                 )
             min_dist = min(min_dist, dist)
-    min_eig = min(float(np.linalg.eigvalsh(m.reg_hessian)[0]) for m in minima)
+    min_eig = min(float(m.reg_hessian_eigenvalues[0]) for m in minima)
     return 0.5 * min_dist * math.sqrt(min_eig)
 
 
@@ -701,12 +711,16 @@ def spline_double_well_landscape(
 
     def piecewise(left, right, bridge):
         # x <= j1 is the left well, x >= j2 the right one. One Python float
-        # (a chain step) evaluates only its own piece; an array evaluates
-        # all three pieces and merges them, with the same bits per point
+        # (a chain step) and each point of an array evaluate only their own
+        # piece, with the same bits per point
         def piece(x):
             if isinstance(x, float):
                 return left(x) if x <= j1 else right(x) if x >= j2 else bridge(x)
-            return np.where(x <= j1, left(x), np.where(x >= j2, right(x), bridge(x)))
+            out = np.empty(np.shape(x))
+            on_left, on_right = x <= j1, x >= j2
+            for mask, f in ((on_left, left), (on_right, right), (~(on_left | on_right), bridge)):
+                out[mask] = f(x[mask])
+            return out
 
         return piece
 

@@ -1,6 +1,8 @@
 """Independent ground truth: quadrature and Monte-Carlo estimators.
 
-Nothing here reuses the bound formulas it is meant to check. Quadrature
+Nothing here reuses the bound formulas it is meant to check. Every
+quadrature rule is composed of one declared 16-point Gauss-Legendre panel
+rule, so the quadrature oracles load no scipy subpackage. Quadrature
 is restricted to d ≤ 3. The tensor grid's time grows as n^d for n nodes
 per dimension, but it streams the grid in blocks of about 32k nodes, so
 its memory does not; its region masses converge spectrally only in d = 1.
@@ -47,7 +49,22 @@ __all__ = [
     "derivative_check",
 ]
 
-_PANEL_ORDER = 16
+# The 16-point Gauss-Legendre rule on [-1, 1], declared rather than computed
+# (scipy.special.roots_legendre would load scipy.linalg for its eigen-solve,
+# about 7 MB of resident memory in every quadrature process): the positive
+# nodes in ascending order and their weights, as round-trip decimals. The
+# rule is symmetric, so the mirrored arrays hold roots_legendre(16) bit for bit.
+_HALF_NODES = (
+    0.09501250983763745, 0.2816035507792589, 0.4580167776572274, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+)
+_HALF_WEIGHTS = (
+    0.1894506104550681, 0.18260341504492328, 0.16915651939500212, 0.14959598881657638,
+    0.12462897125553363, 0.09515851168249231, 0.06225352393864763, 0.027152459411756466,
+)
+_RULE_NODES = np.array([-x for x in _HALF_NODES[::-1]] + list(_HALF_NODES))
+_RULE_WEIGHTS = np.array(_HALF_WEIGHTS[::-1] + _HALF_WEIGHTS)
+_PANEL_ORDER = _RULE_NODES.size
 # nodes per block of a streamed tensor grid (whole rows of the leading axis)
 _QUAD_BLOCK = 32768
 # (trials × examples) per sample block of the generalization gap
@@ -62,16 +79,17 @@ _EXP_ZERO = -746.0
 class QuadratureGrid:
     """Tensorized composite Gauss-Legendre rule over a box, d ≤ 3.
 
-    ``axes`` holds each dimension's 1-d rule as (nodes, weights) and
-    ``breakpoints`` each dimension's coordinates forced onto panel edges,
-    as given to ``tensor_gauss_legendre``. The tensor ``nodes`` (N, d)
-    and ``weights`` (N,), in C order with the last axis fastest, are
-    built on first access; ``blocks()`` yields the same nodes and weights
-    in slices without building them. Weights are positive and sum to the
-    box volume to relative 1e-12.
+    ``edges`` holds each dimension's panel edges and ``breakpoints`` each
+    dimension's coordinates forced onto them, as given to
+    ``tensor_gauss_legendre``. ``axes``, each dimension's 1-d rule as
+    (nodes, weights), and the tensor ``nodes`` (N, d) and ``weights``
+    (N,), in C order with the last axis fastest, are built on first
+    access; ``blocks()`` yields the same nodes and weights in slices
+    without building the tensor. Weights are positive and sum to the box
+    volume to relative 1e-12.
     """
 
-    axes: tuple[tuple[np.ndarray, np.ndarray], ...]
+    edges: tuple[np.ndarray, ...]
     domain_box: np.ndarray
     breakpoints: tuple[tuple[float, ...], ...]
 
@@ -81,7 +99,11 @@ class QuadratureGrid:
 
     @property
     def nodes_per_dim(self) -> tuple[int, ...]:
-        return tuple(len(x) for x, _ in self.axes)
+        return tuple(_PANEL_ORDER * (len(e) - 1) for e in self.edges)
+
+    @functools.cached_property
+    def axes(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        return tuple(_gl_on_edges(e) for e in self.edges)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -142,17 +164,6 @@ class QuadratureMeasure:
     nodes_per_axis: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
 
 
-@functools.cache
-def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the _PANEL_ORDER-point Gauss-Legendre rule on
-    [-1, 1], built on first use: scipy.special and the scipy.linalg it
-    builds the rule with are then never loaded by a process that runs no
-    quadrature (about 25 MB of RSS and half of the start-up time)."""
-    from scipy.special import roots_legendre
-
-    return roots_legendre(_PANEL_ORDER)
-
-
 def _panel_edges(lo: float, hi: float, n_nodes: int, breakpoints=()) -> np.ndarray:
     # Panel edges are forced onto the breakpoints so that interval regions
     # are unions of whole panels; masked region masses then converge
@@ -170,11 +181,10 @@ def _panel_edges(lo: float, hi: float, n_nodes: int, breakpoints=()) -> np.ndarr
 def _gl_on_edges(edges: np.ndarray):
     """Nodes and weights of the _PANEL_ORDER-point rule on each panel
     [edges[j], edges[j + 1]], panel by panel."""
-    base_x, base_w = _panel_rule()
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    weights = (half[:, None] * base_w[None, :]).ravel()
+    nodes = (mid[:, None] + half[:, None] * _RULE_NODES[None, :]).ravel()
+    weights = (half[:, None] * _RULE_WEIGHTS[None, :]).ravel()
     return nodes, weights
 
 
@@ -184,8 +194,8 @@ def tensor_gauss_legendre(domain_box, nodes_per_dim, breakpoints=None) -> Quadra
     ``nodes_per_dim`` is an int or per-dimension sequence; the actual
     count is rounded up to whole 16-node panels. ``breakpoints`` is an
     optional per-dimension list of coordinates forced onto panel edges.
-    Only the 1-d rules are built here; the grid's tensor nodes and weights
-    are built on first access.
+    Only the panel edges are laid out here; the grid's 1-d rules and its
+    tensor nodes and weights are built on first access.
     """
     box = np.asarray(domain_box, dtype=float)
     if box.ndim == 1:
@@ -200,11 +210,10 @@ def tensor_gauss_legendre(domain_box, nodes_per_dim, breakpoints=None) -> Quadra
     if breakpoints is None:
         breakpoints = [()] * d
     breakpoints = tuple(tuple(float(b) for b in bps) for bps in breakpoints)
-    axes = tuple(
-        _gl_on_edges(_panel_edges(lo, hi, n, bps))
-        for (lo, hi), n, bps in zip(box, counts, breakpoints)
+    edges = tuple(
+        _panel_edges(lo, hi, n, bps) for (lo, hi), n, bps in zip(box, counts, breakpoints)
     )
-    return QuadratureGrid(axes=axes, domain_box=box, breakpoints=breakpoints)
+    return QuadratureGrid(edges=edges, domain_box=box, breakpoints=breakpoints)
 
 
 def _region_edges_1d(regions, box: np.ndarray) -> list[float]:
@@ -331,6 +340,7 @@ def quadrature_measure(
     regions, integrands = list(regions), integrands or {}
     breakpoints = grid.breakpoints
     if regions and grid.dimension == 1:
+        # the given grid's rules are never built: only its node count is read
         breakpoints = [breakpoints[0] + tuple(_region_edges_1d(regions, grid.domain_box))]
         grid = tensor_gauss_legendre(grid.domain_box, grid.nodes_per_dim, breakpoints)
     coarse = _measure_on_grid(potential, gamma, grid, regions, integrands)
@@ -425,11 +435,11 @@ class _Axis:
     def _rule(self, start: np.ndarray, end: np.ndarray) -> np.ndarray:
         """One panel rule on each [start, end] inside a panel. Rows: the
         mass, then the partial moment of each integrand."""
-        base_x, base_w = _panel_rule()
         half = 0.5 * (end - start)
-        x = (0.5 * (end + start))[..., None] + half[..., None] * base_x
+        x = (0.5 * (end + start))[..., None] + half[..., None] * _RULE_NODES
         p = self.density(x)
-        return np.stack([p @ base_w, *((p * g(x)) @ base_w for g in self.integrands)]) * half
+        w = _RULE_WEIGHTS
+        return np.stack([p @ w, *((p * g(x)) @ w for g in self.integrands)]) * half
 
     def _tiled(self, first: np.ndarray, stop: np.ndarray, rows) -> np.ndarray:
         """Rows ``rows`` (as in density()) of the whole panels first ..

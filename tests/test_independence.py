@@ -5,9 +5,11 @@ Oracles and bounds must not share code with the independent references in
 or anything under ``tests``.
 
 ``import gibbslab`` loads none of scipy's heavy subpackages. scipy.special
-loads on the first incomplete gamma P(a, z), the first Kummer M or the
-first Gauss-Legendre rule, so chains and generalization-only runs never
-load it.
+loads on the first incomplete gamma P(a, z) or the first Kummer M, so
+chains and generalization-only runs never load it. The quadrature oracles'
+16-point Gauss-Legendre rule is a declared constant, so the oracles alone
+load neither scipy.special nor the scipy.linalg that computing the rule
+would, and no quadrature run loads scipy.linalg.
 """
 
 import ast
@@ -44,8 +46,8 @@ def test_module_imports_nothing_from_the_tests(path):
 
 
 # scipy subpackages that ``import gibbslab`` must not load: each adds start-up
-# time and resident memory to every process (scipy.special with the
-# scipy.linalg it imports about 25 MB, scipy.linalg alone 6.5 MB)
+# time and resident memory to every process (scipy.special about 23 MB,
+# scipy.linalg 6 MB more on top of it)
 UNLOADED = (
     "scipy.integrate", "scipy.stats", "scipy.optimize", "scipy.linalg", "scipy.special"
 )
@@ -83,11 +85,12 @@ assert harness.run_experiment(cfg, out_dir=sys.argv[1]).rows
 assert "scipy.special" not in sys.modules, "loaded by a chain or a generalization run"
 
 p = specfun.regularized_gamma_P(0.5, 1.0)
-nodes, weights = oracles.tensor_gauss_legendre([(-1.0, 1.0)], 16).axes[0]
 assert "scipy.special" in sys.modules
+nodes, weights = oracles.tensor_gauss_legendre([(-1.0, 1.0)], 16).axes[0]
 from scipy.special import gammainc, roots_legendre
 x, w = roots_legendre(16)
 assert p == float(gammainc(0.5, 1.0))
+# the declared rule is scipy's, bit for bit
 assert np.array_equal(nodes, x) and np.array_equal(weights, w)
 """
 
@@ -96,6 +99,48 @@ def test_sampling_side_leaves_scipy_special_unloaded(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     done = subprocess.run(
         [sys.executable, "-c", SAMPLING_SIDE, str(tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+QUADRATURE_SIDE = """
+import sys
+import numpy as np
+from gibbslab import harness, landscapes, oracles
+
+# the oracles alone: a tensor grid, its measure and a product measure
+well = landscapes.double_well_landscape(1)
+region = landscapes.EllipsoidSpec(center=np.array([1.0]), metric=np.array([[8.0]]), radius=0.5)
+grid = oracles.tensor_gauss_legendre(well.domain_box, 256)
+oracles.quadrature_measure(well.risk, 20.0, grid, regions=[region])
+disc = landscapes.EllipsoidSpec(center=np.zeros(2), metric=np.diag([2.0, 2.0]), radius=0.5)
+oracles.product_measure([lambda x: x * x] * 2, 10.0, [(-3.0, 3.0)] * 2, 64, regions=[disc])
+assert not {"scipy.special", "scipy.linalg"} & set(sys.modules), "loaded by the oracles"
+
+theorems = ["local_excess", "global_excess", "pseudo_excess",
+            "minima_distribution", "ellipsoid_mass", "complement_mass"]
+for landscape in (
+    {"name": "double_well", "params": {"dimension": 1}},
+    {"name": "quadratic", "params": {"dimension": 2, "matrix": [[1.0, 0.3], [0.3, 2.0]]}},
+):
+    cfg = harness.validate_config({
+        "landscape": landscape,
+        "gibbs": {"gamma": [100.0], "ridge": 0.0, "m": [1000]},
+        "radius": {"relative": [0.8]},
+        "theorems": theorems,
+        "master_seed": 7,
+    })
+    result = harness.run_experiment(cfg, out_dir=sys.argv[1])
+    assert {row["theorem"] for row in result.rows} == set(theorems)
+assert "scipy.linalg" not in sys.modules, "loaded by a quadrature run"
+"""
+
+
+def test_quadrature_side_leaves_scipy_linalg_unloaded(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", QUADRATURE_SIDE, str(tmp_path)],
         env=env, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr

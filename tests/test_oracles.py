@@ -145,6 +145,34 @@ class TestQuadratureGrid:
         assert np.array_equal(grid.nodes, nodes)
         assert np.array_equal(grid.weights, weights)
 
+    def test_panel_rule_integrates_legendre_polynomials(self):
+        # one panel on [-1, 1] is the declared 16-point rule itself, exact
+        # through degree 31: ∫P_k is 2 for k = 0 and 0 above
+        x, w = tensor_gauss_legendre([[-1.0, 1.0]], 16).axes[0]
+        assert len(x) == 16 and np.all(np.diff(x) > 0.0) and -1.0 < x[0]
+        for k in range(32):
+            p_k = np.polynomial.legendre.legval(x, [0.0] * k + [1.0])
+            assert abs(float(w @ p_k) - (2.0 if k == 0 else 0.0)) <= 1e-14
+
+    def test_panel_rule_is_exactly_symmetric(self):
+        x, w = tensor_gauss_legendre([[-1.0, 1.0]], 16).axes[0]
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+
+    def test_rules_are_built_on_first_access(self, monkeypatch):
+        # in d = 1 quadrature_measure lays the given grid out again with the
+        # region edges as panel edges: only that grid and its doubling get
+        # their rules built, never the one it was given
+        real, built = oracles._gl_on_edges, []
+        monkeypatch.setattr(
+            oracles, "_gl_on_edges", lambda edges: built.append(len(edges) - 1) or real(edges)
+        )
+        grid = tensor_gauss_legendre([[-2.0, 2.0]], 160)
+        assert grid.nodes_per_dim == (160,) and not built
+        region = EllipsoidSpec(center=np.array([1.0]), metric=np.array([[8.0]]), radius=0.5)
+        meas = quadrature_measure(lambda w: (w[:, 0] - 1.0) ** 2, 20.0, grid, regions=[region])
+        assert len(built) == 2 and built[1] == 2 * built[0]
+        assert meas.nodes_per_axis == ((16 * built[0],), (16 * built[1],))
+
     def test_breakpoints_on_panel_edges(self):
         grid = tensor_gauss_legendre([[-2.0, 2.0]], 160, breakpoints=[[0.3]])
         # no node may straddle the breakpoint inside a panel: check by
