@@ -37,7 +37,6 @@ from .errors import (
     LandscapeDefinitionError,
     RadiusError,
     ResolutionError,
-    SamplerKindError,
 )
 from .landscapes import (
     BUILTIN_DATA_MODELS,

@@ -7,7 +7,6 @@ __all__ = [
     "LandscapeDefinitionError",
     "DegenerateCurvatureError",
     "RadiusError",
-    "SamplerKindError",
     "DivergenceError",
     "ConditioningError",
     "ContractError",
@@ -38,10 +37,6 @@ class DegenerateCurvatureError(GibbslabError, ValueError):
 
 class RadiusError(GibbslabError, ValueError):
     """A radius exceeds the disjointness radius r0."""
-
-
-class SamplerKindError(GibbslabError, ValueError):
-    """A sampler kind was requested on an incompatible target."""
 
 
 class DivergenceError(GibbslabError, RuntimeError):

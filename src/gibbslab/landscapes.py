@@ -109,10 +109,11 @@ class MinimumDescriptor:
     the smallest eigenvalue of ``hessian`` above the zero threshold
     (1e-10 times its largest eigenvalue); ``hessian_eigenvalues`` and
     ``reg_hessian_eigenvalues``, ascending, are computed once, on first
-    access. ``lipschitz`` maps a radius r to
-    the local Hessian-Lipschitz constant L(r) on the curvature ellipsoid
-    (``lipschitz_estimate``, once per radius: 0, a closed form, or in d = 1
-    a grid scan); ``lipschitz_is_estimate`` flags the grid scan, which may
+    access; ``enumerate_minima`` fills both with the spectra its checks
+    take. ``lipschitz`` maps a radius r to the local Hessian-Lipschitz
+    constant L(r) on the curvature ellipsoid (``lipschitz_estimate``, once
+    per radius: 0, a closed form, or in d = 1 a grid scan);
+    ``lipschitz_is_estimate`` flags the grid scan, which may
     under-estimate the supremum. ``domain_box`` is the landscape's (d, 2)
     box, which bounds a lone minimum's ellipsoid (``disjoint_radius``).
     """
@@ -154,10 +155,10 @@ class Landscape:
     seeds handed to Newton polishing; ``loss_bound`` is the exact supremum
     M of the risk (and of any attached loss) over the domain box.
     ``quadratic`` declares that the risk is exactly quadratic in w (its
-    Hessian is constant), so its Gibbs targets admit exact Gaussian draws
-    and L(r) ≡ 0. ``lipschitz_closed_form(location, reg_hessian, r)``
-    declares L(r) on the curvature ellipsoid of radius r around a minimizer
-    otherwise; a d ≥ 2 landscape must declare one of the two.
+    Hessian is constant), so L(r) ≡ 0. ``lipschitz_closed_form(minimum, r)``
+    declares L(r) on the curvature ellipsoid of radius r around a
+    minimizer, given as its ``MinimumDescriptor``, otherwise; a d ≥ 2
+    landscape must declare one of the two.
     ``coordinate_risks``, when set, declares the risk separable: d maps of
     coordinate-k values with R(w) = Σₖ coordinate_risks[k](wₖ), summed left
     to right, so that its Gibbs density on the box (the ridge term is
@@ -175,7 +176,7 @@ class Landscape:
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
     initial_points: tuple[np.ndarray, ...]
-    lipschitz_closed_form: Callable[[np.ndarray, np.ndarray, float], float] | None = None
+    lipschitz_closed_form: Callable[[MinimumDescriptor, float], float] | None = None
     params: dict[str, Any] = field(default_factory=dict)
     quadratic: bool = False
     coordinate_risks: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
@@ -369,26 +370,29 @@ def enumerate_minima(landscape: Landscape, lam: float) -> list[MinimumDescriptor
             raise LandscapeDefinitionError(
                 f"risk Hessian has negative curvature at {w}"
             )
-        records.append((float(landscape.reg_risk(w, lam)), order, w, hess, reg_hess, eigs))
+        records.append(
+            (float(landscape.reg_risk(w, lam)), order, w, hess, reg_hess, eigs, reg_eigs)
+        )
 
     records.sort(key=lambda rec: (rec[0], rec[1]))
     best = records[0][0]
     minima: list[MinimumDescriptor] = []
-    for index, (value, _, w, hess, reg_hess, eigs) in enumerate(records):
-        minima.append(
-            MinimumDescriptor(
-                index=index,
-                location=w,
-                reg_risk_value=value,
-                hessian=hess,
-                reg_hessian=reg_hess,
-                lambda_min=float(min(nonzero_eigenvalues(eigs), default=0.0)),
-                is_global=bool(value - best <= GLOBAL_VALUE_TOL),
-                lipschitz=_lipschitz_profile(landscape, minima, index),
-                lipschitz_is_estimate=not declared,
-                domain_box=np.array(landscape.domain_box),
-            )
+    for index, (value, _, w, hess, reg_hess, eigs, reg_eigs) in enumerate(records):
+        minimum = MinimumDescriptor(
+            index=index,
+            location=w,
+            reg_risk_value=value,
+            hessian=hess,
+            reg_hessian=reg_hess,
+            lambda_min=float(min(nonzero_eigenvalues(eigs), default=0.0)),
+            is_global=bool(value - best <= GLOBAL_VALUE_TOL),
+            lipschitz=_lipschitz_profile(landscape, minima, index),
+            lipschitz_is_estimate=not declared,
+            domain_box=np.array(landscape.domain_box),
         )
+        # fill the two cached spectra with the ones the checks above took
+        minimum.__dict__.update(hessian_eigenvalues=eigs, reg_hessian_eigenvalues=reg_eigs)
+        minima.append(minimum)
     return list(minima)
 
 
@@ -420,7 +424,7 @@ def lipschitz_estimate(landscape: Landscape, minimum: MinimumDescriptor, r: floa
     if r == 0.0 or landscape.quadratic:
         return 0.0
     if landscape.lipschitz_closed_form is not None:
-        return float(landscape.lipschitz_closed_form(minimum.location, minimum.reg_hessian, r))
+        return float(landscape.lipschitz_closed_form(minimum, r))
     if minimum.dimension != 1:
         raise LandscapeDefinitionError(
             f"landscape '{landscape.name}' (d={minimum.dimension}) declares "
@@ -599,11 +603,11 @@ def double_well_landscape(dimension: int = 1, bounds=(-2.0, 2.0)) -> Landscape:
         diag = 12.0 * w * w - 4.0
         return diag[..., :, None] * np.eye(dimension)
 
-    def lipschitz_closed_form(location, reg_hessian, r):
+    def lipschitz_closed_form(minimum, r):
         # |R''kk(w) − R''kk(w*)| = 12|wk − w*k||wk + w*k|; the ratio peaks on
         # a single-coordinate deviation of the full Euclidean ellipsoid radius.
-        s = float(np.max(np.abs(location)))
-        rho = r / math.sqrt(float(np.linalg.eigvalsh(reg_hessian)[0]))
+        s = float(np.max(np.abs(minimum.location)))
+        rho = r / math.sqrt(float(minimum.reg_hessian_eigenvalues[0]))
         return 12.0 * (2.0 * s + rho)
 
     seeds = tuple(

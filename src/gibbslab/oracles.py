@@ -737,12 +737,17 @@ def empirical_excess_risk(
     """Monte-Carlo conditional excess risk E[R(w) − R(w*) | w in the ellipsoid].
 
     The batch must already be conditioned on the minimum's curvature
-    ellipsoid of radius r (ContractError otherwise).
+    ellipsoid of radius r: its region's centre, metric and radius are
+    checked against the minimum's location, ``reg_hessian`` and r
+    (ContractError otherwise).
     """
-    if batch.region is None:
+    region = batch.region
+    if region is None:
         raise ContractError("batch must be conditioned on the minimum's ellipsoid")
-    if not np.allclose(batch.region.center, minimum.location) or not math.isclose(
-        batch.region.radius, r, rel_tol=1e-12, abs_tol=1e-15
+    if (
+        not np.allclose(region.center, minimum.location)
+        or not np.allclose(region.metric, minimum.reg_hessian)
+        or not math.isclose(region.radius, r, rel_tol=1e-12, abs_tol=1e-15)
     ):
         raise ContractError(
             "batch was conditioned on a different region than the requested ellipsoid"

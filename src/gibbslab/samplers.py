@@ -1,10 +1,8 @@
 """Samplers for the empirical Gibbs density e^(−γ·f(w)) / Z.
 
-Three kinds: ``sgld`` (Langevin updates, approximate), ``metropolis``
-(exact for the box-truncated target) and ``exact_gaussian`` (i.i.d. draws
-from the untruncated Gaussian, valid only for quadratic potentials). All
-chains are bitwise reproducible from (master_seed, chain_id) via a
-documented 64-bit seed mix.
+Two kinds: ``sgld`` (Langevin updates, approximate) and ``metropolis``
+(exact for the box-truncated target). All chains are bitwise reproducible
+from (master_seed, chain_id) via a documented 64-bit seed mix.
 
 The chains step on Python floats. On a target whose landscape declares
 coordinate pieces, SGLD runs one scalar recursion per coordinate and
@@ -23,12 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    ArgumentError,
-    ConditioningError,
-    DivergenceError,
-    SamplerKindError,
-)
+from .errors import ArgumentError, ConditioningError, DivergenceError
 from .landscapes import EllipsoidSpec, Landscape
 
 __all__ = [
@@ -42,7 +35,7 @@ __all__ = [
     "CHAIN_KINDS",
 ]
 
-CHAIN_KINDS = ("sgld", "metropolis", "exact_gaussian")
+CHAIN_KINDS = ("sgld", "metropolis")
 
 _MASK64 = (1 << 64) - 1
 
@@ -71,9 +64,6 @@ class GibbsTarget:
     ``landscapes.empirical_landscape`` returns. ``value`` accepts (..., d)
     float arrays; ``grad`` and ``hessian`` (the landscape's declared
     regularized Hessian, (d, d)) accept a single point as a float array.
-    ``quadratic`` carries (minimizer, Hessian of f) when the landscape is
-    declared exactly quadratic and the Hessian of f is positive definite,
-    which enables the exact_gaussian kind.
 
     A landscape that declares coordinate pieces gives its target the
     chains' per-step calls on Python floats, with the bits of ``value`` and
@@ -92,7 +82,6 @@ class GibbsTarget:
     value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
-    quadratic: tuple[np.ndarray, np.ndarray] | None = None
     point_value: Callable[[float | list[float]], float] | None = None
     coordinate_slopes: tuple[Callable[[float], float], ...] | None = None
 
@@ -126,14 +115,6 @@ def target_from_landscape(landscape: Landscape, ridge: float) -> GibbsTarget:
     value and coordinate slopes on Python floats built from them
     (``_point_functions``).
     """
-    quadratic = None
-    if landscape.quadratic:
-        # one Newton step from w = 0 lands on the minimizer of a quadratic f
-        w0 = np.zeros(landscape.dimension)
-        grad0 = landscape.reg_gradient(w0, ridge)
-        hess0 = landscape.reg_hessian(w0, ridge)
-        if np.linalg.eigvalsh(hess0)[0] > 0.0:
-            quadratic = (w0 - np.linalg.solve(hess0, grad0), hess0)
     if ridge == 0.0:
         value, grad = landscape.risk, landscape.gradient
     else:
@@ -150,7 +131,6 @@ def target_from_landscape(landscape: Landscape, ridge: float) -> GibbsTarget:
         value=value,
         grad=grad,
         hessian=functools.partial(landscape.reg_hessian, lam=ridge),
-        quadratic=quadratic,
         point_value=point_value,
         coordinate_slopes=coordinate_slopes,
     )
@@ -310,28 +290,24 @@ def sample_chain(
     """Run one chain targeting the Gibbs density of ``target`` at inverse
     temperature γ.
 
-    sgld:           w ← w − η∇f(w) + √(2η/γ)·ξ with standard normal ξ.
-    metropolis:     symmetric mixture proposal (local Gaussian of scale η,
-                    probability 0.1 of a uniform draw over the domain
-                    box), acceptance min(1, e^(−γΔf)); exact for the
-                    box-truncated target.
-    exact_gaussian: i.i.d. draws from the untruncated N(w_min, (γH)⁻¹),
-                    which may leave the domain box; requires a quadratic
-                    target.
+    sgld:       w ← w − η∇f(w) + √(2η/γ)·ξ with standard normal ξ.
+    metropolis: symmetric mixture proposal (local Gaussian of scale η,
+                probability 0.1 of a uniform draw over the domain box),
+                acceptance min(1, e^(−γΔf)); exact for the box-truncated
+                target.
 
-    Every chain starts at the box center (SGLD, Metropolis) and draws from
+    Every chain starts at the box center and draws from
     ``numpy.random.default_rng(chain_seed(master_seed, chain_id))`` only,
     so it is reproduced from (master_seed, chain_id) alone. The steps run
     in blocks of n = min(4096, steps left) steps, and each block makes
     these draws in this order:
 
-    sgld:           ``standard_normal((n, d))``, row i the ξ of step i;
-                    the same stream as one ``standard_normal(d)`` per step.
-    metropolis:     ``random(n) < 0.1`` (restart flags),
-                    ``uniform(lo, hi, (n, d))`` (box proposals),
-                    η·``standard_normal((n, d))`` (jumps) and
-                    ``log(random(n))`` (log acceptance uniforms).
-    exact_gaussian: one ``standard_normal((steps − burn_in, d))``.
+    sgld:       ``standard_normal((n, d))``, row i the ξ of step i; the
+                same stream as one ``standard_normal(d)`` per step.
+    metropolis: ``random(n) < 0.1`` (restart flags),
+                ``uniform(lo, hi, (n, d))`` (box proposals),
+                η·``standard_normal((n, d))`` (jumps) and
+                ``log(random(n))`` (log acceptance uniforms).
 
     Metropolis step i proposes w′ = its box row if flagged, else w + its
     jump row. A w′ outside the box is rejected without evaluating f; one
@@ -362,17 +338,7 @@ def sample_chain(
     rng = np.random.default_rng(chain_seed(master_seed, chain_id))
     acceptance_rate = None
 
-    if kind == "exact_gaussian":
-        if target.quadratic is None:
-            raise SamplerKindError(
-                "exact_gaussian draws need a constant-Hessian (quadratic) target"
-            )
-        w_min, hess = target.quadratic
-        chol = np.linalg.cholesky(np.atleast_2d(hess))
-        normal = rng.standard_normal((steps - burn_in, target.dim))
-        # x = w_min + L^{-T} ξ / sqrt(γ) gives covariance (γ H)^{-1}.
-        samples = w_min + np.linalg.solve(chol.T, normal.T).T / math.sqrt(gamma)
-    elif kind == "sgld":
+    if kind == "sgld":
         samples = _sgld_path(target, gamma, step_size, steps, rng)[burn_in:]
     else:
         path, acceptance_rate = _metropolis_path(target, gamma, step_size, steps, rng)

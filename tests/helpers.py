@@ -2,9 +2,10 @@
 
 These deliberately avoid the code paths they are used to check: the ball
 quadrature integrates in angle-mapped coordinates (smooth, so plain
-Gauss-Legendre converges spectrally) and the truncated-Gaussian sampler
+Gauss-Legendre converges spectrally), the truncated-Gaussian sampler
 draws radii by inverting the chi-square law: in closed form for d <= 2,
-through scipy's inverse incomplete gamma above.
+through scipy's inverse incomplete gamma above, and the Gaussian batch
+draws i.i.d. normals without running a chain.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 from scipy.special import erf, erfinv, gammainc, gammaincinv, roots_legendre
 
 from gibbslab.landscapes import MinimumDescriptor
+from gibbslab.samplers import ChainBatch
 
 
 def _legendre_rule(order: int, width: float | None):
@@ -99,6 +101,16 @@ def sample_truncated_gaussian_ellipsoid(
         radii_sq = 2.0 * gammaincinv(0.5 * d, u * gammainc(0.5 * d, 0.5 * r * r))
     u_pts = direction * np.sqrt(radii_sq)[:, None]
     return u_pts @ chol.T
+
+
+def gaussian_batch(rng: np.random.Generator, gamma: float, n: int) -> ChainBatch:
+    """n i.i.d. draws of N(0, 1/γ), the Gibbs density of the risk ½w² in
+    d = 1 without the domain box, as an unconditioned ChainBatch of kind
+    "iid"."""
+    samples = rng.standard_normal((n, 1)) / np.sqrt(gamma)
+    return ChainBatch(
+        samples=samples, kind="iid", master_seed=0, chain_id=0, step_size=0.0, burn_in=0, steps=n
+    )
 
 
 def build_descriptor(

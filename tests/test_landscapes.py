@@ -186,6 +186,22 @@ class TestEnumerateMinima:
                 for j in range(i + 1, len(minima)):
                     assert np.linalg.norm(minima[i].location - minima[j].location) > 1e-6
 
+    def test_spectra_are_taken_once(self, monkeypatch):
+        # the descriptors' cached spectra are the ones the checks took, and
+        # the double well's closed-form L(r) reads them
+        minima = enumerate_minima(double_well_landscape(2), 0.05)
+        expected = [(np.linalg.eigvalsh(m.hessian), np.linalg.eigvalsh(m.reg_hessian))
+                    for m in minima]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called after enumerate_minima")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for m, (eigs, reg_eigs) in zip(minima, expected):
+            assert np.array_equal(m.hessian_eigenvalues, eigs)
+            assert np.array_equal(m.reg_hessian_eigenvalues, reg_eigs)
+            assert m.lipschitz(0.3) > 0.0
+
     def test_deterministic(self):
         a = enumerate_minima(double_well_landscape(2), 0.02)
         b = enumerate_minima(double_well_landscape(2), 0.02)

@@ -14,7 +14,6 @@ from gibbslab.landscapes import (
     Landscape,
     constant_loss_data_model,
     double_well_landscape,
-    empirical_landscape,
     enumerate_minima,
     disjoint_radius,
     quadratic_landscape,
@@ -39,7 +38,7 @@ from gibbslab.samplers import (
 )
 from gibbslab.specfun import regularized_gamma_P, truncated_quadratic_moment
 
-from helpers import ball_quadrature
+from helpers import ball_quadrature, gaussian_batch
 
 
 def gaussian_potential(w):
@@ -614,7 +613,7 @@ class TestEmpiricalExcessRisk:
 
         batch = ChainBatch(
             samples=np.tile(minimum.location, (200, 1)),
-            kind="exact_gaussian",
+            kind="iid",
             master_seed=0,
             chain_id=0,
             step_size=0.1,
@@ -625,12 +624,11 @@ class TestEmpiricalExcessRisk:
         est = empirical_excess_risk(land, minimum, batch, r)
         assert est.value == 0.0
 
-    def test_exact_gaussian_matches_closed_form(self):
+    def test_gaussian_draws_match_closed_form(self):
         gamma, r = 10.0, 1.2
         land = quadratic_landscape(1)
         minimum = enumerate_minima(land, 0.0)[0]
-        tgt = target_from_landscape(land, 0.0)
-        batch = sample_chain("exact_gaussian", tgt, gamma, 0.1, 400_000, 0, 3)
+        batch = gaussian_batch(np.random.default_rng(3), gamma, 400_000)
         kept = condition_on_region(batch, minimum.ellipsoid(r))
         est = empirical_excess_risk(land, minimum, kept, r)
         closed = 0.5 * truncated_quadratic_moment(
@@ -654,13 +652,16 @@ class TestEmpiricalExcessRisk:
     def test_contract_errors(self):
         land = quadratic_landscape(1)
         minimum = enumerate_minima(land, 0.0)[0]
-        tgt = target_from_landscape(land, 0.0)
-        batch = sample_chain("exact_gaussian", tgt, 10.0, 0.1, 500, 0, 3)
+        batch = gaussian_batch(np.random.default_rng(3), 10.0, 500)
         with pytest.raises(ContractError):
             empirical_excess_risk(land, minimum, batch, 0.5)  # unconditioned
         kept = condition_on_region(batch, minimum.ellipsoid(0.5))
         with pytest.raises(ContractError):
             empirical_excess_risk(land, minimum, kept, 0.9)  # wrong radius
+        # same centre 0 and radius, but metric 1 + 2λ = 3 at λ = 1
+        ridged = enumerate_minima(land, 1.0)[0]
+        with pytest.raises(ContractError):
+            empirical_excess_risk(land, ridged, kept, 0.5)  # wrong metric
 
 
 def _least_squares_2d_data_model():
@@ -801,7 +802,11 @@ def _gauss_hermite_gaps(dm, gamma, ridge, m, trials, seed):
     gaps = []
     for t in range(trials):
         sample = dm.sample_examples(np.random.default_rng(chain_seed(seed, 2 * t)), m)
-        center, hess = target_from_landscape(empirical_landscape(dm, sample), ridge).quadratic
+        # one Newton step from w = 0 lands on the minimizer c of the
+        # quadratic regularized empirical risk, whose Hessian is H
+        w0 = np.zeros(d)
+        hess = np.mean(dm.loss_hessian(w0, sample), axis=-3) + 2.0 * ridge * np.eye(d)
+        center = w0 - np.linalg.solve(hess, np.mean(dm.loss_gradient(w0, sample), axis=-2))
         chol = np.linalg.cholesky(gamma * hess)
         w = center + np.linalg.solve(chol.T, nodes.T).T
         gap = dm.landscape.risk(w) - np.mean(dm.loss(w, sample), axis=-1)
@@ -1164,19 +1169,3 @@ class TestDerivativeCheck:
             for side in (-5e-4, 5e-4):
                 report = derivative_check(land, probes=np.array([[j + side]]))
                 assert report.max_error <= 1e-5
-
-
-class TestMonteCarloRate:
-    def test_variance_halves_when_samples_quadruple(self):
-        land = quadratic_landscape(1)
-        tgt = target_from_landscape(land, 0.0)
-        means_small, means_large = [], []
-        for cid in range(40):
-            small = sample_chain("exact_gaussian", tgt, 4.0, 0.1, 400, 0, 99, chain_id=cid)
-            large = sample_chain(
-                "exact_gaussian", tgt, 4.0, 0.1, 1600, 0, 999, chain_id=cid
-            )
-            means_small.append(float(land.risk(small.samples).mean()))
-            means_large.append(float(land.risk(large.samples).mean()))
-        ratio = np.std(means_small) / np.std(means_large)
-        assert ratio == pytest.approx(2.0, abs=0.8)

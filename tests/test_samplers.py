@@ -4,12 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gibbslab.errors import (
-    ArgumentError,
-    ConditioningError,
-    DivergenceError,
-    SamplerKindError,
-)
+from gibbslab.errors import ArgumentError, ConditioningError, DivergenceError
 from gibbslab.landscapes import (
     EllipsoidSpec,
     constant_loss_data_model,
@@ -30,6 +25,8 @@ from gibbslab.samplers import (
     target_from_landscape,
 )
 
+from helpers import gaussian_batch
+
 
 def quadratic_target(bounds=(-5.0, 5.0)):
     return target_from_landscape(quadratic_landscape(1, bounds=bounds), 0.0)
@@ -44,7 +41,7 @@ class TestSeeding:
 
     def test_bitwise_reproducible(self):
         tgt = quadratic_target()
-        for kind in ("sgld", "metropolis", "exact_gaussian"):
+        for kind in ("sgld", "metropolis"):
             a = sample_chain(kind, tgt, 10.0, 0.05, 2000, 100, master_seed=9, chain_id=3)
             b = sample_chain(kind, tgt, 10.0, 0.05, 2000, 100, master_seed=9, chain_id=3)
             assert np.array_equal(a.samples, b.samples)
@@ -52,9 +49,10 @@ class TestSeeding:
 
     def test_chains_differ_across_ids(self):
         tgt = quadratic_target()
-        a = sample_chain("exact_gaussian", tgt, 10.0, 0.05, 500, 0, 9, chain_id=0)
-        b = sample_chain("exact_gaussian", tgt, 10.0, 0.05, 500, 0, 9, chain_id=1)
-        assert not np.array_equal(a.samples, b.samples)
+        for kind in ("sgld", "metropolis"):
+            a = sample_chain(kind, tgt, 10.0, 0.05, 500, 0, 9, chain_id=0)
+            b = sample_chain(kind, tgt, 10.0, 0.05, 500, 0, 9, chain_id=1)
+            assert not np.array_equal(a.samples, b.samples)
 
     def test_sample_count(self):
         tgt = quadratic_target()
@@ -155,10 +153,11 @@ class TestSgld:
              "empirical_rls", "constant_loss_quadratic"],
     )
     def test_step_size_of_quadratic_target_reads_its_hessian(self, make, ridge):
-        # a constant Hessian: the one at the box centre is the declared one
-        tgt = target_from_landscape(make(), ridge)
-        assert tgt.quadratic is not None
-        rho = float(np.abs(np.linalg.eigvalsh(tgt.quadratic[1])).max())
+        # a constant Hessian: the one at the box centre is the one at 0
+        land = make()
+        tgt = target_from_landscape(land, ridge)
+        hess = land.reg_hessian(np.zeros(land.dimension), ridge)
+        rho = float(np.abs(np.linalg.eigvalsh(hess)).max())
         assert default_step_size(tgt, 20.0) == 0.5 / (20.0 * rho)
 
 
@@ -384,61 +383,9 @@ class TestMetropolis:
         assert np.all(batch.samples >= -1.0) and np.all(batch.samples <= 1.0)
 
 
-class TestExactGaussian:
-    def test_moments_converge(self):
-        gamma, n = 7.0, 200_000
-        tgt = quadratic_target()
-        batch = sample_chain("exact_gaussian", tgt, gamma, 0.1, n, 0, 17)
-        std = 1.0 / math.sqrt(gamma)
-        assert abs(float(batch.samples.mean())) < 4.0 * std / math.sqrt(n)
-        assert float(batch.samples.var()) == pytest.approx(1.0 / gamma, rel=0.02)
-
-    def test_requires_quadratic_target(self):
-        tgt = target_from_landscape(double_well_landscape(), 0.0)
-        with pytest.raises(SamplerKindError):
-            sample_chain("exact_gaussian", tgt, 10.0, 0.1, 100, 0, 1)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ArgumentError):
-            sample_chain("gibbs", quadratic_target(), 10.0, 0.1, 100, 0, 1)
-
-
-class TestEmpiricalTarget:
-    def test_two_well_data_model_is_not_quadratic(self):
-        # w = 0 and w = 0.61 both lie in the left well, where the curvature
-        # equals the right well's: equal Hessians there say nothing
-        land = spline_double_well_landscape(centers=(0.3, 2.5), curvatures=(4.0, 4.0))
-        dm = constant_loss_data_model(land)
-        sample = dm.sample_examples(np.random.default_rng(0), 20)
-        tgt = target_from_landscape(empirical_landscape(dm, sample), 0.0)
-        assert tgt.quadratic is None
-        with pytest.raises(SamplerKindError):
-            sample_chain("exact_gaussian", tgt, 10.0, 0.1, 100, 0, 1)
-
-    @pytest.mark.parametrize("ridge", [0.0, 0.1])
-    def test_rls_gaussian_is_least_squares_solution(self, ridge):
-        dm = rls_data_model()
-        sample = dm.sample_examples(np.random.default_rng(5), 100)
-        w_min, hess = target_from_landscape(empirical_landscape(dm, sample), ridge).quadratic
-        # normal equations of (1/m)Σ(y − wx)² + λw², accumulated in plain Python
-        sxx = sum(x * x for x, _ in sample) / len(sample)
-        sxy = sum(x * y for x, y in sample) / len(sample)
-        curvature = 2.0 * sxx + 2.0 * ridge
-        np.testing.assert_allclose(hess, [[curvature]], rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(w_min, [2.0 * sxy / curvature], rtol=0.0, atol=1e-12)
-
-    def test_constant_loss_follows_its_landscape(self):
-        dm = constant_loss_data_model(quadratic_landscape(1))
-        sample = dm.sample_examples(np.random.default_rng(0), 20)
-        w_min, hess = target_from_landscape(empirical_landscape(dm, sample), 0.1).quadratic
-        np.testing.assert_allclose(w_min, [0.0], rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(hess, [[1.2]], rtol=0.0, atol=1e-12)
-
-
 class TestConditioning:
     def test_whole_domain_is_identity(self):
-        tgt = quadratic_target()
-        batch = sample_chain("exact_gaussian", tgt, 10.0, 0.1, 500, 0, 2)
+        batch = gaussian_batch(np.random.default_rng(2), 10.0, 500)
         # a ball of radius 1e3 holds the whole box [-5, 5] and every draw
         whole = EllipsoidSpec(center=np.zeros(1), metric=np.eye(1), radius=1e3)
         kept = condition_on_region(batch, whole)
@@ -484,24 +431,21 @@ class TestConditioning:
         assert truths[2] < truths[1] < truths[0]
 
     def test_order_preserved(self):
-        tgt = quadratic_target()
-        batch = sample_chain("exact_gaussian", tgt, 2.0, 0.1, 2000, 0, 6)
+        batch = gaussian_batch(np.random.default_rng(6), 2.0, 2000)
         region = EllipsoidSpec(center=np.zeros(1), metric=np.eye(1), radius=0.5)
         kept = condition_on_region(batch, region)
         inside = batch.samples[region.contains(batch.samples)]
         assert np.array_equal(kept.samples, inside)
 
     def test_insufficient_samples(self):
-        tgt = quadratic_target()
-        batch = sample_chain("exact_gaussian", tgt, 2.0, 0.1, 150, 0, 6)
+        batch = gaussian_batch(np.random.default_rng(6), 2.0, 150)
         tiny = EllipsoidSpec(center=np.array([4.9]), metric=np.eye(1), radius=0.01)
         with pytest.raises(ConditioningError):
             condition_on_region(batch, tiny)
 
     def test_merge_order_independent(self):
-        tgt = quadratic_target()
-        a = sample_chain("exact_gaussian", tgt, 2.0, 0.1, 1500, 0, 6, chain_id=0)
-        b = sample_chain("exact_gaussian", tgt, 2.0, 0.1, 1500, 0, 6, chain_id=1)
+        a = gaussian_batch(np.random.default_rng([6, 0]), 2.0, 1500)
+        b = gaussian_batch(np.random.default_rng([6, 1]), 2.0, 1500)
         ab = np.concatenate([a.samples, b.samples])
         ba = np.concatenate([b.samples, a.samples])
         assert np.array_equal(np.sort(ab, axis=0), np.sort(ba, axis=0))
@@ -509,6 +453,11 @@ class TestConditioning:
 
 
 class TestChainBatchInvariants:
+    @pytest.mark.parametrize("kind", ["gibbs", "exact_gaussian"])
+    def test_unknown_kind(self, kind):
+        with pytest.raises(ArgumentError, match=r"choose from \('sgld', 'metropolis'\)"):
+            sample_chain(kind, quadratic_target(), 10.0, 0.1, 100, 0, 1)
+
     def test_parameter_validation(self):
         tgt = quadratic_target()
         with pytest.raises(ArgumentError):
