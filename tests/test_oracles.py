@@ -649,19 +649,23 @@ class TestEmpiricalExcessRisk:
         bound = local_excess_bound(minimum, cfg, r)
         assert est.value + 1.5 * est.halfwidth_95 <= bound.total
 
-    def test_contract_errors(self):
+    @pytest.mark.parametrize(
+        "case, ridge, r",
+        [
+            ("unconditioned", 0.0, 0.5),
+            ("wrong_radius", 0.0, 0.9),
+            # same centre 0 and radius, but metric 1 + 2λ = 3 at λ = 1
+            ("wrong_metric", 1.0, 0.5),
+        ],
+    )
+    def test_contract_errors(self, case, ridge, r):
         land = quadratic_landscape(1)
         minimum = enumerate_minima(land, 0.0)[0]
         batch = gaussian_batch(np.random.default_rng(3), 10.0, 500)
+        if case != "unconditioned":
+            batch = condition_on_region(batch, minimum.ellipsoid(0.5))
         with pytest.raises(ContractError):
-            empirical_excess_risk(land, minimum, batch, 0.5)  # unconditioned
-        kept = condition_on_region(batch, minimum.ellipsoid(0.5))
-        with pytest.raises(ContractError):
-            empirical_excess_risk(land, minimum, kept, 0.9)  # wrong radius
-        # same centre 0 and radius, but metric 1 + 2λ = 3 at λ = 1
-        ridged = enumerate_minima(land, 1.0)[0]
-        with pytest.raises(ContractError):
-            empirical_excess_risk(land, ridged, kept, 0.5)  # wrong metric
+            empirical_excess_risk(land, enumerate_minima(land, ridge)[0], batch, r)
 
 
 def _least_squares_2d_data_model():
@@ -1169,3 +1173,19 @@ class TestDerivativeCheck:
             for side in (-5e-4, 5e-4):
                 report = derivative_check(land, probes=np.array([[j + side]]))
                 assert report.max_error <= 1e-5
+
+
+class TestMonteCarloRate:
+    def test_variance_halves_when_samples_quadruple(self):
+        # a Metropolis chain's average of R has a standard error ∝ 1/√n
+        # once n is many autocorrelation times: 4x the steps halve it
+        land = quadratic_landscape(1)
+        tgt = target_from_landscape(land, 0.0)
+        means_small, means_large = [], []
+        for cid in range(40):
+            small = sample_chain("metropolis", tgt, 4.0, 1.0, 400, 0, 99, chain_id=cid)
+            large = sample_chain("metropolis", tgt, 4.0, 1.0, 1600, 0, 999, chain_id=cid)
+            means_small.append(float(land.risk(small.samples).mean()))
+            means_large.append(float(land.risk(large.samples).mean()))
+        ratio = np.std(means_small) / np.std(means_large)
+        assert ratio == pytest.approx(2.0, abs=0.8)

@@ -383,6 +383,44 @@ class TestMetropolis:
         assert np.all(batch.samples >= -1.0) and np.all(batch.samples <= 1.0)
 
 
+class TestEmpiricalTarget:
+    def test_two_well_data_model_is_not_quadratic(self):
+        # w = 0.3 and w = 2.5 sit at the two wells' minima, whose curvatures
+        # are equal: the barrier between them is what is not quadratic
+        land = spline_double_well_landscape(centers=(0.3, 2.5), curvatures=(4.0, 4.0))
+        dm = constant_loss_data_model(land)
+        sample = dm.sample_examples(np.random.default_rng(0), 20)
+        emp = empirical_landscape(dm, sample)
+        assert not emp.quadratic
+        tgt = target_from_landscape(emp, 0.0)
+        np.testing.assert_allclose(tgt.hessian(np.array([0.3])), tgt.hessian(np.array([2.5])))
+        assert float(tgt.hessian(np.array([1.4]))[0, 0]) < 0.0
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.1])
+    def test_rls_minimum_is_least_squares_solution(self, ridge):
+        dm = rls_data_model()
+        sample = dm.sample_examples(np.random.default_rng(5), 100)
+        tgt = target_from_landscape(empirical_landscape(dm, sample), ridge)
+        # normal equations of (1/m)Σ(y − wx)² + λw², accumulated in plain Python
+        sxx = sum(x * x for x, _ in sample) / len(sample)
+        sxy = sum(x * y for x, y in sample) / len(sample)
+        curvature = 2.0 * sxx + 2.0 * ridge
+        w_min = np.array([2.0 * sxy / curvature])
+        np.testing.assert_allclose(tgt.grad(w_min), [0.0], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(tgt.hessian(w_min), [[curvature]], rtol=0.0, atol=1e-12)
+
+    def test_constant_loss_follows_its_landscape(self):
+        land = quadratic_landscape(1)
+        dm = constant_loss_data_model(land)
+        sample = dm.sample_examples(np.random.default_rng(0), 20)
+        tgt = target_from_landscape(empirical_landscape(dm, sample), 0.1)
+        population = target_from_landscape(land, 0.1)
+        w = np.linspace(-5.0, 5.0, 41)[:, None]
+        np.testing.assert_allclose(tgt.value(w), population.value(w), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(tgt.grad(np.zeros(1)), [0.0], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(tgt.hessian(np.zeros(1)), [[1.2]], rtol=0.0, atol=1e-12)
+
+
 class TestConditioning:
     def test_whole_domain_is_identity(self):
         batch = gaussian_batch(np.random.default_rng(2), 10.0, 500)
