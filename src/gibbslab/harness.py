@@ -509,8 +509,11 @@ def _gibbs_measure(cfg: ExperimentConfig, gamma, ridge, regions, needs_risk) -> 
             integrands={"risk": landscape.coordinate_risks} if needs_risk else None,
         )
     else:
+        # at λ = 0 the potential is the risk itself (``reg_risk`` returns
+        # its bits), so the risk integrand is read off the potential's values
+        potential = landscape.risk if ridge == 0.0 else lambda w: landscape.reg_risk(w, ridge)
         measure = quadrature_measure(
-            lambda w: landscape.reg_risk(w, ridge),
+            potential,
             gamma,
             tensor_gauss_legendre(landscape.domain_box, nodes),
             regions=regions,

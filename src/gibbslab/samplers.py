@@ -6,15 +6,16 @@ from (master_seed, chain_id) via a documented 64-bit seed mix.
 
 The chains step on Python floats. On a target whose landscape declares
 coordinate pieces, SGLD runs one scalar recursion per coordinate and
-Metropolis steps on one float in d = 1 and on a list of d floats in d ≥ 2;
-on a target without pieces, both step on a list of d floats and make one
-numpy call per step.
+Metropolis steps on one float in d = 1, on two floats in d = 2 and on a
+list of d floats in d ≥ 3; on a target without pieces, both step on a list
+of d floats and make one numpy call per step.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from operator import add, le
 from typing import Callable
@@ -71,10 +72,10 @@ class GibbsTarget:
     coordinate_slopes[k](wₖ) on one float, and ``point_value``, f at one
     point given as a float in d = 1 and as a list of d floats in d ≥ 2.
     SGLD on such a target runs one scalar recursion per coordinate through
-    the slopes, and Metropolis steps on one float in d = 1 and on a list of
-    d floats in d ≥ 2 through ``point_value``. When they are None the chains
-    step on a list of d floats and call ``value`` and ``grad`` on a (d,)
-    array.
+    the slopes, and Metropolis steps through ``point_value`` on one float in
+    d = 1, on two floats in d = 2 and on a list of d floats in d ≥ 3. When
+    they are None the chains step on a list of d floats and call ``value``
+    and ``grad`` on a (d,) array.
     """
 
     dim: int
@@ -150,6 +151,11 @@ def _point_functions(risks, slopes, ridge: float) -> tuple[Callable, tuple]:
         if ridge == 0.0:
             return risk, slopes
         return (lambda x: risk(x) + ridge * (x * x)), slopes
+    if d == 2:  # unrolled: the two-float Metropolis walk calls it per proposal in the box
+        r0, r1 = risks
+        if ridge == 0.0:
+            return (lambda w: r0(w[0]) + r1(w[1])), slopes
+        return (lambda w: r0(w[0]) + r1(w[1]) + ridge * (w[0] * w[0] + w[1] * w[1])), slopes
 
     def value(w):
         total = risks[0](w[0])
@@ -234,16 +240,17 @@ def _sgld_path(target, gamma, step_size, steps, rng):
 def _metropolis_path(target, gamma, step_size, steps, rng):
     d = target.dim
     lo, hi = target.domain_box[:, 0], target.domain_box[:, 1]
-    on_float = d == 1 and target.point_value is not None
     value = target.point_value
+    walk = _walk_on_list
     if value is None:
         value = lambda w: float(target.value(np.array(w)))
+    elif d <= 2:
+        walk = _walk_on_float if d == 1 else _walk_on_pair
+    bounds = lo.tolist(), hi.tolist()
     path = np.empty((steps, d))
     w = target.domain_box.mean(axis=1).tolist()
-    if on_float:
-        (w,), (lo_x,), (hi_x,) = w, lo.tolist(), hi.tolist()
-    else:
-        lo_list, hi_list = lo.tolist(), hi.tolist()
+    if walk is _walk_on_float:
+        (w,) = w
     fw = value(w)
     accepted = 0
     for start in range(0, steps, _BLOCK):
@@ -252,29 +259,71 @@ def _metropolis_path(target, gamma, step_size, steps, rng):
         uniform = rng.uniform(lo, hi, size=(n, d))
         jump = step_size * rng.standard_normal((n, d))
         log_u = np.log(rng.random(n)).tolist()
-        rows = []  # flat, as in _sgld_path
-        if on_float:
-            for flagged, u, step, lu in zip(
-                restart, uniform.ravel().tolist(), jump.ravel().tolist(), log_u
-            ):
-                cand = u if flagged else w + step
-                if lo_x <= cand <= hi_x:
-                    f_cand = value(cand)
-                    if lu < -gamma * (f_cand - fw):
-                        w, fw = cand, f_cand
-                        accepted += 1
-                rows.append(w)
-        else:
-            for flagged, box_row, step, lu in zip(restart, uniform.tolist(), jump.tolist(), log_u):
-                cand = box_row if flagged else list(map(add, w, step))
-                if all(map(le, lo_list, cand)) and all(map(le, cand, hi_list)):
-                    f_cand = value(cand)
-                    if lu < -gamma * (f_cand - fw):
-                        w, fw = cand, f_cand
-                        accepted += 1
-                rows.extend(w)
-        path[start : start + n] = np.reshape(rows, (n, d))
+        w, fw, hits = walk(
+            value, gamma, bounds, w, fw, restart, uniform, jump, log_u, path[start : start + n]
+        )
+        accepted += hits
     return path, accepted / steps
+
+
+# The walks run one block of _metropolis_path's steps from the state w with
+# fw = value(w): each writes the block's rows of the path into ``out`` and
+# returns the last (w, fw) and the number of accepted proposals.
+def _walk_on_float(value, gamma, bounds, w, fw, restart, uniform, jump, log_u, out):
+    (lo_x,), (hi_x,) = bounds
+    accepted, column = 0, []
+    for flagged, u, step, lu in zip(restart, uniform[:, 0].tolist(), jump[:, 0].tolist(), log_u):
+        cand = u if flagged else w + step
+        if lo_x <= cand <= hi_x:
+            f_cand = value(cand)
+            if lu < -gamma * (f_cand - fw):
+                w, fw = cand, f_cand
+                accepted += 1
+        column.append(w)
+    out[:, 0] = column
+    return w, fw, accepted
+
+
+def _walk_on_pair(value, gamma, bounds, w, fw, restart, uniform, jump, log_u, out):
+    # w = [x, y]; the state and the proposal stay two floats, and ``value``
+    # gets a list only for a proposal inside the box
+    (lo_x, lo_y), (hi_x, hi_y) = bounds
+    x, y = w
+    accepted, xs, ys = 0, [], []
+    for flagged, ux, uy, sx, sy, lu in zip(
+        restart, uniform[:, 0].tolist(), uniform[:, 1].tolist(),
+        jump[:, 0].tolist(), jump[:, 1].tolist(), log_u,
+    ):
+        if flagged:
+            cx, cy = ux, uy
+        else:
+            cx, cy = x + sx, y + sy
+        if lo_x <= cx <= hi_x and lo_y <= cy <= hi_y:
+            f_cand = value([cx, cy])
+            if lu < -gamma * (f_cand - fw):
+                x, y, fw = cx, cy, f_cand
+                accepted += 1
+        xs.append(x)
+        ys.append(y)
+    out[:, 0] = xs
+    out[:, 1] = ys
+    return [x, y], fw, accepted
+
+
+def _walk_on_list(value, gamma, bounds, w, fw, restart, uniform, jump, log_u, out):
+    lo, hi = bounds
+    accepted = 0
+    rows = []  # flat, as in _sgld_path
+    for flagged, box_row, step, lu in zip(restart, uniform.tolist(), jump.tolist(), log_u):
+        cand = box_row if flagged else list(map(add, w, step))
+        if all(map(le, lo, cand)) and all(map(le, cand, hi)):
+            f_cand = value(cand)
+            if lu < -gamma * (f_cand - fw):
+                w, fw = cand, f_cand
+                accepted += 1
+        rows.extend(w)
+    out[:] = np.reshape(rows, out.shape)
+    return w, fw, accepted
 
 
 def sample_chain(
@@ -319,15 +368,22 @@ def sample_chain(
     Chains step on Python floats. On a target with coordinate slopes, SGLD
     runs the d coordinates' recursions one after the other over the
     block's noise columns, which gives the same iterates, since ∂f/∂wₖ
-    reads wₖ alone. Metropolis steps on one float through ``point_value``
-    in d = 1 and on a list of d floats in d ≥ 2. Without point functions,
-    both step on a list of d floats with one call of ``grad`` or ``value``
-    on a (d,) array per step.
+    reads wₖ alone. Metropolis steps through ``point_value`` on one float
+    in d = 1, on two floats in d = 2 (the block's draws split into one
+    column per coordinate) and on a list of d floats in d ≥ 3. Without
+    point functions, both step on a list of d floats with one call of
+    ``grad`` or ``value`` on a (d,) array per step.
 
     The returned batch holds the ``steps − burn_in`` post-burn-in samples.
+    Raises ArgumentError for an unknown kind, a ``steps`` or ``burn_in``
+    that is not an integer, steps ≤ burn_in, burn_in < 0, η ≤ 0 or γ ≤ 0.
     """
     if kind not in CHAIN_KINDS:
         raise ArgumentError(f"unknown chain kind {kind!r}; choose from {CHAIN_KINDS}")
+    if not (isinstance(steps, numbers.Integral) and isinstance(burn_in, numbers.Integral)):
+        raise ArgumentError(
+            f"steps and burn_in must be integers, got steps={steps!r}, burn_in={burn_in!r}"
+        )
     if not step_size > 0.0:
         raise ArgumentError(f"step size must be positive, got {step_size}")
     if not (steps > burn_in >= 0):

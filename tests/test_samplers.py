@@ -223,11 +223,20 @@ class TestStream:
             (quadratic_target, 10.0, 0.3),
             (lambda: target_from_landscape(spline_double_well_landscape(), 0.05), 50.0, 0.3),
             (lambda: target_from_landscape(double_well_landscape(dimension=1), 0.1), 5.0, 0.3),
+            # the two-float loop with the ridge term and on a box that cuts
+            # every well, and the list loop on pieces, which d = 3 alone
+            # reaches
+            (lambda: target_from_landscape(double_well_landscape(dimension=2), 0.1), 5.0, 0.3),
+            (lambda: target_from_landscape(
+                double_well_landscape(2, bounds=[(-1.3, 1.1), (-1.2, 1.4)]), 0.0), 5.0, 0.3),
+            (lambda: target_from_landscape(double_well_landscape(dimension=3), 0.0), 5.0, 0.3),
+            (lambda: target_from_landscape(double_well_landscape(dimension=3), 0.1), 5.0, 0.3),
             (NO_PIECES["d2_quadratic_no_pieces"], 5.0, 0.3),
             (NO_PIECES["d2_wrapped"], 5.0, 0.3),
         ],
         ids=["d1_tight_box", "d2_double_well", "d1_high_acceptance", "spline_ridge",
-             "d1_double_well_ridge", *NO_PIECES],
+             "d1_double_well_ridge", "d2_double_well_ridge", "d2_tight_box", "d3_double_well",
+             "d3_double_well_ridge", *NO_PIECES],
     )
     def test_metropolis_equals_one_proposal_at_a_time(
         self, monkeypatch, make_target, gamma, eta, restart
@@ -245,11 +254,12 @@ class TestStream:
         "landscape",
         [
             double_well_landscape(1),
+            double_well_landscape(2),
             double_well_landscape(3),
             quadratic_landscape(matrix=np.diag([0.2, 1.0, 7.0])),
             spline_double_well_landscape(),
         ],
-        ids=["double_well1", "double_well3", "quadratic_d3_diag", "spline"],
+        ids=["double_well1", "double_well2", "double_well3", "quadratic_d3_diag", "spline"],
     )
     def test_point_functions_have_the_batch_bits(self, landscape, ridge):
         tgt = target_from_landscape(landscape, ridge)
@@ -504,3 +514,7 @@ class TestChainBatchInvariants:
             sample_chain("sgld", tgt, 10.0, 0.1, 100, 100, 1)
         with pytest.raises(ArgumentError):
             sample_chain("sgld", tgt, -1.0, 0.1, 100, 0, 1)
+        with pytest.raises(ArgumentError, match="integers"):
+            sample_chain("metropolis", tgt, 10.0, 0.1, 100.0, 0, 1)
+        with pytest.raises(ArgumentError, match="integers"):
+            sample_chain("metropolis", tgt, 10.0, 0.1, 100, 10.0, 1)
