@@ -115,7 +115,9 @@ class MinimumDescriptor:
     per radius: 0, a closed form, or in d = 1 a grid scan);
     ``lipschitz_is_estimate`` flags the grid scan, which may
     under-estimate the supremum. ``domain_box`` is the landscape's (d, 2)
-    box, which bounds a lone minimum's ellipsoid (``disjoint_radius``).
+    box; ``box_radius``, computed once, on first access, is the radius at
+    which the curvature ellipsoid touches it, so ``disjoint_radius`` never
+    exceeds it.
     """
 
     index: int
@@ -139,6 +141,14 @@ class MinimumDescriptor:
     @functools.cached_property
     def reg_hessian_eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.reg_hessian)
+
+    @functools.cached_property
+    def box_radius(self) -> float:
+        axis_extent = np.sqrt(np.diagonal(np.linalg.inv(self.reg_hessian)))
+        slack = np.minimum(
+            self.location - self.domain_box[:, 0], self.domain_box[:, 1] - self.location
+        )
+        return float(np.min(slack / axis_extent))
 
     @property
     def dimension(self) -> int:
@@ -442,22 +452,19 @@ def lipschitz_estimate(landscape: Landscape, minimum: MinimumDescriptor, r: floa
 
 
 def disjoint_radius(minima: list[MinimumDescriptor]) -> float:
-    """Conservative radius r0 below which all curvature ellipsoids are disjoint.
+    """Conservative radius r0 below which all curvature ellipsoids are disjoint
+    and inside the domain box.
 
-    For two or more minima: r0 = 0.5 · min pairwise distance · sqrt of the
-    smallest eigenvalue of any regularized Hessian. A single minimum gets
-    the radius at which its ellipsoid touches the domain box boundary.
+    Each minimum has its ``box_radius``, the radius at which its ellipsoid
+    touches the domain box boundary; r0 is the smallest of these. With two
+    or more minima r0 is at most 0.5 · min pairwise distance · sqrt of the
+    smallest eigenvalue of any regularized Hessian as well.
     """
     if not minima:
         raise ArgumentError("need at least one minimum")
+    r0 = min(m.box_radius for m in minima)
     if len(minima) == 1:
-        m = minima[0]
-        inv = np.linalg.inv(m.reg_hessian)
-        axis_extent = np.sqrt(np.diagonal(inv))
-        slack = np.minimum(
-            m.location - m.domain_box[:, 0], m.domain_box[:, 1] - m.location
-        )
-        return float(np.min(slack / axis_extent))
+        return r0
     min_dist = math.inf
     for i in range(len(minima)):
         for j in range(i + 1, len(minima)):
@@ -468,7 +475,7 @@ def disjoint_radius(minima: list[MinimumDescriptor]) -> float:
                 )
             min_dist = min(min_dist, dist)
     min_eig = min(float(m.reg_hessian_eigenvalues[0]) for m in minima)
-    return 0.5 * min_dist * math.sqrt(min_eig)
+    return min(r0, 0.5 * min_dist * math.sqrt(min_eig))
 
 
 # ---------------------------------------------------------------------------

@@ -393,6 +393,20 @@ class TestRunExperiment:
         assert [q["method"] for q in meta["quadrature"]] == ["product"]
         assert meta["quadrature_s"] < 0.1
 
+    def test_ellipsoid_masses_hold_when_the_box_is_tighter_than_the_wells(self, tmp_path):
+        # on [−1.2, 1.2] the pairwise radius √8 would put each well's
+        # ellipsoid past the box edge, where the lower mass bound counts mass
+        # the box does not hold
+        raw = minimal_config(
+            landscape={"name": "double_well", "params": {"dimension": 1, "bounds": [-1.2, 1.2]}},
+            theorems=["ellipsoid_mass"],
+        )
+        raw["gibbs"] = {"gamma": [1e-3], "ridge": 0.0, "m": [1000]}
+        raw["radius"] = {"relative": [0.5, 0.8, 1.0]}
+        rows = run_experiment(validate_config(raw), out_dir=tmp_path).rows
+        assert len(rows) == 6 and all(row["passed"] for row in rows)
+        assert max(row["radius"] for row in rows) == pytest.approx(0.2 * math.sqrt(8.0))
+
     def test_gamma_beyond_the_node_cap_raises(self, tmp_path):
         cfg = validate_config(huge_gamma_config())
         with pytest.raises(ResolutionError, match=f"above the cap of {2**22}"):
@@ -573,8 +587,14 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "name, bounds",
-        [("double_well", [0.5, 2.0]), ("quadratic", [0.0, 5.0]), ("quadratic", [1.0, 5.0])],
-        ids=["one_well_outside", "minimum_on_the_edge", "minimum_outside"],
+        [
+            ("double_well", [0.5, 2.0]),
+            ("double_well", [-1.0, 2.0]),
+            ("quadratic", [0.0, 5.0]),
+            ("quadratic", [1.0, 5.0]),
+        ],
+        ids=["one_well_outside", "one_of_two_wells_on_the_edge", "minimum_on_the_edge",
+             "minimum_outside"],
     )
     def test_minimum_outside_the_box_exit_2(self, name, bounds, tmp_path, capsys):
         raw = minimal_config(

@@ -4,12 +4,12 @@ Oracles and bounds must not share code with the independent references in
 ``tests/helpers.py``, so no module of the package may import ``helpers``
 or anything under ``tests``.
 
-``import gibbslab`` loads none of scipy's heavy subpackages. scipy.special
-loads on the first incomplete gamma P(a, z) or the first Kummer M, so
-chains and generalization-only runs never load it. The quadrature oracles'
-16-point Gauss-Legendre rule is a declared constant, so the oracles alone
-load neither scipy.special nor the scipy.linalg that computing the rule
-would, and no quadrature run loads scipy.linalg.
+``import gibbslab`` loads none of scipy's heavy subpackages, and no run
+loads scipy.special or scipy.linalg: the incomplete gamma P(a, z) and
+Kummer's M are summed in ``gibbslab.specfun`` on the standard library, and
+the quadrature oracles' 16-point Gauss-Legendre rule is a declared
+constant, so neither chains, generalization runs nor quadrature runs load
+them. The tests themselves import scipy.special as their reference.
 """
 
 import ast
@@ -47,7 +47,8 @@ def test_module_imports_nothing_from_the_tests(path):
 
 # scipy subpackages that ``import gibbslab`` must not load: each adds start-up
 # time and resident memory to every process (scipy.special about 23 MB,
-# scipy.linalg 6 MB more on top of it)
+# scipy.linalg 6 MB more on top of it). No run loads the last two either:
+# the sampling and quadrature tests below check that
 UNLOADED = (
     "scipy.integrate", "scipy.stats", "scipy.optimize", "scipy.linalg", "scipy.special"
 )
@@ -85,7 +86,7 @@ assert harness.run_experiment(cfg, out_dir=sys.argv[1]).rows
 assert "scipy.special" not in sys.modules, "loaded by a chain or a generalization run"
 
 p = specfun.regularized_gamma_P(0.5, 1.0)
-assert "scipy.special" in sys.modules
+assert "scipy.special" not in sys.modules, "loaded by the incomplete gamma"
 nodes, weights = oracles.tensor_gauss_legendre([(-1.0, 1.0)], 16).axes[0]
 from scipy.special import gammainc, roots_legendre
 x, w = roots_legendre(16)
@@ -107,7 +108,7 @@ def test_sampling_side_leaves_scipy_special_unloaded(tmp_path):
 QUADRATURE_SIDE = """
 import sys
 import numpy as np
-from gibbslab import harness, landscapes, oracles
+from gibbslab import harness, landscapes, oracles, specfun
 
 # the oracles alone: a tensor grid, its measure and a product measure
 well = landscapes.double_well_landscape(1)
@@ -133,11 +134,15 @@ for landscape in (
     })
     result = harness.run_experiment(cfg, out_dir=sys.argv[1])
     assert {row["theorem"] for row in result.rows} == set(theorems)
-assert "scipy.linalg" not in sys.modules, "loaded by a quadrature run"
+# P(d/2 + 1, r²/2) is below the smallest normal double, so the ratio is
+# read off Kummer's M
+assert specfun.chi2_cdf(22, 1e-30) < sys.float_info.min
+assert 0.0 < specfun.chi2_cdf_ratio(20, 1e-30) < 1e-30
+assert not {"scipy.special", "scipy.linalg"} & set(sys.modules), "loaded by a quadrature run"
 """
 
 
-def test_quadrature_side_leaves_scipy_linalg_unloaded(tmp_path):
+def test_quadrature_side_leaves_scipy_special_and_linalg_unloaded(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     done = subprocess.run(
         [sys.executable, "-c", QUADRATURE_SIDE, str(tmp_path)],

@@ -338,6 +338,12 @@ class TestDisjointRadius:
         minima = enumerate_minima(quadratic_landscape(1, bounds=(-5.0, 5.0)), 0.0)
         assert disjoint_radius(minima) == pytest.approx(5.0)
 
+    def test_box_caps_the_pairwise_radius(self):
+        # wells at ±1 with curvature 8: the pairwise radius is √8, but each
+        # ellipsoid touches the box [−1.2, 1.2] at 0.2·√8
+        minima = enumerate_minima(double_well_landscape(bounds=(-1.2, 1.2)), 0.0)
+        assert disjoint_radius(minima) == pytest.approx(0.2 * math.sqrt(8.0))
+
     def test_monotone_in_smallest_eigenvalue(self):
         base = [
             build_descriptor([-1.0], [[4.0]]),

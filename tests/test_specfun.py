@@ -1,9 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import gammainc
+from scipy.special import gammainc, hyp1f1
 
 from gibbslab.errors import ArgumentError
 from gibbslab.specfun import (
@@ -52,6 +55,29 @@ class TestRegularizedGammaP:
             assert regularized_gamma_P(a, z) == pytest.approx(
                 float(gammainc(a, z)), abs=1e-10
             )
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.integers(1, 2000), st.floats(-6.0, 5.0))
+    def test_accuracy_against_scipy(self, d, log10_z):
+        z = 10.0**log10_z
+        p, reference = regularized_gamma_P(0.5 * d, z), float(gammainc(0.5 * d, z))
+        assert abs(p - reference) <= 1e-12
+        # scipy flushes values below the smallest normal double to 0, so the
+        # relative error is taken where its reference is a normal number
+        if sys.float_info.min <= reference < 0.5:
+            assert abs(p - reference) <= 1e-10 * reference
+
+    @pytest.mark.parametrize("z", [1e12, 1e12 + 2.0], ids=["series", "continued_fraction"])
+    def test_running_out_of_terms_raises(self, z):
+        # near z = a either loop needs on the order of sqrt(a) terms: about
+        # 7.6e6 for the series at a = 1e12, past the cap of 10 000
+        with pytest.raises(ArgumentError, match=f"a=1000000000000.0, z={z}"):
+            regularized_gamma_P(1e12, z)
+
+    def test_limits_at_infinity_and_nan(self):
+        assert regularized_gamma_P(3.0, math.inf) == 1.0
+        with pytest.raises(ArgumentError):
+            regularized_gamma_P(3.0, math.nan)
 
     def test_monotone_in_z_and_limits(self):
         for a in A_GRID:
@@ -136,6 +162,15 @@ class TestChiSquare:
         ratio = chi2_cdf_ratio(d, r_squared)
         assert 0.0 < ratio <= 1.0
         assert ratio == pytest.approx(self.series_ratio(d, r_squared), rel=1e-15)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.integers(1, 2000), st.floats(-300.0, 3.0))
+    def test_ratio_where_p_underflows_against_scipy_kummer(self, d, log10_r_squared):
+        r_squared = 10.0**log10_r_squared
+        a, z = 0.5 * d, 0.5 * r_squared
+        assume(gammainc(a + 1.0, z) < sys.float_info.min)
+        reference = z / (a + 1.0) * hyp1f1(1.0, a + 2.0, z) / hyp1f1(1.0, a + 1.0, z)
+        assert chi2_cdf_ratio(d, r_squared) == pytest.approx(reference, rel=1e-12)
 
     @pytest.mark.parametrize("d, r_squared", [(3, 0.5), (10, 5.0), (200, 150.0)])
     def test_ratio_against_series(self, d, r_squared):
