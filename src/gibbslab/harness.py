@@ -484,12 +484,6 @@ def _finish(row: dict, total, secondary, terms, oracle, allowance, passes) -> di
     return row
 
 
-def _coordinate_potential(risk_k, ridge: float):
-    if ridge == 0.0:  # as Landscape.reg_risk: a coordinate risk is ≥ +0, so + 0.0 moves no bit
-        return risk_k
-    return lambda x: risk_k(x) + ridge * (x * x)
-
-
 def _gibbs_measure(cfg: ExperimentConfig, gamma, ridge, regions, needs_risk) -> tuple:
     """The (γ, λ) Gibbs measure read off for ``regions``, and how it was
     computed: its method (the ``product`` oracle for a landscape that
@@ -501,23 +495,24 @@ def _gibbs_measure(cfg: ExperimentConfig, gamma, ridge, regions, needs_risk) -> 
     start = time.perf_counter()
     if product:
         measure = product_measure(
-            [_coordinate_potential(f, ridge) for f in landscape.coordinate_risks],
+            landscape.coordinate_risks,
             gamma,
             landscape.domain_box,
             nodes,
             regions=regions,
             integrands={"risk": landscape.coordinate_risks} if needs_risk else None,
+            ridge=ridge,
         )
     else:
-        # at λ = 0 the potential is the risk itself (``reg_risk`` returns
-        # its bits), so the risk integrand is read off the potential's values
-        potential = landscape.risk if ridge == 0.0 else lambda w: landscape.reg_risk(w, ridge)
+        # the oracle forms reg_risk's bits from one risk evaluation per
+        # node and reads the risk integrand off those same values
         measure = quadrature_measure(
-            potential,
+            landscape.risk,
             gamma,
             tensor_gauss_legendre(landscape.domain_box, nodes),
             regions=regions,
             integrands={"risk": landscape.risk} if needs_risk else None,
+            ridge=ridge,
         )
     return measure, {
         "gamma": gamma,

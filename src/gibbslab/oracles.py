@@ -3,16 +3,20 @@
 Nothing here reuses the bound formulas it is meant to check. Every
 quadrature rule is composed of one declared 16-point Gauss-Legendre panel
 rule, so the quadrature oracles load no scipy subpackage. Quadrature
-is restricted to d ≤ 3. The tensor grid's time grows as n^d for n nodes
-per dimension, but it streams the grid in blocks of about 32k nodes, so
-its memory does not; its region masses converge spectrally only in d = 1.
-Nodes where the Gibbs density is exactly 0.0 in double precision are
-dropped before exp, so integrands and regions are read only where the
+is restricted to d ≤ 3. Both Gibbs-measure oracles take a risk and a
+ridge weight λ and form R + λ‖w‖² from one risk evaluation per node, with
+the bits of ``Landscape.reg_risk``; a risk integrand that is the same
+function is read off those values. The tensor grid's time grows as n^d
+for n nodes per dimension, but it streams the grid in blocks of about 16k
+nodes, so its memory does not; its region masses converge spectrally only
+in d = 1. Nodes where the Gibbs density is exactly 0.0 in double precision
+are dropped before exp, so integrands and regions are read only where the
 density is nonzero.
 A separable potential gets the product rule instead, whose region masses
 and complements are nested 1-d rules that converge spectrally in d = 2
-and 3 as well. Monte-Carlo estimators return normal-approximation 95%
-intervals and assertions on stochastic quantities should use 3σ margins.
+and 3 as well; they split only the slices of nonzero weight. Monte-Carlo
+estimators return normal-approximation 95% intervals and assertions on
+stochastic quantities should use 3σ margins.
 """
 
 from __future__ import annotations
@@ -65,8 +69,12 @@ _HALF_WEIGHTS = (
 _RULE_NODES = np.array([-x for x in _HALF_NODES[::-1]] + list(_HALF_NODES))
 _RULE_WEIGHTS = np.array(_HALF_WEIGHTS[::-1] + _HALF_WEIGHTS)
 _PANEL_ORDER = _RULE_NODES.size
-# nodes per block of a streamed tensor grid (whole rows of the leading axis)
-_QUAD_BLOCK = 32768
+# nodes per block of a streamed tensor grid (whole rows of the leading axis):
+# each block's dozen temporaries (128-256 KB in d = 2) then stay resident
+# from block to block, where at 32k nodes glibc returned them to the system
+# and page-faulted them back on every block; at 8k nodes the per-block
+# overhead shows in the pass time
+_QUAD_BLOCK = 16384
 # (trials × examples) per sample block of the generalization gap
 _GAP_BLOCK = 32768
 # np.exp(x) is exactly 0.0 for every x at or below this cut (it underflows
@@ -224,18 +232,24 @@ def _region_edges_1d(regions, box: np.ndarray) -> list[float]:
     return [p for p in edges if box[0, 0] < p < box[0, 1]]
 
 
-def _measure_on_grid(potential, gamma, grid, regions, integrands) -> QuadratureMeasure:
+def _measure_on_grid(potential, ridge, gamma, grid, regions, integrands) -> QuadratureMeasure:
     # One pass over the grid's blocks: acc holds the block sums of
     # e^(−γ(f − f_min))·weight for Z, each radius's complement, each region
     # and each integrand (whole box, then per region), relative to the
-    # lowest potential f_min seen so far; a lower one rescales them. No
-    # array spans the whole grid: d = 3 grids hold millions of nodes.
+    # lowest Gibbs potential f = potential + λ‖w‖² seen so far; a lower one
+    # rescales them. No array spans the whole grid: d = 3 grids hold
+    # millions of nodes.
     radii = sorted({e.radius for e in regions})
     k, c = len(regions), len(radii)
     acc = np.zeros(1 + c + k + len(integrands) * (1 + k))
     f_min, bad = math.inf, 0
     for nodes, weights in grid.blocks():
-        f = np.asarray(potential(nodes), dtype=float)
+        values = np.asarray(potential(nodes), dtype=float)
+        f = values
+        if ridge != 0.0:  # the bits of Landscape.reg_risk: values + λ·‖w‖²
+            f = _rowdot(nodes, nodes)
+            f *= ridge
+            f += values
         block_min = float(f.min())  # NaN if any value is NaN, −inf if any is −inf
         if not block_min > -math.inf:
             bad += f.size - int(np.count_nonzero(f > -math.inf))
@@ -246,7 +260,9 @@ def _measure_on_grid(potential, gamma, grid, regions, integrands) -> QuadratureM
         if block_min < f_min:
             acc *= math.exp(-gamma * (f_min - block_min))
             f_min = block_min
-        expo = f - f_min
+        # in place only in the ridge sum: the potential's returned array
+        # is not written (an integrand may read it, or its caller own it)
+        expo = np.subtract(f, f_min, out=None if f is values else f)
         expo *= -gamma
         # only nodes whose density is nonzero are read from here on; a
         # gather with take costs a fraction of a boolean mask's copy
@@ -255,6 +271,8 @@ def _measure_on_grid(potential, gamma, grid, regions, integrands) -> QuadratureM
             continue
         if live.size < expo.size:
             nodes, weights, expo = nodes.take(live, axis=0), weights.take(live), expo.take(live)
+            if any(g is potential for g in integrands.values()):
+                values = values.take(live)
         dens = np.exp(expo, out=expo)
         dens *= weights
         masks = [np.asarray(e.contains(nodes), dtype=bool) for e in regions]
@@ -264,11 +282,9 @@ def _measure_on_grid(potential, gamma, grid, regions, integrands) -> QuadratureM
             sums.append(dens[~inside].sum())
         sums.extend(dens[mask].sum() for mask in masks)
         for g in integrands.values():
-            if g is potential:  # its values at the live nodes are known
-                values = f if live.size == f.size else f.take(live)
-            else:
-                values = np.asarray(g(nodes), dtype=float)
-            weighted = dens * values
+            # the potential's values at the live nodes are known
+            g_values = values if g is potential else np.asarray(g(nodes), dtype=float)
+            weighted = dens * g_values
             sums.append(weighted.sum())
             sums.extend(weighted[mask].sum() for mask in masks)
         acc += sums
@@ -315,8 +331,10 @@ def quadrature_measure(
     grid: QuadratureGrid,
     regions: Sequence[EllipsoidSpec] = (),
     integrands: dict[str, Callable[[np.ndarray], np.ndarray]] | None = None,
+    ridge: float = 0.0,
 ) -> QuadratureMeasure:
-    """The Gibbs density e^(−γ·potential) on the grid's box, read off once.
+    """The Gibbs density e^(−γ(potential(w) + ridge·‖w‖²)) on the grid's
+    box, read off once.
 
     Returns log Z, the mass of each region, for each radius among the
     regions the mass outside the union of the regions of that radius, and
@@ -332,28 +350,35 @@ def quadrature_measure(
     +inf at every node, raises ArgumentError; +inf elsewhere is zero
     density.
 
-    Each grid is read in one pass over blocks of about 32k nodes, so
+    The potential is evaluated once per node. At ridge λ > 0 the Gibbs
+    potential is its values plus λ‖w‖², with the bits of
+    ``Landscape.reg_risk``, so a landscape's ``risk`` and λ give the
+    density of ``reg_risk(w, λ)``. An integrand that is the potential
+    object itself is not called again: its values are the potential's
+    (without the ridge term) at those nodes.
+
+    Each grid is read in one pass over blocks of about 16k nodes, so
     memory does not grow with the node count; time still grows as n^d.
     Nodes where the density e^(−γ(f − f_min)) is exactly 0.0 (exponent at
     or below −746) are dropped right after the potential, before exp:
     integrands and regions are read only where the density is nonzero, so
     a NaN or infinite integrand value at a zero-density node is never seen.
-    An integrand that is the potential object itself is not called again:
-    its values are the potential's at those nodes.
     """
     if not gamma > 0.0:
         raise ArgumentError(f"gamma must be positive, got {gamma}")
+    if not ridge >= 0.0:
+        raise ArgumentError(f"ridge weight must be nonnegative, got {ridge}")
     regions, integrands = list(regions), integrands or {}
     breakpoints = grid.breakpoints
     if regions and grid.dimension == 1:
         # the given grid's rules are never built: only its node count is read
         breakpoints = [breakpoints[0] + tuple(_region_edges_1d(regions, grid.domain_box))]
         grid = tensor_gauss_legendre(grid.domain_box, grid.nodes_per_dim, breakpoints)
-    coarse = _measure_on_grid(potential, gamma, grid, regions, integrands)
+    coarse = _measure_on_grid(potential, ridge, gamma, grid, regions, integrands)
     fine_grid = tensor_gauss_legendre(
         grid.domain_box, [2 * n for n in grid.nodes_per_dim], breakpoints
     )
-    fine = _measure_on_grid(potential, gamma, fine_grid, regions, integrands)
+    fine = _measure_on_grid(potential, ridge, gamma, fine_grid, regions, integrands)
     _check_doubling(coarse, fine, grid.nodes_per_dim)
     return replace(fine, nodes_per_axis=(grid.nodes_per_dim, fine_grid.nodes_per_dim))
 
@@ -393,29 +418,36 @@ def _dyadic_sums(values: np.ndarray) -> list[np.ndarray]:
 
 class _Axis:
     """One coordinate's normalized 1-d Gibbs density e^(−γφ(x))/Z on its box
-    interval [lo, hi], with the partial moments of per-coordinate integrands.
+    interval [lo, hi], φ(x) = potential(x) + ridge·x², with the partial
+    moments of per-coordinate integrands.
 
     The density is integrated by composite Gauss-Legendre panels. The
     integral over an interval is its whole panels, summed from dyadic runs
     so that it stays accurate relative to the interval in the tails, plus
-    a fresh rule on a partial panel.
+    a fresh rule on a partial panel. The potential is evaluated once per
+    point, and integrands are read only where the density is nonzero.
     """
 
-    def __init__(self, potential, integrands, gamma: float, lo: float, hi: float, nodes: int):
-        self.potential, self.integrands, self.gamma = potential, integrands, gamma
+    def __init__(
+        self, potential, ridge: float, integrands, gamma: float, lo: float, hi: float, nodes: int
+    ):
+        self.potential, self.ridge, self.integrands = potential, ridge, integrands
+        self.gamma = gamma
         self.lo, self.hi = lo, hi
         self.edges = _panel_edges(lo, hi, nodes)
         x, w = _gl_on_edges(self.edges)
         self.nodes = len(x)
-        f = self._potential(x)
+        values, f = self._potential(x)
         self.f_min = float(f.min())
         if self.f_min == math.inf:
             raise ArgumentError("potential is +inf at every grid node: the Gibbs density is zero")
-        dens = np.exp(-gamma * (f - self.f_min)) * w
+        panels = np.empty((1 + len(integrands), len(x)))
+        dens = np.exp(-gamma * (f - self.f_min), out=panels[0])
+        dens *= w
         total = float(dens.sum())
         self.log_total = math.log(total)
         self.log_z = self.log_total - gamma * self.f_min
-        panels = np.stack([dens, *(dens * g(x) for g in integrands)]) / total
+        panels = self._moments(panels, x, values) / total
         panels = panels.reshape(len(panels), -1, _PANEL_ORDER).sum(axis=-1)
         self.means = panels[1:].sum(axis=-1)
         # cumulative[:, j]: panels before j; tail[:, j]: panels j on
@@ -423,32 +455,61 @@ class _Axis:
         self.tail = np.pad(np.cumsum(panels[:, ::-1], axis=-1)[:, ::-1], [(0, 0), (0, 1)])
         self.runs = _dyadic_sums(panels)
 
-    def _potential(self, x: np.ndarray) -> np.ndarray:
-        f = np.asarray(self.potential(x), dtype=float)
-        if not f.min(initial=math.inf) > -math.inf:  # NaN or −inf somewhere
-            bad = f.size - int(np.count_nonzero(f > -math.inf))
-            raise ArgumentError(f"potential is NaN or -inf at {bad} of {f.size} axis nodes")
-        return f
+    def _potential(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The potential's values at x and φ(x), the same array at ridge 0;
+        φ has the bits of potential(x) + ridge·(x·x)."""
+        values = np.asarray(self.potential(x), dtype=float)
+        if not values.min(initial=math.inf) > -math.inf:  # NaN or −inf somewhere
+            bad = values.size - int(np.count_nonzero(values > -math.inf))
+            raise ArgumentError(f"potential is NaN or -inf at {bad} of {values.size} axis nodes")
+        if self.ridge == 0.0:
+            return values, values
+        f = x * x
+        f *= self.ridge
+        f += values
+        return values, f
 
-    def density(self, x: np.ndarray) -> np.ndarray:
-        """The density at points x of [lo, hi]."""
-        p = self._potential(x)
-        p -= self.f_min
+    def _moments(self, out: np.ndarray, x: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Fill out[1 + j] with out[0]·g(x) for integrand j and return out.
+        g is read only where out[0] is nonzero, and the product is an exact
+        zero elsewhere; an integrand that is the potential takes its
+        ``values`` at x."""
+        if not self.integrands:
+            return out
+        p = out[0]
+        live = p != 0.0
+        every = bool(live.all())
+        for row, g in zip(out[1:], self.integrands):
+            if g is self.potential:
+                g_x = values if every else np.where(live, values, 0.0)
+            elif every:
+                g_x = np.asarray(g(x), dtype=float)
+            else:
+                g_x = np.zeros(x.shape)
+                g_x[live] = g(x[live])
+            np.multiply(p, g_x, out=row)
+        return out
+
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """The density at points x of [lo, hi], then its product with each
+        integrand: shape (1 + integrands,) + x.shape."""
+        values, f = self._potential(x)
+        out = np.empty((1 + len(self.integrands),) + x.shape)
+        p = np.subtract(f, self.f_min, out=out[0])
         p *= -self.gamma
         p -= self.log_total
-        return np.exp(p, out=p)
+        np.exp(p, out=p)
+        return self._moments(out, x, values)
 
     def _rule(self, start: np.ndarray, end: np.ndarray) -> np.ndarray:
         """One panel rule on each [start, end] inside a panel. Rows: the
         mass, then the partial moment of each integrand."""
         half = 0.5 * (end - start)
         x = (0.5 * (end + start))[..., None] + half[..., None] * _RULE_NODES
-        p = self.density(x)
-        w = _RULE_WEIGHTS
-        return np.stack([p @ w, *((p * g(x)) @ w for g in self.integrands)]) * half
+        return np.stack([row @ _RULE_WEIGHTS for row in self.rows(x)]) * half
 
     def _tiled(self, first: np.ndarray, stop: np.ndarray, rows) -> np.ndarray:
-        """Rows ``rows`` (as in density()) of the whole panels first ..
+        """Rows ``rows`` (as in rows()) of the whole panels first ..
         stop − 1, as the sum of the dyadic runs that tile the range: the
         mass is then a sum of positive terms, accurate relative to the
         range however small it is against the mass on either side, which
@@ -465,7 +526,7 @@ class _Axis:
         """The gaps [lo, l₀], [h₀, l₁], ..., [h_last, hi] and the chords
         [lᵢ, hᵢ] of sorted disjoint chords ``cuts`` = (l₀, h₀, l₁, h₁, ...)
         along the first axis, each clipped to [lo, hi]: the gaps' masses,
-        shape (chords + 1, q), and the chords' rows as in density(), shape
+        shape (chords + 1, q), and the chords' rows as in rows(), shape
         (chords, rows, q).
 
         One rule per cut integrates its partial panel on the gap side, so
@@ -521,9 +582,10 @@ _CHORD_DU = 8.0
 _CHORD_U = 12.0
 _CHORD_DTHETA = math.pi / 4.0
 _CHORD_END = 4.0
-# slices per block of the nested rule: 128k nodes, 1 MB per array, in the
-# partial-panel rules of one chord per slice
-_SLICE_BLOCK = 4096
+# slices per block of the nested rule: 32k nodes, 256 KB per array, in the
+# partial-panel rules of one chord per slice; 4096 slices made 1 MB arrays
+# that were faulted in again per block and raised peak memory by about 2 MB
+_SLICE_BLOCK = 1024
 
 
 def _chord_rule(whitened_radius: float, refine: int) -> tuple[np.ndarray, np.ndarray]:
@@ -586,7 +648,18 @@ def _nested(axes, k, members, t, w, wg, chord, masses, moments) -> float:
             f"the extents of regions of one radius along coordinate {k} overlap; "
             "the product rule needs them equal or disjoint"
         )
-    gaps, chords = axis.split(cuts)
+    # a slice whose weight and integrand weights are all exactly 0 adds
+    # exact zeros below it (a subnormal pair weight may round w to 0 and
+    # leave wg not): only the others are split, and the skipped entries
+    # stay 0, so every sum keeps its terms
+    live = np.flatnonzero((w != 0.0) | np.any(wg != 0.0, axis=0))
+    if live.size == len(w):
+        gaps, chords = axis.split(cuts)
+    else:
+        gaps = np.zeros((len(cuts) // 2 + 1, len(w)))
+        chords = np.zeros((len(cuts) // 2, 1 + len(wg), len(w)))
+        if live.size:
+            gaps[:, live], chords[..., live] = axis.split(cuts[:, live])
     outside = float(np.dot(gaps.sum(axis=0), w))
     if k == len(axes) - 1:
         for key, chord_vals in zip(keys, chords):
@@ -594,21 +667,9 @@ def _nested(axes, k, members, t, w, wg, chord, masses, moments) -> float:
                 masses[index] += float(np.dot(chord_vals[0], w))
                 moments[:, index] += (wg * chord_vals[0] + w * chord_vals[1:]).sum(axis=-1)
         return outside
-    sin, cos_w = chord
+    sin = chord[0]
     for (c, h), s in zip(keys, spans):
-        offset = s[:, None] * sin
-        x = np.stack([c + offset, c - offset])
-        inside = (x >= axis.lo) & (x <= axis.hi)
-        x = np.where(inside, x, c)
-        p = np.where(inside, axis.density(x), 0.0)
-        # the node pair ±θ shares the squared radius t·cos²θ left inside
-        scale = s[:, None] * cos_w
-        pair = p.sum(axis=0)
-        child_w = (pair * scale * w[:, None]).ravel()
-        child_wg = np.empty((len(wg), child_w.size))
-        for j, g in enumerate(axis.integrands):
-            moment = pair * wg[j][:, None] + (p * g(x)).sum(axis=0) * w[:, None]
-            child_wg[j] = (moment * scale).ravel()
+        child_w, child_wg = _chord_weights(axis, c, s, chord, w, wg)
         outside += _nested(
             axes,
             k + 1,
@@ -623,9 +684,38 @@ def _nested(axes, k, members, t, w, wg, chord, masses, moments) -> float:
     return outside
 
 
-def _product_pass(potentials, integrands, gamma, box, nodes, regions, refine) -> QuadratureMeasure:
+def _chord_weights(axis, c, s, chord, w, wg) -> tuple[np.ndarray, np.ndarray]:
+    """The weights of the child slices along the chords [c − s, c + s] of
+    ``axis``, one chord per slice, and their rows of ``wg``: the slice
+    weight times the chord rule's density, and the integrand moments
+    carried over. Only these outlive the call, so the chord nodes' arrays
+    are freed before the next coordinate's rules run."""
+    sin, cos_w = chord
+    offset = s[:, None] * sin
+    x = np.stack([c + offset, c - offset])
+    inside = (x >= axis.lo) & (x <= axis.hi)
+    x = np.where(inside, x, c)
+    rows = axis.rows(x)
+    rows[:, ~inside] = 0.0
+    p, *weighted = rows
+    # the node pair ±θ shares the squared radius t·cos²θ left inside
+    scale = s[:, None] * cos_w
+    pair = p.sum(axis=0)
+    child_w = (pair * scale * w[:, None]).ravel()
+    child_wg = np.empty((len(wg), child_w.size))
+    for j, pg in enumerate(weighted):
+        moment = pair * wg[j][:, None] + pg.sum(axis=0) * w[:, None]
+        child_wg[j] = (moment * scale).ravel()
+    return child_w, child_wg
+
+
+def _product_pass(
+    potentials, ridge, integrands, gamma, box, nodes, regions, refine
+) -> QuadratureMeasure:
     axes = [
-        _Axis(potentials[k], [pieces[k] for pieces in integrands.values()], gamma, lo, hi, n)
+        _Axis(
+            potentials[k], ridge, [pieces[k] for pieces in integrands.values()], gamma, lo, hi, n
+        )
         for k, ((lo, hi), n) in enumerate(zip(box, nodes))
     ]
     masses = np.zeros(len(regions))
@@ -663,15 +753,22 @@ def product_measure(
     nodes_per_dim: int,
     regions: Sequence[EllipsoidSpec] = (),
     integrands: dict[str, Sequence[Callable[[np.ndarray], np.ndarray]]] | None = None,
+    ridge: float = 0.0,
 ) -> QuadratureMeasure:
     """``quadrature_measure`` for a separable potential Σₖ φₖ(wₖ) on a box,
     d ≤ 3: the Gibbs density is then a product of 1-d densities.
 
-    ``potentials[k]`` maps an array of coordinate-k values to φₖ, and each
+    ``potentials[k]`` maps an array of coordinate-k values x to its piece,
+    and φₖ(x) is that piece plus ridge·x², with the bits of
+    ``potentials[k](x) + ridge * (x * x)``, so a landscape's
+    ``coordinate_risks`` and λ give the density of ``reg_risk(w, λ)``. Each
     integrand is given the same way, as its d coordinate pieces gₖ with
-    g(w) = Σₖ gₖ(wₖ). log Z and the box expectations are sums of 1-d
-    composite Gauss-Legendre integrals of ``nodes_per_dim`` nodes on every
-    axis (one int for all axes). Regions must be axis-aligned ellipsoids
+    g(w) = Σₖ gₖ(wₖ); a piece that is the potential piece object itself is
+    read off that piece's values, so each piece is evaluated once per point.
+    An integrand is read only where the 1-d density is nonzero, so a NaN or
+    infinite value where it is exactly 0.0 is never seen. log Z and the box
+    expectations are sums of 1-d composite Gauss-Legendre integrals of
+    ``nodes_per_dim`` nodes on every axis (one int for all axes). Regions must be axis-aligned ellipsoids
     (diagonal metric) whose metric is the curvature of the well they cover.
     Within any slice that fixes the coordinates before k, the extents along
     k of the regions of one radius must be equal or disjoint, else
@@ -688,9 +785,15 @@ def product_measure(
     within 1e-6 relative between the rules and their doubling (twice the
     nodes per axis, half the panel widths of the nested rules), else
     ResolutionError. A NaN or −inf potential raises ArgumentError.
+
+    Slices whose weight is exactly 0 are not split along the next
+    coordinate, and the nested rules run on blocks of about 1k slices, so
+    their memory stays small.
     """
     if not gamma > 0.0:
         raise ArgumentError(f"gamma must be positive, got {gamma}")
+    if not ridge >= 0.0:
+        raise ArgumentError(f"ridge weight must be nonnegative, got {ridge}")
     box = np.asarray(domain_box, dtype=float).reshape(-1, 2)
     d = box.shape[0]
     if d > 3 or len(potentials) != d:
@@ -703,10 +806,10 @@ def product_measure(
         if np.any(metric != np.diag(np.diagonal(metric))):
             raise ArgumentError("the product rule needs axis-aligned regions (diagonal metric)")
     coarse = _product_pass(
-        potentials, integrands, gamma, box, [int(nodes_per_dim)] * d, regions, 1
+        potentials, ridge, integrands, gamma, box, [int(nodes_per_dim)] * d, regions, 1
     )
     doubled = [2 * n for n in coarse.nodes_per_axis]
-    fine = _product_pass(potentials, integrands, gamma, box, doubled, regions, 2)
+    fine = _product_pass(potentials, ridge, integrands, gamma, box, doubled, regions, 2)
     _check_doubling(coarse, fine, coarse.nodes_per_axis)
     return replace(fine, nodes_per_axis=(coarse.nodes_per_axis, fine.nodes_per_axis))
 

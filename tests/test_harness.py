@@ -259,6 +259,46 @@ class TestRunExperiment:
         assert sum(points) == 400**2 + 800**2
         assert {r["m"] for r in result.rows} == {100, 1000}
 
+    @pytest.mark.parametrize("ridge", [0.0, 0.1])
+    def test_one_risk_evaluation_per_node(self, tmp_path, monkeypatch, ridge):
+        # the Gibbs potential R + λ‖w‖² and the risk integrand of the
+        # excess-risk rows come from one risk call per node of both passes
+        points, inside = [], []
+        make_landscape, measure = harness.make_landscape, harness.quadrature_measure
+
+        def counting_landscape(*args, **kwargs):
+            landscape = make_landscape(*args, **kwargs)
+            risk = landscape.risk
+
+            def counted(w):
+                if inside:
+                    points.append(len(w))
+                return risk(w)
+
+            return dataclasses.replace(landscape, risk=counted)
+
+        def measuring(*args, **kwargs):
+            inside.append(True)
+            try:
+                return measure(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(harness, "make_landscape", counting_landscape)
+        monkeypatch.setattr(harness, "quadrature_measure", measuring)
+        raw = minimal_config(
+            landscape={
+                "name": "quadratic",
+                "params": {"dimension": 2, "matrix": [[1.0, 0.3], [0.3, 2.0]]},
+            },
+            theorems=["local_excess", "global_excess", "ellipsoid_mass"],
+        )
+        raw["gibbs"] = {"gamma": [100.0], "ridge": ridge, "m": [1000]}
+        raw["radius"] = {"relative": [0.8]}
+        result = run_experiment(validate_config(raw), out_dir=tmp_path)
+        assert {r["theorem"] for r in result.rows} >= {"local_excess", "global_excess"}
+        assert sum(points) == 400**2 + 800**2
+
     def test_one_landscape_per_run(self, tmp_path, monkeypatch):
         built = []
         make_landscape = harness.make_landscape

@@ -20,7 +20,7 @@ from gibbslab.landscapes import (
     rls_data_model,
     spline_double_well_landscape,
 )
-from gibbslab import oracles
+from gibbslab import harness, oracles
 from gibbslab.oracles import (
     derivative_check,
     empirical_excess_risk,
@@ -97,6 +97,23 @@ def _assert_matches_whole_array(meas, pot, gamma, box, counts, regions, g):
     np.testing.assert_allclose(
         meas.region_conditional["g"], [gd[m].sum() / dens[m].sum() for m in masks], rtol=1e-12
     )
+
+
+def _assert_same_bits(a, b):
+    """Every value of two measures equal bit for bit (NaN where NaN)."""
+    assert a.log_z == b.log_z
+    assert a.nodes_per_axis == b.nodes_per_axis
+    assert a.complement_mass == b.complement_mass
+    assert a.conditional == b.conditional
+    np.testing.assert_array_equal(a.masses, b.masses, strict=True)
+    assert a.region_conditional.keys() == b.region_conditional.keys()
+    for name, values in a.region_conditional.items():
+        np.testing.assert_array_equal(values, b.region_conditional[name], strict=True)
+
+
+def _assert_close(a, b, rel):
+    """Every value of two measures within ``rel`` relative of each other."""
+    np.testing.assert_allclose(oracles._values(a), oracles._values(b), rtol=rel, atol=0.0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -321,6 +338,44 @@ class TestQuadratureMeasure:
         )
         assert meas.conditional["g"] == pytest.approx(1.0, abs=1e-12)
         assert meas.region_conditional["g"][0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_small_blocks_match_whole_array_reference(self, monkeypatch):
+        # 1024-node blocks cut the doubled 512 × 256 grid into 128 blocks,
+        # so every sum is the sum of many block sums and the running
+        # minimum drops in the last of them
+        monkeypatch.setattr(oracles, "_QUAD_BLOCK", 1024)
+        counts = [256, 128]
+        pot, box, regions, g = _late_minimum_wells(2, 200.0, counts)
+        fine = tensor_gauss_legendre(box, [2 * n for n in counts])
+        assert len(list(fine.blocks())) == 128
+        meas = quadrature_measure(
+            pot, 200.0, tensor_gauss_legendre(box, counts), regions=regions,
+            integrands={"g": g},
+        )
+        _assert_matches_whole_array(meas, pot, 200.0, box, counts, regions, g)
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.1])
+    @pytest.mark.parametrize(
+        "land,nodes",
+        [
+            (double_well_landscape(1), 2000),
+            (quadratic_landscape(2, matrix=np.array([[1.0, 0.3], [0.3, 2.0]])), 400),
+        ],
+        ids=["double_well1", "quadratic2"],
+    )
+    def test_ridge_has_the_bits_of_reg_risk(self, land, nodes, ridge):
+        # the risk and λ give the measure of reg_risk(w, λ) bit for bit,
+        # with the risk integrand read off the risk's own values
+        minima = enumerate_minima(land, ridge)
+        regions = [m.ellipsoid(0.8 * disjoint_radius(minima)) for m in minima]
+        grid = tensor_gauss_legendre(land.domain_box, nodes)
+        by_ridge = quadrature_measure(
+            land.risk, 100.0, grid, regions, {"risk": land.risk}, ridge=ridge
+        )
+        explicit = quadrature_measure(
+            lambda w: land.reg_risk(w, ridge), 100.0, grid, regions, {"risk": land.risk}
+        )
+        _assert_same_bits(by_ridge, explicit)
 
     def test_exp_is_exactly_zero_at_or_below_the_cut(self):
         # the skip drops only nodes whose factor np.exp gives as 0.0
@@ -583,6 +638,113 @@ class TestProductMeasure:
             product.region_conditional["risk"], tensor.region_conditional["risk"], rtol=1e-6
         )
         assert product.nodes_per_axis == ((400, 400), (800, 800))
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.1])
+    def test_ridge_has_the_bits_of_the_explicit_potential(self, ridge):
+        land = double_well_landscape(2)
+        minima = enumerate_minima(land, ridge)
+        regions = [m.ellipsoid(0.5 * disjoint_radius(minima)) for m in minima]
+        risks = land.coordinate_risks
+        by_ridge = product_measure(
+            risks, 20.0, land.domain_box, 400, regions, {"risk": risks}, ridge=ridge
+        )
+        explicit = product_measure(
+            [lambda x, f=f: f(x) + ridge * (x * x) for f in risks], 20.0, land.domain_box,
+            400, regions, {"risk": risks},
+        )
+        _assert_same_bits(by_ridge, explicit)
+
+    def test_each_piece_is_evaluated_once_per_point(self):
+        # a risk integrand that is the potential's piece reads that piece's
+        # values: asking for it adds no evaluation
+        land = double_well_landscape(2)
+        seen = []
+
+        def counted(f):
+            def piece(x):
+                seen.append(np.size(x))
+                return f(x)
+
+            return piece
+
+        pieces = [counted(f) for f in land.coordinate_risks]
+        minima = enumerate_minima(land, 0.1)
+        regions = [m.ellipsoid(0.5 * disjoint_radius(minima)) for m in minima]
+        product_measure(pieces, 20.0, land.domain_box, 400, regions, ridge=0.1)
+        alone = sum(seen)
+        seen.clear()
+        product_measure(pieces, 20.0, land.domain_box, 400, regions, {"risk": pieces}, ridge=0.1)
+        assert sum(seen) == alone > 0
+
+    def test_nan_integrand_at_zero_density_points_is_never_read(self):
+        # e^(−50 x²) is exactly 0.0 for |x| > 3.87: the NaN beyond 5 meets
+        # no nonzero factor on the axes' rules, on the partial panels or on
+        # the chords of the wide region, which reach |x| = 6
+        assert np.exp(-50.0 * 5.0**2) == 0.0
+        phi = lambda x: 50.0 * x * x
+        g = lambda x: np.where(np.abs(x) > 5.0, np.nan, 0.5 + x)
+        regions = [
+            EllipsoidSpec(center=np.zeros(2), metric=100.0 * np.eye(2), radius=r)
+            for r in (1.0, 60.0)
+        ]
+        meas = product_measure(
+            [phi, phi], 1.0, [(-10.0, 10.0)] * 2, 400, regions=regions,
+            integrands={"g": [g, g]},
+        )
+        assert meas.conditional["g"] == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(meas.region_conditional["g"], 1.0, rtol=0.0, atol=1e-12)
+        assert meas.masses[1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_small_slice_blocks_keep_the_values(self, monkeypatch):
+        # the d = 3 point with 64-slice blocks: the last axis's 6400 and
+        # 16384 slices run in 100 and 256 blocks
+        land, gamma, h = _diagonal_quadratic_case(3, seed=37)
+        region = EllipsoidSpec(center=np.zeros(3), metric=np.diag(h), radius=7.0 / math.sqrt(gamma))
+        default = self._measure(land, gamma, [region])
+        blocks = []
+        nested = oracles._nested
+
+        def counting(axes, k, members, t, *args):
+            if len(t) <= 64:
+                blocks.append(k)
+            return nested(axes, k, members, t, *args)
+
+        monkeypatch.setattr(oracles, "_SLICE_BLOCK", 64)
+        monkeypatch.setattr(oracles, "_nested", counting)
+        small = self._measure(land, gamma, [region])
+        assert blocks.count(2) > 100
+        _assert_close(small, default, rel=1e-12)
+
+    def test_zero_weight_slices_are_not_split(self, monkeypatch, tmp_path):
+        # the quadratic d = 3 point at γ = 100, r = 0.8·r0: most slices of
+        # the chord rules carry density exactly 0.0 and are never split
+        raw = {
+            "landscape": {"name": "quadratic", "params": {"dimension": 3}},
+            "gibbs": {"gamma": 100.0, "ridge": 0.0, "m": 1000},
+            "radius": {"relative": 0.8},
+            "theorems": ["local_excess", "ellipsoid_mass", "complement_mass"],
+            "master_seed": 1,
+        }
+        slices, weighted, split_slices = [], [], []
+        nested, split = oracles._nested, oracles._Axis.split
+
+        def counting_nested(axes, k, members, t, w, wg, *args):
+            if len(t) <= oracles._SLICE_BLOCK:
+                slices.append(len(t))
+                # a subnormal pair weight may round w to 0 and leave wg not
+                weighted.append(int(np.count_nonzero((w != 0.0) | np.any(wg != 0.0, axis=0))))
+            return nested(axes, k, members, t, w, wg, *args)
+
+        def counting_split(self, cuts):
+            split_slices.append(cuts.shape[1])
+            return split(self, cuts)
+
+        monkeypatch.setattr(oracles, "_nested", counting_nested)
+        monkeypatch.setattr(oracles._Axis, "split", counting_split)
+        harness.run_experiment(harness.validate_config(raw), out_dir=tmp_path)
+        # both passes: 1 + 80 + 80² and 1 + 128 + 128² slices
+        assert sum(slices) == 22994
+        assert sum(split_slices) == sum(weighted) < 0.5 * sum(slices)
 
     def test_rejects_what_it_cannot_integrate(self):
         land = double_well_landscape(2)
