@@ -245,11 +245,10 @@ def _measure_on_grid(potential, ridge, gamma, grid, regions, integrands) -> Quad
     f_min, bad = math.inf, 0
     for nodes, weights in grid.blocks():
         values = np.asarray(potential(nodes), dtype=float)
-        f = values
-        if ridge != 0.0:  # the bits of Landscape.reg_risk: values + λ·‖w‖²
-            f = _rowdot(nodes, nodes)
-            f *= ridge
-            f += values
+        # the bits of Landscape.reg_risk: values + λ·‖w‖²
+        f = _rowdot(nodes, nodes)
+        f *= ridge
+        f += values
         block_min = float(f.min())  # NaN if any value is NaN, −inf if any is −inf
         if not block_min > -math.inf:
             bad += f.size - int(np.count_nonzero(f > -math.inf))
@@ -260,9 +259,7 @@ def _measure_on_grid(potential, ridge, gamma, grid, regions, integrands) -> Quad
         if block_min < f_min:
             acc *= math.exp(-gamma * (f_min - block_min))
             f_min = block_min
-        # in place only in the ridge sum: the potential's returned array
-        # is not written (an integrand may read it, or its caller own it)
-        expo = np.subtract(f, f_min, out=None if f is values else f)
+        expo = np.subtract(f, f_min, out=f)
         expo *= -gamma
         # only nodes whose density is nonzero are read from here on; a
         # gather with take costs a fraction of a boolean mask's copy
@@ -456,14 +453,12 @@ class _Axis:
         self.runs = _dyadic_sums(panels)
 
     def _potential(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The potential's values at x and φ(x), the same array at ridge 0;
-        φ has the bits of potential(x) + ridge·(x·x)."""
+        """The potential's values at x and φ(x), with the bits of
+        potential(x) + ridge·(x·x)."""
         values = np.asarray(self.potential(x), dtype=float)
         if not values.min(initial=math.inf) > -math.inf:  # NaN or −inf somewhere
             bad = values.size - int(np.count_nonzero(values > -math.inf))
             raise ArgumentError(f"potential is NaN or -inf at {bad} of {values.size} axis nodes")
-        if self.ridge == 0.0:
-            return values, values
         f = x * x
         f *= self.ridge
         f += values
@@ -474,16 +469,11 @@ class _Axis:
         g is read only where out[0] is nonzero, and the product is an exact
         zero elsewhere; an integrand that is the potential takes its
         ``values`` at x."""
-        if not self.integrands:
-            return out
         p = out[0]
         live = p != 0.0
-        every = bool(live.all())
         for row, g in zip(out[1:], self.integrands):
             if g is self.potential:
-                g_x = values if every else np.where(live, values, 0.0)
-            elif every:
-                g_x = np.asarray(g(x), dtype=float)
+                g_x = np.where(live, values, 0.0)
             else:
                 g_x = np.zeros(x.shape)
                 g_x[live] = g(x[live])
@@ -653,13 +643,10 @@ def _nested(axes, k, members, t, w, wg, chord, masses, moments) -> float:
     # leave wg not): only the others are split, and the skipped entries
     # stay 0, so every sum keeps its terms
     live = np.flatnonzero((w != 0.0) | np.any(wg != 0.0, axis=0))
-    if live.size == len(w):
-        gaps, chords = axis.split(cuts)
-    else:
-        gaps = np.zeros((len(cuts) // 2 + 1, len(w)))
-        chords = np.zeros((len(cuts) // 2, 1 + len(wg), len(w)))
-        if live.size:
-            gaps[:, live], chords[..., live] = axis.split(cuts[:, live])
+    gaps = np.zeros((len(cuts) // 2 + 1, len(w)))
+    chords = np.zeros((len(cuts) // 2, 1 + len(wg), len(w)))
+    if live.size:
+        gaps[:, live], chords[..., live] = axis.split(cuts[:, live])
     outside = float(np.dot(gaps.sum(axis=0), w))
     if k == len(axes) - 1:
         for key, chord_vals in zip(keys, chords):
